@@ -16,7 +16,6 @@ from .data import (
     Split,
     load_bundle,
     load_raw,
-    one_hot,
     prepare,
 )
 from .errors import (
@@ -35,12 +34,10 @@ from .harness import (
     run_experiment,
 )
 from .network import (
-    ForwardTrace,
     Network,
     NetworkConfig,
-    classify,
+    classify_batch,
     deserialize,
-    forward,
     forward_batch,
     init_network,
     serialize,
@@ -64,6 +61,7 @@ from .pruning import (
     grow_and_prune,
     prune_dead_hidden,
     prune_dead_inputs,
+    prune_dead_nodes,
     smallest_product,
 )
 from .training import TrainParams, TrainRecord, accuracy, retrain, train
@@ -82,7 +80,6 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "ExperimentReport",
-    "ForwardTrace",
     "Gradients",
     "GrowPruneReport",
     "Network",
@@ -98,14 +95,13 @@ __all__ = [
     "TrainParams",
     "TrainRecord",
     "accuracy",
-    "classify",
+    "classify_batch",
     "condition_candidates",
     "cross_entropy",
     "deserialize",
     "eliminate_weights",
     "export_dot",
     "finite_diff_check",
-    "forward",
     "forward_batch",
     "gradients",
     "grow_and_prune",
@@ -114,11 +110,11 @@ __all__ = [
     "load_config",
     "load_raw",
     "objective",
-    "one_hot",
     "penalty",
     "prepare",
     "prune_dead_hidden",
     "prune_dead_inputs",
+    "prune_dead_nodes",
     "retrain",
     "run_experiment",
     "serialize",

@@ -23,10 +23,10 @@ import numpy as np
 from . import synth
 from .data import SPECS, load_bundle
 from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError
-from .harness import export_dot, load_config, run_experiment
+from .harness import CONFIG_DEFAULTS, export_dot, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams, finite_diff_check
-from .pruning import PruneParams, eliminate_weights, prune_dead_hidden, prune_dead_inputs
+from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
 from .training import TrainParams, accuracy, train
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -39,9 +39,9 @@ def _add_data_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_penalty_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps1", type=float, default=0.1)
-    parser.add_argument("--eps2", type=float, default=1e-5)
-    parser.add_argument("--beta", type=float, default=10.0)
+    parser.add_argument("--eps1", type=float, default=CONFIG_DEFAULTS["eps1"])
+    parser.add_argument("--eps2", type=float, default=CONFIG_DEFAULTS["eps2"])
+    parser.add_argument("--beta", type=float, default=CONFIG_DEFAULTS["beta"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,11 +59,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a fresh network on one split")
     _add_data_args(p_train)
     _add_penalty_args(p_train)
-    p_train.add_argument("--hidden", type=int, default=3)
-    p_train.add_argument("--epochs", type=int, default=500)
-    p_train.add_argument("--lr", type=float, default=0.1)
-    p_train.add_argument("--init-range", type=float, default=1.0)
-    p_train.add_argument("--seed", type=int, default=1, help="weight init seed")
+    p_train.add_argument("--hidden", type=int, default=CONFIG_DEFAULTS["n_hidden"])
+    p_train.add_argument("--epochs", type=int, default=CONFIG_DEFAULTS["epochs"])
+    p_train.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_train.add_argument("--init-range", type=float, default=CONFIG_DEFAULTS["init_range"])
+    p_train.add_argument(
+        "--seed", type=int, default=CONFIG_DEFAULTS["init_seed"], help="weight init seed"
+    )
     p_train.add_argument("--out", required=True, type=Path, help="network JSON output")
     p_train.add_argument(
         "--trace", type=Path, default=None,
@@ -74,11 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_prune)
     _add_penalty_args(p_prune)
     p_prune.add_argument("--net", required=True, type=Path)
-    p_prune.add_argument("--eta1", type=float, default=0.35)
-    p_prune.add_argument("--eta2", type=float, default=0.10)
-    p_prune.add_argument("--tolerance", type=float, default=0.02)
-    p_prune.add_argument("--retrain-epochs", type=int, default=100)
-    p_prune.add_argument("--lr", type=float, default=0.1)
+    p_prune.add_argument("--eta1", type=float, default=CONFIG_DEFAULTS["eta1"])
+    p_prune.add_argument("--eta2", type=float, default=CONFIG_DEFAULTS["eta2"])
+    p_prune.add_argument(
+        "--tolerance", type=float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
+    )
+    p_prune.add_argument(
+        "--retrain-epochs", type=int, default=CONFIG_DEFAULTS["retrain_max_epochs"]
+    )
+    p_prune.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
     p_prune.add_argument("--out", required=True, type=Path)
     p_prune.add_argument("--trace-out", type=Path, default=None, help="JSONL audit log")
 
@@ -156,8 +162,7 @@ def _cmd_prune(args) -> int:
         retrain_max_epochs=args.retrain_epochs,
     )
     pruned, trace = eliminate_weights(net, bundle, tparams, penalty, params)
-    pruned, _ = prune_dead_hidden(pruned)
-    pruned, _ = prune_dead_inputs(pruned)
+    pruned = prune_dead_nodes(pruned, trace)
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
     if args.trace_out is not None:
         args.trace_out.write_text(trace.to_jsonl(), encoding="utf-8")
@@ -201,7 +206,7 @@ def _cmd_gradcheck(args) -> int:
         print(f"error: bad architecture {args.arch!r}, expected like '9-3-2'", file=sys.stderr)
         return 2
     rng = np.random.default_rng(args.seed)
-    net = init_network(NetworkConfig(n, h, o, init_range=1.0, seed=args.seed))
+    net = init_network(NetworkConfig(n, h, o, seed=args.seed))
     inputs = rng.random((args.examples, n))
     classes = rng.integers(0, o, size=args.examples)
     targets = np.zeros((args.examples, o))

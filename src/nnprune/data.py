@@ -7,7 +7,11 @@ Three comma-separated benchmark formats are supported:
 * ``glass``    - id, 9 real attributes, class label in {1,2,3,5,6,7};
 * ``diabetes`` - 8 real attributes, class label 0 or 1.
 
-Records are shuffled with a seeded generator and partitioned 50/25/25.
+Records are shuffled with a seeded generator and partitioned 50/25/25,
+rounding the training and validation sizes up; this gives the PROBEN1
+partition sizes (Prechelt, 1994) of all three files: 350/175/174 for the
+699 cancer records, 384/192/192 for the 768 diabetes records and 107/54/53
+for the 214 glass records.
 Imputation (attribute mean) and min-max normalization to [0,1] are fitted
 on the training split only; validation and test values are clamped into
 [0,1] with the training statistics.
@@ -70,13 +74,6 @@ DIABETES = DatasetSpec(
 
 SPECS = {s.name: s for s in (CANCER1, GLASS, DIABETES)}
 
-# Fixed split sizes used when a file carries the canonical record count.
-CANONICAL_SPLITS = {
-    ("cancer1", 699): (350, 175, 174),
-    ("glass", 215): (107, 54, 54),
-    ("diabetes", 768): (384, 192, 192),
-}
-
 
 @dataclass
 class Split:
@@ -99,23 +96,6 @@ class DatasetBundle:
     test: Split
     normalization: tuple[np.ndarray, np.ndarray]  # per-attribute (min, max)
     imputation: np.ndarray                        # per-attribute train mean
-
-    @property
-    def n_attributes(self) -> int:
-        return self.train.examples.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return self.train.targets.shape[1]
-
-
-def one_hot(class_index: int, n_classes: int) -> np.ndarray:
-    """Vector of zeros with a single 1 at ``class_index``."""
-    if not 0 <= class_index < n_classes:
-        raise DatasetError(f"class index {class_index} out of range 0..{n_classes - 1}")
-    vec = np.zeros(n_classes, dtype=np.float64)
-    vec[class_index] = 1.0
-    return vec
 
 
 def load_raw(path: str | Path, spec: DatasetSpec) -> list[tuple[tuple[str, ...], str]]:
@@ -157,11 +137,8 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> list[tuple[tuple[str, ...],
     return records
 
 
-def split_counts(name: str, total: int) -> tuple[int, int, int]:
-    """50/25/25 partition sizes; canonical totals use their fixed counts."""
-    fixed = CANONICAL_SPLITS.get((name, total))
-    if fixed is not None:
-        return fixed
+def split_counts(total: int) -> tuple[int, int, int]:
+    """50/25/25 partition sizes, training and validation rounded up."""
     n_train = math.ceil(total / 2)
     n_val = math.ceil((total - n_train) / 2)
     return n_train, n_val, total - n_train - n_val
@@ -213,7 +190,7 @@ def prepare(
                 values[i, j] = float(f)
 
     order = np.random.default_rng(split_seed).permutation(k)
-    n_train, n_val, _ = split_counts(spec.name, k)
+    n_train, n_val, _ = split_counts(k)
     parts = (
         order[:n_train],
         order[n_train : n_train + n_val],
@@ -247,22 +224,3 @@ def prepare(
 def load_bundle(path: str | Path, spec: DatasetSpec, split_seed: int) -> DatasetBundle:
     """Convenience wrapper: parse a file and prepare its bundle."""
     return prepare(load_raw(path, spec), spec, split_seed)
-
-
-def dump_bundle_csv(bundle: DatasetBundle, out_dir: str | Path) -> list[Path]:
-    """Write the normalized splits as CSV files for inspection."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, split in (
-        ("train", bundle.train),
-        ("validation", bundle.validation),
-        ("test", bundle.test),
-    ):
-        target = out_dir / f"{name}.csv"
-        with target.open("w", encoding="utf-8") as fh:
-            for row, cls in zip(split.examples, split.class_indices):
-                cells = ",".join(repr(float(x)) for x in row)
-                fh.write(f"{cells},{int(cls)}\n")
-        written.append(target)
-    return written

@@ -11,6 +11,7 @@ and as a human-readable table.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -52,21 +53,16 @@ class ExperimentConfig:
 
 
 # Documented config file keys and their defaults (flat `key = value` lines).
+# Only the run-level values are written here; every other default is the one
+# its parameter dataclass declares.
 CONFIG_DEFAULTS = {
     "n_hidden": 3,
-    "init_range": 1.0,
+    "init_range": NetworkConfig.init_range,
     "init_seed": 1,
-    "learning_rate": 0.1,
+    "learning_rate": TrainParams.learning_rate,
     "epochs": 500,
-    "eps1": 0.1,
-    "eps2": 1e-5,
-    "beta": 10.0,
-    "eta1": 0.35,
-    "eta2": 0.10,
-    "accuracy_drop_tolerance": 0.02,
-    "retrain_max_epochs": 100,
-    "max_hidden": None,
-    "max_restarts": 3,
+    **asdict(PenaltyParams()),
+    **asdict(PruneParams()),
     "split_seeds": "1,2,3,4,5",
     "output_dir": "out",
 }
@@ -91,8 +87,30 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
+def _finite_float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not finite")
+    return number
+
+
+def _optional_int(value) -> int | None:
+    if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
+        return None
+    return int(value)
+
+
+def _seeds(value) -> tuple[int, ...]:
+    if isinstance(value, str):
+        return tuple(int(s.strip()) for s in value.split(",") if s.strip())
+    return tuple(int(s) for s in value)
+
+
 def config_from_mapping(values: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a key-value mapping, applying defaults."""
+    """Build an ExperimentConfig from a key-value mapping, applying defaults.
+
+    A value that does not parse raises ConfigurationError naming its key.
+    """
     known = set(CONFIG_DEFAULTS) | {"dataset", "data_path"}
     unknown = set(values) - known
     if unknown:
@@ -100,8 +118,12 @@ def config_from_mapping(values: dict, base_dir: Path | None = None) -> Experimen
     if "dataset" not in values or "data_path" not in values:
         raise ConfigurationError("config must set 'dataset' and 'data_path'")
 
-    def get(key):
-        return values.get(key, CONFIG_DEFAULTS[key])
+    def get(key, parse):
+        value = values.get(key, CONFIG_DEFAULTS[key])
+        try:
+            return parse(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"config key {key!r}: invalid value {value!r}") from None
 
     dataset = str(values["dataset"])
     if dataset not in SPECS:
@@ -114,86 +136,35 @@ def config_from_mapping(values: dict, base_dir: Path | None = None) -> Experimen
             return base_dir / p
         return p
 
-    seeds = get("split_seeds")
-    if isinstance(seeds, str):
-        seeds = tuple(int(s.strip()) for s in seeds.split(",") if s.strip())
-    else:
-        seeds = tuple(int(s) for s in seeds)
-
-    max_hidden = get("max_hidden")
-    if isinstance(max_hidden, str):
-        max_hidden = None if max_hidden.lower() in ("", "none") else int(max_hidden)
-
     return ExperimentConfig(
         dataset=dataset,
         data_path=resolve(str(values["data_path"])),
-        output_dir=resolve(str(get("output_dir"))),
-        split_seeds=seeds,
+        output_dir=resolve(str(get("output_dir", str))),
+        split_seeds=get("split_seeds", _seeds),
         network=NetworkConfig(
             n_inputs=spec.n_attributes,
-            n_hidden=int(get("n_hidden")),
+            n_hidden=get("n_hidden", int),
             n_outputs=spec.n_classes,
-            init_range=float(get("init_range")),
-            seed=int(get("init_seed")),
+            init_range=get("init_range", _finite_float),
+            seed=get("init_seed", int),
         ),
         train=TrainParams(
-            learning_rate=float(get("learning_rate")),
-            epochs=int(get("epochs")),
+            learning_rate=get("learning_rate", _finite_float),
+            epochs=get("epochs", int),
         ),
         penalty=PenaltyParams(
-            eps1=float(get("eps1")),
-            eps2=float(get("eps2")),
-            beta=float(get("beta")),
+            eps1=get("eps1", _finite_float),
+            eps2=get("eps2", _finite_float),
+            beta=get("beta", _finite_float),
         ),
         prune=PruneParams(
-            eta1=float(get("eta1")),
-            eta2=float(get("eta2")),
-            accuracy_drop_tolerance=float(get("accuracy_drop_tolerance")),
-            retrain_max_epochs=int(get("retrain_max_epochs")),
-            max_hidden=max_hidden,
-            max_restarts=int(get("max_restarts")),
+            eta1=get("eta1", _finite_float),
+            eta2=get("eta2", _finite_float),
+            accuracy_drop_tolerance=get("accuracy_drop_tolerance", _finite_float),
+            retrain_max_epochs=get("retrain_max_epochs", int),
+            max_hidden=get("max_hidden", _optional_int),
+            max_restarts=get("max_restarts", int),
         ),
-    )
-
-
-# Canonical run settings for the three benchmark experiments: initial
-# hidden layer width, epoch budget, and the growth cap.
-BENCHMARK_SETTINGS = {
-    "cancer1": {"n_hidden": 3, "epochs": 500, "max_hidden": None},
-    "diabetes": {"n_hidden": 3, "epochs": 1200, "max_hidden": None},
-    "glass": {"n_hidden": 4, "epochs": 650, "max_hidden": 4},
-}
-
-
-def benchmark_config(
-    dataset: str,
-    data_path: str | Path,
-    output_dir: str | Path,
-    split_seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
-    init_seed: int = 1,
-) -> ExperimentConfig:
-    """The canonical experiment configuration for one benchmark."""
-    if dataset not in BENCHMARK_SETTINGS:
-        raise ConfigurationError(
-            f"unknown benchmark {dataset!r}; choose from {sorted(BENCHMARK_SETTINGS)}"
-        )
-    settings = BENCHMARK_SETTINGS[dataset]
-    spec = SPECS[dataset]
-    return ExperimentConfig(
-        dataset=dataset,
-        data_path=Path(data_path),
-        output_dir=Path(output_dir),
-        split_seeds=tuple(split_seeds),
-        network=NetworkConfig(
-            n_inputs=spec.n_attributes,
-            n_hidden=settings["n_hidden"],
-            n_outputs=spec.n_classes,
-            init_range=1.0,
-            seed=init_seed,
-        ),
-        train=TrainParams(learning_rate=0.1, epochs=settings["epochs"]),
-        penalty=PenaltyParams(),
-        prune=PruneParams(max_hidden=settings["max_hidden"]),
     )
 
 

@@ -38,14 +38,6 @@ class NetworkConfig:
 
 
 @dataclass
-class ForwardTrace:
-    """Per-example activations kept for backprop and inspection."""
-
-    hidden: np.ndarray  # tanh activations, shape [h], each in (-1, 1)
-    output: np.ndarray  # logistic outputs, shape [o], each in (0, 1)
-
-
-@dataclass
 class Network:
     """Weights, masks, and node activity flags of a 1-hidden-layer net.
 
@@ -161,24 +153,12 @@ def logistic(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(net: Network, x: np.ndarray) -> ForwardTrace:
-    """Run one input vector through the network.
-
-    hidden[m] = tanh(sum_l x[l] * w[m, l]);
-    output[p] = logistic(sum_m hidden[m] * v[p, m]).
-
-    Delegates to the batched path so single and batched evaluation are
-    bit-identical.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.n_inputs,):
-        raise ShapeError(f"input has shape {x.shape}, expected ({net.n_inputs},)")
-    hidden, output = forward_batch(net, x[np.newaxis, :])
-    return ForwardTrace(hidden=hidden[0], output=output[0])
-
-
 def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized forward pass: returns (hidden [k, h], output [k, o])."""
+    """Forward pass over a batch: returns (hidden [k, h], output [k, o]).
+
+    hidden[i, m] = tanh(sum_l inputs[i, l] * w[m, l]);
+    output[i, p] = logistic(sum_m hidden[i, m] * v[p, m]).
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != net.n_inputs:
         raise ShapeError(
@@ -189,13 +169,9 @@ def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return hidden, output
 
 
-def classify(net: Network, x: np.ndarray) -> int:
-    """Predicted class: index of the largest output, lowest index on ties."""
-    return int(np.argmax(forward(net, x).output))
-
-
 def classify_batch(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Predicted class per row of ``inputs``."""
+    """Predicted class per row of ``inputs``: index of the largest output,
+    lowest index on ties."""
     _, output = forward_batch(net, inputs)
     return np.argmax(output, axis=1)
 
@@ -229,11 +205,23 @@ def _field(doc: dict, key: str, length: int) -> list:
     return value
 
 
+def _weights(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
+    values = _field(doc, key, shape[0] * shape[1])
+    try:
+        weights = np.array(values, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"field {key!r} must be a flat list of numbers") from exc
+    if not np.isfinite(weights).all():
+        raise ParseError(f"field {key!r} holds a non-finite weight")
+    return weights
+
+
 def deserialize(text: str) -> Network:
     """Parse a JSON document produced by :func:`serialize`.
 
-    Rejects malformed documents, dimension mismatches, and invariant
-    violations (nonzero masked weights, inconsistent activity flags).
+    Rejects malformed documents, dimension mismatches, non-finite weights,
+    and invariant violations (nonzero masked weights, inconsistent activity
+    flags).
     """
     try:
         doc = json.loads(text)
@@ -248,8 +236,8 @@ def deserialize(text: str) -> Network:
     if n < 1 or h < 1 or o < 1:
         raise ParseError(f"layer sizes must all be >= 1, got {n}-{h}-{o}")
     net = Network(
-        w=np.array(_field(doc, "w", h * n), dtype=np.float64).reshape(h, n),
-        v=np.array(_field(doc, "v", o * h), dtype=np.float64).reshape(o, h),
+        w=_weights(doc, "w", (h, n)),
+        v=_weights(doc, "v", (o, h)),
         w_mask=np.array(_field(doc, "w_mask", h * n), dtype=bool).reshape(h, n),
         v_mask=np.array(_field(doc, "v_mask", o * h), dtype=bool).reshape(o, h),
         input_active=np.array(_field(doc, "input_active", n), dtype=bool),

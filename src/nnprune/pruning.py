@@ -366,8 +366,12 @@ def derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(entropy=tuple(int(p) for p in parts)).generate_state(1)[0])
 
 
-def _node_cleanup(net: Network, trace: PruneTrace) -> Network:
-    """Apply both dead-node rules and log the removals."""
+def prune_dead_nodes(net: Network, trace: PruneTrace) -> Network:
+    """Apply both dead-node rules and log the removals in ``trace``.
+
+    Hidden units go first, so inputs that fed only dead hidden units are
+    removed too.  The events share one batch id after the last in ``trace``.
+    """
     batch = 1 + max((e.batch for e in trace.events), default=-1)
     implied = {m: int(net.w_mask[m, :].sum()) for m in range(net.n_hidden)}
     pruned, dead_hidden = prune_dead_hidden(net)
@@ -445,7 +449,7 @@ def grow_and_prune(
                 accepted = True
                 break
 
-        net = _node_cleanup(net, trace)
+        net = prune_dead_nodes(net, trace)
         pruned_val = accuracy(net, bundle.validation)
         pruned_test = accuracy(net, bundle.test)
         converged = accepted and pruned_test >= test_floor

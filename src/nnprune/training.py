@@ -110,7 +110,7 @@ def retrain(
     tparams: TrainParams,
     penalty: PenaltyParams,
     floor: float,
-    max_epochs: int = 100,
+    max_epochs: int,
 ) -> tuple[Network, bool]:
     """Train until validation accuracy reaches ``floor``, up to max_epochs.
 

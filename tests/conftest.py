@@ -7,20 +7,24 @@ Benchmark-shaped data is resolved in this order:
 3. a deterministic stand-in file generated into the session tmp dir.
 
 The resolved source ("real" or "synthetic") is echoed once per session so
-it is always visible which data a run used.
+it is always visible which data a run used.  Benchmark experiments are
+configured from the shipped ``configs/<name>.conf`` files.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nnprune import CANCER1, DIABETES, GLASS, load_bundle
+from nnprune import CANCER1, DIABETES, GLASS, load_bundle, load_config
 from nnprune.synth import FILENAMES, write_benchmark
 
-_REPO_DATA = Path(__file__).resolve().parent.parent / "data"
+_REPO = Path(__file__).resolve().parent.parent
+_REPO_DATA = _REPO / "data"
+_CONFIG_DIR = _REPO / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +46,21 @@ def benchmark_files(tmp_path_factory) -> dict[str, tuple[Path, str]]:
     sources = {name: src for name, (_, src) in out.items()}
     print(f"\n[benchmark data sources: {sources}]")
     return out
+
+
+@pytest.fixture(scope="session")
+def shipped_config():
+    """Factory: ``configs/<name>.conf`` with its data and output paths, and
+    optionally its split seeds, replaced."""
+
+    def make(name, data_path, output_dir, split_seeds=None):
+        config = load_config(_CONFIG_DIR / f"{name}.conf")
+        config = replace(config, data_path=Path(data_path), output_dir=Path(output_dir))
+        if split_seeds is not None:
+            config = replace(config, split_seeds=tuple(split_seeds))
+        return config
+
+    return make
 
 
 @pytest.fixture(scope="session")

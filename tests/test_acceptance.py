@@ -1,7 +1,8 @@
 """Acceptance suite: every exit criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they print.  Criteria 3-5 run the canonical benchmark experiments; the
+they print.  Criteria 3-5 run the benchmark experiments of the shipped
+``configs/*.conf`` files; the
 data source (real files or the deterministic stand-ins) is echoed by the
 session fixture in conftest.
 """
@@ -30,7 +31,6 @@ from nnprune import (
     prune_dead_inputs,
     run_experiment,
 )
-from nnprune.harness import benchmark_config
 from nnprune.pruning import (
     KIND_WEIGHT_V,
     KIND_WEIGHT_W,
@@ -53,10 +53,10 @@ def report_line(criterion: str, ok: bool, detail: str) -> None:
     print(f"\n[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def run_benchmark(name, files, tmp_path_factory):
+def run_benchmark(name, files, tmp_path_factory, shipped_config):
     path, source = files[name]
     out = tmp_path_factory.mktemp(f"acceptance-{name}")
-    config = benchmark_config(name, path, out)
+    config = shipped_config(name, path, out)
     start = time.perf_counter()
     report = run_experiment(config)
     elapsed = time.perf_counter() - start
@@ -70,18 +70,18 @@ def run_benchmark(name, files, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def cancer_run(benchmark_files, tmp_path_factory):
-    return run_benchmark("cancer1", benchmark_files, tmp_path_factory)
+def cancer_run(benchmark_files, tmp_path_factory, shipped_config):
+    return run_benchmark("cancer1", benchmark_files, tmp_path_factory, shipped_config)
 
 
 @pytest.fixture(scope="module")
-def diabetes_run(benchmark_files, tmp_path_factory):
-    return run_benchmark("diabetes", benchmark_files, tmp_path_factory)
+def diabetes_run(benchmark_files, tmp_path_factory, shipped_config):
+    return run_benchmark("diabetes", benchmark_files, tmp_path_factory, shipped_config)
 
 
 @pytest.fixture(scope="module")
-def glass_run(benchmark_files, tmp_path_factory):
-    return run_benchmark("glass", benchmark_files, tmp_path_factory)
+def glass_run(benchmark_files, tmp_path_factory, shipped_config):
+    return run_benchmark("glass", benchmark_files, tmp_path_factory, shipped_config)
 
 
 def in_band(value: float, name: str, kind: str) -> bool:
@@ -313,10 +313,10 @@ def test_criterion_6_pruning_soundness(cancer_run, diabetes_run, glass_run):
     assert equiv_ok
 
 
-def test_criterion_7_determinism(benchmark_files, tmp_path):
+def test_criterion_7_determinism(benchmark_files, tmp_path, shipped_config):
     path, _ = benchmark_files["cancer1"]
     out = tmp_path / "det"
-    config = benchmark_config("cancer1", path, out, split_seeds=(1, 2))
+    config = shipped_config("cancer1", path, out, split_seeds=(1, 2))
     run_experiment(config)
     first = (out / "report.json").read_bytes()
     run_experiment(config)

@@ -9,7 +9,6 @@ from nnprune import (
     DatasetSpec,
     ParseError,
     load_raw,
-    one_hot,
     prepare,
 )
 from nnprune.data import split_counts
@@ -23,8 +22,7 @@ class TestLoadRaw:
         assert len(load_raw(diabetes_file, DIABETES)) == 768
 
     def test_glass_count(self, glass_file):
-        # canonical file carries 214 records
-        assert len(load_raw(glass_file, GLASS)) in (214, 215)
+        assert len(load_raw(glass_file, GLASS)) == 214
 
     def test_id_and_class_stripped(self, cancer_file):
         records = load_raw(cancer_file, CANCER1)
@@ -62,22 +60,22 @@ class TestLoadRaw:
 
 
 class TestSplitCounts:
+    # the first three rows are the PROBEN1 partitions of the benchmark files
     @pytest.mark.parametrize(
         "name,total,expected",
         [
             ("cancer1", 699, (350, 175, 174)),
             ("diabetes", 768, (384, 192, 192)),
-            ("glass", 215, (107, 54, 54)),
-            ("glass", 214, (107, 54, 53)),  # canonical file is one short
+            ("glass", 214, (107, 54, 53)),
             ("cancer1", 100, (50, 25, 25)),
         ],
     )
     def test_counts(self, name, total, expected):
-        assert split_counts(name, total) == expected
+        assert split_counts(total) == expected, name
 
     def test_counts_partition_total(self):
         for total in range(4, 60):
-            a, b, c = split_counts("cancer1", total)
+            a, b, c = split_counts(total)
             assert a + b + c == total
             assert a >= b >= c
 
@@ -98,11 +96,12 @@ class TestPrepare:
             assert np.all(split.examples <= 1.0)
             assert np.all(np.isfinite(split.examples))
 
-    def test_targets_one_hot(self, glass_file):
+    def test_targets_encode_class_indices(self, glass_file):
         bundle = prepare(load_raw(glass_file, GLASS), GLASS, split_seed=1)
         for split in (bundle.train, bundle.validation, bundle.test):
             assert np.all(split.targets.sum(axis=1) == 1.0)
             assert set(np.unique(split.targets)) <= {0.0, 1.0}
+            assert np.array_equal(split.targets.argmax(axis=1), split.class_indices)
 
     def test_deterministic(self, cancer_file):
         raw = load_raw(cancer_file, CANCER1)
@@ -199,33 +198,3 @@ class TestPrepare:
     def test_imputed_values_finite(self, cancer_file):
         bundle = prepare(load_raw(cancer_file, CANCER1), CANCER1, split_seed=1)
         assert np.all(np.isfinite(bundle.imputation))
-
-    def test_bundle_csv_dump(self, cancer_file, tmp_path):
-        from nnprune.data import dump_bundle_csv
-
-        bundle = prepare(load_raw(cancer_file, CANCER1), CANCER1, split_seed=1)
-        written = dump_bundle_csv(bundle, tmp_path / "dump")
-        assert [p.name for p in written] == ["train.csv", "validation.csv", "test.csv"]
-        lines = written[0].read_text().splitlines()
-        assert len(lines) == 350
-        first = lines[0].split(",")
-        assert len(first) == 10  # 9 attributes + class index
-        assert all(0.0 <= float(v) <= 1.0 for v in first[:9])
-
-
-class TestOneHot:
-    @pytest.mark.parametrize(
-        "idx,n,expected",
-        [
-            (0, 2, [1.0, 0.0]),
-            (1, 2, [0.0, 1.0]),
-            (5, 6, [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
-        ],
-    )
-    def test_values(self, idx, n, expected):
-        assert one_hot(idx, n).tolist() == expected
-
-    @pytest.mark.parametrize("idx,n", [(-1, 2), (2, 2), (6, 6)])
-    def test_out_of_range(self, idx, n):
-        with pytest.raises(DatasetError):
-            one_hot(idx, n)

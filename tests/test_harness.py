@@ -7,14 +7,24 @@ import pytest
 from nnprune import (
     ConfigurationError,
     NetworkConfig,
+    PenaltyParams,
+    PruneParams,
+    TrainParams,
     deserialize,
     export_dot,
     init_network,
     run_experiment,
 )
 from nnprune.cli import main
-from nnprune.harness import benchmark_config, load_config, parse_config_text
-from nnprune.pruning import PruneTrace
+from nnprune.harness import load_config, parse_config_text
+from nnprune.pruning import KIND_HIDDEN_NODE, KIND_INPUT_NODE, PruneTrace
+
+# The paper's settings per benchmark: architecture, epoch budget, growth cap.
+PAPER_SETTINGS = {
+    "cancer1": ((9, 3, 2), 500, None),
+    "diabetes": ((8, 3, 2), 1200, None),
+    "glass": ((9, 4, 6), 650, 4),
+}
 
 
 class TestConfigParsing:
@@ -70,23 +80,31 @@ class TestConfigParsing:
         assert config.data_path == tmp_path / "d.data"
         assert config.output_dir == tmp_path / "out"
 
-    def test_benchmark_config_settings(self):
-        config = benchmark_config("glass", "g.data", "out")
-        assert config.network.n_hidden == 4
-        assert config.train.epochs == 650
-        assert config.prune.max_hidden == 4
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n_hidden = three",
+            "eps1 = abc",
+            "max_hidden = x",
+            "split_seeds = 1,a",
+            "eps2 = inf",
+        ],
+    )
+    def test_unparsable_value_names_key(self, line):
+        key = line.split("=")[0].strip()
+        with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
+            parse_config_text(f"dataset = cancer1\ndata_path = x\n{line}\n")
 
     @pytest.mark.parametrize("name", ["cancer1", "diabetes", "glass"])
     def test_shipped_configs_parse_and_match_canonical(self, name):
-        path = Path(__file__).parent.parent / "configs" / f"{name}.conf"
-        config = load_config(path)
-        canonical = benchmark_config(name, "x", "y")
+        config = load_config(Path(__file__).parent.parent / "configs" / f"{name}.conf")
+        arch, epochs, max_hidden = PAPER_SETTINGS[name]
         assert config.dataset == name
-        assert config.network == canonical.network
-        assert config.train == canonical.train
-        assert config.penalty == canonical.penalty
-        assert config.prune == canonical.prune
-        assert config.split_seeds == canonical.split_seeds
+        assert config.network == NetworkConfig(*arch, init_range=1.0, seed=1)
+        assert config.train == TrainParams(learning_rate=0.1, epochs=epochs)
+        assert config.penalty == PenaltyParams()
+        assert config.prune == PruneParams(max_hidden=max_hidden)
+        assert config.split_seeds == (1, 2, 3, 4, 5)
 
 
 class TestExportDot:
@@ -141,9 +159,9 @@ class TestExportDot:
 
 
 @pytest.fixture(scope="module")
-def small_experiment(cancer_file, tmp_path_factory):
+def small_experiment(cancer_file, tmp_path_factory, shipped_config):
     out = tmp_path_factory.mktemp("exp")
-    config = benchmark_config("cancer1", cancer_file, out, split_seeds=(1, 2))
+    config = shipped_config("cancer1", cancer_file, out, split_seeds=(1, 2))
     report = run_experiment(config)
     return config, report, out
 
@@ -179,9 +197,9 @@ class TestRunExperiment:
         trace = PruneTrace.from_jsonl((out / "traces" / "seed1.jsonl").read_text())
         assert trace.events
 
-    def test_jobs_parallel_equals_serial(self, cancer_file, tmp_path):
-        c1 = benchmark_config("cancer1", cancer_file, tmp_path / "s", split_seeds=(1, 2))
-        c2 = benchmark_config("cancer1", cancer_file, tmp_path / "p", split_seeds=(1, 2))
+    def test_jobs_parallel_equals_serial(self, cancer_file, tmp_path, shipped_config):
+        c1 = shipped_config("cancer1", cancer_file, tmp_path / "s", split_seeds=(1, 2))
+        c2 = shipped_config("cancer1", cancer_file, tmp_path / "p", split_seeds=(1, 2))
         run_experiment(c1, jobs=1)
         run_experiment(c2, jobs=2)
         serial = (tmp_path / "s" / "report.json").read_text()
@@ -232,6 +250,13 @@ class TestCli:
         assert rc == 0
         pruned = deserialize(pruned_path.read_text())
         assert pruned.n_unmasked() <= deserialize(net_path.read_text()).n_unmasked()
+        # every node the pruned network lost is logged, as in grow_and_prune
+        trace = PruneTrace.from_jsonl((tmp_path / "t.jsonl").read_text())
+        logged = {(e.kind, e.indices) for e in trace.events}
+        inactive = [(KIND_INPUT_NODE, (int(l),)) for l in np.flatnonzero(~pruned.input_active)]
+        inactive += [(KIND_HIDDEN_NODE, (int(m),)) for m in np.flatnonzero(~pruned.hidden_active)]
+        assert inactive
+        assert set(inactive) <= logged
 
     def test_gradcheck_exit_code(self, capsys):
         assert main(["gradcheck", "--seed", "42"]) == 0
@@ -246,6 +271,13 @@ class TestCli:
         )
         assert main(["run", "--config", str(conf)]) == 0
         assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_run_bad_config_value_exit_1(self, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("dataset = cancer1\ndata_path = x.data\nn_hidden = three\n")
+        assert main(["run", "--config", str(conf)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'n_hidden'" in err
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         rc = main(

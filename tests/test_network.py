@@ -11,9 +11,8 @@ from nnprune import (
     NetworkConfig,
     ParseError,
     ShapeError,
-    classify,
+    classify_batch,
     deserialize,
-    forward,
     forward_batch,
     init_network,
     serialize,
@@ -26,6 +25,16 @@ LOGISTIC_TANH_1 = 0.6816997421945262
 
 def small_net(n=2, h=2, o=2, seed=3) -> Network:
     return init_network(NetworkConfig(n, h, o, init_range=1.0, seed=seed))
+
+
+def forward_one(net: Network, x) -> tuple[np.ndarray, np.ndarray]:
+    """(hidden, output) of a single input vector, as a one-row batch."""
+    hidden, output = forward_batch(net, np.asarray(x, dtype=np.float64)[np.newaxis, :])
+    return hidden[0], output[0]
+
+
+def classify_one(net: Network, x) -> int:
+    return int(classify_batch(net, np.asarray(x, dtype=np.float64)[np.newaxis, :])[0])
 
 
 class TestConfig:
@@ -72,9 +81,9 @@ class TestForward:
         net = small_net(3, 4, 2)
         net.w[:] = 0.0
         net.v[:] = 0.0
-        trace = forward(net, np.array([0.3, 0.9, 0.1]))
-        assert np.all(trace.hidden == 0.0)
-        assert np.all(trace.output == 0.5)
+        hidden, output = forward_one(net, [0.3, 0.9, 0.1])
+        assert np.all(hidden == 0.0)
+        assert np.all(output == 0.5)
 
     def test_scalar_chain(self):
         # 1-1-1 with unit weights and unit input, checked against the
@@ -82,35 +91,24 @@ class TestForward:
         net = small_net(1, 1, 1)
         net.w[:] = 1.0
         net.v[:] = 1.0
-        trace = forward(net, np.array([1.0]))
-        assert trace.hidden[0] == pytest.approx(TANH_1, abs=1e-12)
-        assert trace.output[0] == pytest.approx(LOGISTIC_TANH_1, abs=1e-12)
+        hidden, output = forward_one(net, [1.0])
+        assert hidden[0] == pytest.approx(TANH_1, abs=1e-12)
+        assert output[0] == pytest.approx(LOGISTIC_TANH_1, abs=1e-12)
 
     def test_odd_symmetry(self):
         # flipping x and w together leaves the outputs unchanged
         net = small_net(4, 3, 2, seed=9)
         x = np.array([0.2, -0.4, 0.8, 0.5])
-        a = forward(net, x).output
+        _, a = forward_one(net, x)
         flipped = net.copy()
         flipped.w = -flipped.w
-        b = forward(flipped, -x).output
+        _, b = forward_one(flipped, -x)
         assert np.array_equal(a, b)
 
     def test_shape_error(self):
         net = small_net(3, 2, 2)
         with pytest.raises(ShapeError):
-            forward(net, np.zeros(4))
-
-    def test_batch_matches_single(self):
-        # BLAS picks shape-dependent kernels, so single-row and batched
-        # evaluation may differ in the last couple of ulps
-        net = small_net(5, 3, 4, seed=21)
-        xs = np.random.default_rng(0).random((8, 5))
-        hidden, output = forward_batch(net, xs)
-        for i, x in enumerate(xs):
-            t = forward(net, x)
-            assert np.allclose(hidden[i], t.hidden, rtol=0, atol=1e-14)
-            assert np.allclose(output[i], t.output, rtol=0, atol=1e-14)
+            forward_batch(net, np.zeros((1, 4)))
 
     def test_output_ranges_1000_random_trials(self):
         # every hidden activation in (-1, 1), every output in (0, 1)
@@ -120,9 +118,9 @@ class TestForward:
             net = init_network(
                 NetworkConfig(int(n), int(h), int(o), init_range=2.0, seed=int(rng.integers(1 << 31)))
             )
-            trace = forward(net, rng.uniform(-1, 1, size=int(n)))
-            assert np.all(np.abs(trace.hidden) < 1.0)
-            assert np.all((trace.output > 0.0) & (trace.output < 1.0))
+            hidden, output = forward_one(net, rng.uniform(-1, 1, size=int(n)))
+            assert np.all(np.abs(hidden) < 1.0)
+            assert np.all((output > 0.0) & (output < 1.0))
 
     def test_dead_input_equivalence(self):
         net = small_net(4, 3, 2, seed=10)
@@ -134,7 +132,7 @@ class TestForward:
             x = rng.random(4)
             y = x.copy()
             y[2] = rng.random() * 10 - 5
-            assert np.array_equal(forward(net, x).output, forward(net, y).output)
+            assert np.array_equal(forward_one(net, x)[1], forward_one(net, y)[1])
 
 
 class TestClassify:
@@ -143,14 +141,14 @@ class TestClassify:
         net.w[:] = 1.0
         net.v[0, 0] = 2.0
         net.v[1, 0] = -1.0
-        assert classify(net, np.array([1.0])) == 0
+        assert classify_one(net, [1.0]) == 0
 
     def test_tie_breaks_low_index(self):
         net = small_net(3, 2, 6)
         net.w[:] = 0.0
         net.v[:] = 0.0
         # all outputs are exactly 0.5
-        assert classify(net, np.array([0.1, 0.5, 0.9])) == 0
+        assert classify_one(net, [0.1, 0.5, 0.9]) == 0
 
 
 class TestSerialization:
@@ -194,6 +192,21 @@ class TestSerialization:
         doc = json.loads(serialize(net))
         doc["w"] = doc["w"][:-1]
         with pytest.raises(ParseError):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key,value", [("w", float("nan")), ("v", float("inf")), ("v", float("-inf"))]
+    )
+    def test_non_finite_weight_rejected(self, key, value):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        doc[key][1] = value
+        with pytest.raises(ParseError, match=f"'{key}' holds a non-finite weight"):
+            deserialize(json.dumps(doc))
+
+    def test_non_numeric_weight_rejected(self):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        doc["w"][0] = "abc"
+        with pytest.raises(ParseError, match="'w'"):
             deserialize(json.dumps(doc))
 
     def test_garbage_rejected(self):

@@ -15,7 +15,7 @@ from nnprune import (
     accuracy,
     condition_candidates,
     eliminate_weights,
-    forward,
+    forward_batch,
     grow_and_prune,
     init_network,
     prune_dead_hidden,
@@ -242,8 +242,8 @@ class TestNodePruning:
         assert not out.input_active[2]
         rng = np.random.default_rng(9)
         for _ in range(100):
-            x = rng.random(4)
-            assert np.array_equal(forward(net, x).output, forward(out, x).output)
+            x = rng.random((1, 4))
+            assert np.array_equal(forward_batch(net, x)[1], forward_batch(out, x)[1])
 
     def test_dead_hidden_column(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=10))
@@ -255,8 +255,8 @@ class TestNodePruning:
         assert not out.w_mask[1].any()
         rng = np.random.default_rng(10)
         for _ in range(100):
-            x = rng.random(4)
-            assert np.array_equal(forward(net, x).output, forward(out, x).output)
+            x = rng.random((1, 4))
+            assert np.array_equal(forward_batch(net, x)[1], forward_batch(out, x)[1])
         out.validate()
 
 

@@ -145,7 +145,9 @@ class TestRetrain:
     def test_floor_zero_returns_immediately(self):
         net = init_network(NetworkConfig(4, 2, 2, seed=12))
         split = toy_split(seed=12)
-        out, met = retrain(net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=0.0)
+        out, met = retrain(
+            net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=0.0, max_epochs=100
+        )
         assert met is True
         assert np.array_equal(out.w, net.w)
 
@@ -186,4 +188,6 @@ class TestRetrain:
         net = init_network(NetworkConfig(4, 2, 2, seed=15))
         split = toy_split(seed=15)
         with pytest.raises(ConfigurationError):
-            retrain(net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=1.5)
+            retrain(
+                net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=1.5, max_epochs=100
+            )
