@@ -64,7 +64,7 @@ from .pruning import (
     prune_dead_nodes,
     smallest_product,
 )
-from .training import TrainParams, TrainRecord, accuracy, retrain, train
+from .training import TrainParams, accuracy, epoch_step, retrain, train
 
 __version__ = "0.1.0"
 
@@ -93,13 +93,13 @@ __all__ = [
     "ShapeError",
     "Split",
     "TrainParams",
-    "TrainRecord",
     "accuracy",
     "classify_batch",
     "condition_candidates",
     "cross_entropy",
     "deserialize",
     "eliminate_weights",
+    "epoch_step",
     "export_dot",
     "finite_diff_check",
     "forward_batch",

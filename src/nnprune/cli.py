@@ -23,25 +23,32 @@ import numpy as np
 from . import synth
 from .data import SPECS, load_bundle
 from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError
-from .harness import CONFIG_DEFAULTS, export_dot, load_config, run_experiment
+from .harness import CONFIG_DEFAULTS, export_dot, finite_float, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams, finite_diff_check
 from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
-from .training import TrainParams, accuracy, train
+from .training import TrainParams, accuracy, epoch_step
 
 GRADCHECK_TOLERANCE = 1e-5
+
+
+def non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise ValueError(f"{value!r} is negative")
+    return number
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, choices=sorted(SPECS))
     parser.add_argument("--data", required=True, type=Path, help="benchmark data file")
-    parser.add_argument("--split-seed", type=int, default=1)
+    parser.add_argument("--split-seed", type=non_negative_int, default=1)
 
 
 def _add_penalty_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps1", type=float, default=CONFIG_DEFAULTS["eps1"])
-    parser.add_argument("--eps2", type=float, default=CONFIG_DEFAULTS["eps2"])
-    parser.add_argument("--beta", type=float, default=CONFIG_DEFAULTS["beta"])
+    parser.add_argument("--eps1", type=finite_float, default=CONFIG_DEFAULTS["eps1"])
+    parser.add_argument("--eps2", type=finite_float, default=CONFIG_DEFAULTS["eps2"])
+    parser.add_argument("--beta", type=finite_float, default=CONFIG_DEFAULTS["beta"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,10 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_penalty_args(p_train)
     p_train.add_argument("--hidden", type=int, default=CONFIG_DEFAULTS["n_hidden"])
     p_train.add_argument("--epochs", type=int, default=CONFIG_DEFAULTS["epochs"])
-    p_train.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
-    p_train.add_argument("--init-range", type=float, default=CONFIG_DEFAULTS["init_range"])
+    p_train.add_argument("--lr", type=finite_float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_train.add_argument("--init-range", type=finite_float, default=CONFIG_DEFAULTS["init_range"])
     p_train.add_argument(
-        "--seed", type=int, default=CONFIG_DEFAULTS["init_seed"], help="weight init seed"
+        "--seed", type=non_negative_int, default=CONFIG_DEFAULTS["init_seed"],
+        help="weight init seed",
     )
     p_train.add_argument("--out", required=True, type=Path, help="network JSON output")
     p_train.add_argument(
@@ -76,15 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_prune)
     _add_penalty_args(p_prune)
     p_prune.add_argument("--net", required=True, type=Path)
-    p_prune.add_argument("--eta1", type=float, default=CONFIG_DEFAULTS["eta1"])
-    p_prune.add_argument("--eta2", type=float, default=CONFIG_DEFAULTS["eta2"])
+    p_prune.add_argument("--eta1", type=finite_float, default=CONFIG_DEFAULTS["eta1"])
+    p_prune.add_argument("--eta2", type=finite_float, default=CONFIG_DEFAULTS["eta2"])
     p_prune.add_argument(
-        "--tolerance", type=float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
+        "--tolerance", type=finite_float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
     )
     p_prune.add_argument(
         "--retrain-epochs", type=int, default=CONFIG_DEFAULTS["retrain_max_epochs"]
     )
-    p_prune.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_prune.add_argument("--lr", type=finite_float, default=CONFIG_DEFAULTS["learning_rate"])
     p_prune.add_argument("--out", required=True, type=Path)
     p_prune.add_argument("--trace-out", type=Path, default=None, help="JSONL audit log")
 
@@ -100,14 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--out", type=Path, default=None, help="default: stdout")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--seed", type=int, default=42)
-    p_grad.add_argument("--step", type=float, default=1e-6)
+    p_grad.add_argument("--seed", type=non_negative_int, default=42)
+    p_grad.add_argument("--step", type=finite_float, default=1e-6)
     p_grad.add_argument("--arch", default="9-3-2", help="architecture, e.g. 9-3-2")
-    p_grad.add_argument("--examples", type=int, default=10)
+    p_grad.add_argument("--examples", type=non_negative_int, default=10)
 
     p_synth = sub.add_parser("synth-data", help="write stand-in benchmark files")
     p_synth.add_argument("--out", required=True, type=Path)
-    p_synth.add_argument("--seed", type=int, default=synth.DEFAULT_SEED)
+    p_synth.add_argument("--seed", type=non_negative_int, default=synth.DEFAULT_SEED)
 
     return parser
 
@@ -134,13 +142,15 @@ def _cmd_train(args) -> int:
     )
     tparams = TrainParams(learning_rate=args.lr, epochs=args.epochs)
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
-    net, records = train(init_network(config), bundle.train, tparams, penalty)
+    net = init_network(config)
+    rows = ["epoch,objective,train_accuracy\n"]
+    for epoch in range(1, tparams.epochs + 1):
+        theta = epoch_step(net, bundle.train, tparams.learning_rate, penalty, epoch)
+        if args.trace is not None:
+            rows.append(f"{epoch},{theta!r},{accuracy(net, bundle.train)!r}\n")
     args.out.write_text(serialize(net) + "\n", encoding="utf-8")
     if args.trace is not None:
-        with args.trace.open("w", encoding="utf-8") as fh:
-            fh.write("epoch,objective,train_accuracy\n")
-            for r in records:
-                fh.write(f"{r.epoch},{r.objective_value!r},{r.train_accuracy!r}\n")
+        args.trace.write_text("".join(rows), encoding="utf-8")
     print(
         f"trained {config.n_inputs}-{config.n_hidden}-{config.n_outputs}: "
         f"train acc {accuracy(net, bundle.train):.5f}, "

@@ -46,6 +46,8 @@ class ExperimentConfig:
             )
         if not self.split_seeds:
             raise ConfigurationError("at least one split seed is required")
+        if min(self.split_seeds) < 0:
+            raise ConfigurationError(f"split_seeds must be >= 0, got {self.split_seeds}")
 
     @property
     def spec(self) -> DatasetSpec:
@@ -87,7 +89,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
 
 
-def _finite_float(value) -> float:
+def finite_float(value) -> float:
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not finite")
@@ -145,22 +147,22 @@ def config_from_mapping(values: dict, base_dir: Path | None = None) -> Experimen
             n_inputs=spec.n_attributes,
             n_hidden=get("n_hidden", int),
             n_outputs=spec.n_classes,
-            init_range=get("init_range", _finite_float),
+            init_range=get("init_range", finite_float),
             seed=get("init_seed", int),
         ),
         train=TrainParams(
-            learning_rate=get("learning_rate", _finite_float),
+            learning_rate=get("learning_rate", finite_float),
             epochs=get("epochs", int),
         ),
         penalty=PenaltyParams(
-            eps1=get("eps1", _finite_float),
-            eps2=get("eps2", _finite_float),
-            beta=get("beta", _finite_float),
+            eps1=get("eps1", finite_float),
+            eps2=get("eps2", finite_float),
+            beta=get("beta", finite_float),
         ),
         prune=PruneParams(
-            eta1=get("eta1", _finite_float),
-            eta2=get("eta2", _finite_float),
-            accuracy_drop_tolerance=get("accuracy_drop_tolerance", _finite_float),
+            eta1=get("eta1", finite_float),
+            eta2=get("eta2", finite_float),
+            accuracy_drop_tolerance=get("accuracy_drop_tolerance", finite_float),
             retrain_max_epochs=get("retrain_max_epochs", int),
             max_hidden=get("max_hidden", _optional_int),
             max_restarts=get("max_restarts", int),
@@ -267,7 +269,7 @@ def _run_seed(
     # rebuild the fully connected reference of the restart that produced the
     # result; training is deterministic, so this is the exact same network
     full_config = replace(base, seed=derived_seed(base.seed, report.restarts_used - 1, 0))
-    full_net, _ = train(init_network(full_config), bundle.train, config.train, config.penalty)
+    full_net = train(init_network(full_config), bundle.train, config.train, config.penalty)
     return SeedResult(split_seed=split_seed, report=report), full_net, pruned, trace
 
 

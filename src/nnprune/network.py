@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import ConfigurationError, ParseError, ShapeError
 
+# init draws from uniform(-r, r), whose width 2r must stay finite
+MAX_INIT_RANGE = float(np.finfo(np.float64).max) / 2
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -33,8 +36,12 @@ class NetworkConfig:
                 f"layer sizes must all be >= 1, got "
                 f"{self.n_inputs}-{self.n_hidden}-{self.n_outputs}"
             )
-        if not self.init_range > 0:
-            raise ConfigurationError(f"init_range must be > 0, got {self.init_range}")
+        if not 0 < self.init_range <= MAX_INIT_RANGE:
+            raise ConfigurationError(
+                f"init_range must be in (0, {MAX_INIT_RANGE!r}], got {self.init_range}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -216,12 +223,19 @@ def _weights(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     return weights
 
 
+def _flags(doc: dict, key: str, length: int) -> np.ndarray:
+    values = _field(doc, key, length)
+    if not all(isinstance(b, bool) for b in values):
+        raise ParseError(f"field {key!r} must be a list of booleans")
+    return np.array(values, dtype=bool)
+
+
 def deserialize(text: str) -> Network:
     """Parse a JSON document produced by :func:`serialize`.
 
-    Rejects malformed documents, dimension mismatches, non-finite weights,
-    and invariant violations (nonzero masked weights, inconsistent activity
-    flags).
+    Rejects malformed documents, dimension mismatches, non-integer sizes,
+    non-finite weights, non-boolean flags, and invariant violations
+    (nonzero masked weights, inconsistent activity flags).
     """
     try:
         doc = json.loads(text)
@@ -229,19 +243,18 @@ def deserialize(text: str) -> Network:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
-    try:
-        n, h, o = int(doc["n"]), int(doc["h"]), int(doc["o"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("fields n, h, o must be integers") from exc
+    n, h, o = (doc.get(key) for key in ("n", "h", "o"))
+    if not all(type(size) is int for size in (n, h, o)):  # bools are ints too
+        raise ParseError("fields n, h, o must be integers")
     if n < 1 or h < 1 or o < 1:
         raise ParseError(f"layer sizes must all be >= 1, got {n}-{h}-{o}")
     net = Network(
         w=_weights(doc, "w", (h, n)),
         v=_weights(doc, "v", (o, h)),
-        w_mask=np.array(_field(doc, "w_mask", h * n), dtype=bool).reshape(h, n),
-        v_mask=np.array(_field(doc, "v_mask", o * h), dtype=bool).reshape(o, h),
-        input_active=np.array(_field(doc, "input_active", n), dtype=bool),
-        hidden_active=np.array(_field(doc, "hidden_active", h), dtype=bool),
+        w_mask=_flags(doc, "w_mask", h * n).reshape(h, n),
+        v_mask=_flags(doc, "v_mask", o * h).reshape(o, h),
+        input_active=_flags(doc, "input_active", n),
+        hidden_active=_flags(doc, "hidden_active", h),
     )
     net.validate()
     return net

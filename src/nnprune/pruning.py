@@ -422,7 +422,7 @@ def grow_and_prune(
 
     for restart in range(params.max_restarts):
         full_config = replace(base_config, seed=derived_seed(base_config.seed, restart, 0))
-        full_net, _ = train(init_network(full_config), bundle.train, tparams, penalty)
+        full_net = train(init_network(full_config), bundle.train, tparams, penalty)
         baseline_val = accuracy(full_net, bundle.validation)
         full_test = accuracy(full_net, bundle.test)
         val_floor = max(0.0, baseline_val - params.accuracy_drop_tolerance)
@@ -441,7 +441,7 @@ def grow_and_prune(
                 init_range=base_config.init_range,
                 seed=derived_seed(base_config.seed, restart, h),
             )
-            net, _ = train(init_network(config_h), bundle.train, tparams, penalty)
+            net = train(init_network(config_h), bundle.train, tparams, penalty)
             net, trace = eliminate_weights(
                 net, bundle, tparams, penalty, params, floor=val_floor
             )

@@ -10,6 +10,12 @@ regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
 loss and penalty).  Masks are re-applied after every update so pruned
 weights stay at 0.0.
+
+:func:`epoch_step` is that update plus the objective after it, the one
+divergence check; :func:`train` (a fixed number of epochs) and
+:func:`retrain` (until a validation-accuracy floor is met) both advance
+through it, and ``nnprune train --trace`` calls it directly to log
+per-epoch rows.
 """
 
 from __future__ import annotations
@@ -44,17 +50,14 @@ class TrainParams:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
 
 
-@dataclass(frozen=True)
-class TrainRecord:
-    """Telemetry for one completed epoch."""
+def epoch_step(
+    net: Network, split: Split, lr: float, penalty: PenaltyParams, epoch: int
+) -> float:
+    """One in-place full-batch descent update; returns the objective after it.
 
-    epoch: int
-    objective_value: float
-    train_accuracy: float
-
-
-def _update(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> None:
-    """One in-place full-batch descent step; masks re-applied afterwards."""
+    Masks are re-applied after the update.  Raises DivergenceError naming
+    ``epoch`` if the objective becomes non-finite.
+    """
     step = lr / len(split)
     data = data_gradients(net, split.examples, split.targets)
     pen = penalty_gradients(net, penalty)
@@ -63,6 +66,10 @@ def _update(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> No
         net.w -= step * (data.d_w + pen.d_w)
         net.v -= step * (data.d_v + pen.d_v)
     net.apply_masks()
+    theta = objective(net, split.examples, split.targets, penalty)
+    if not np.isfinite(theta):
+        raise DivergenceError(f"objective became non-finite at epoch {epoch}")
+    return theta
 
 
 def accuracy(net: Network, split: Split) -> float:
@@ -78,7 +85,7 @@ def train(
     split: Split,
     tparams: TrainParams,
     penalty: PenaltyParams,
-) -> tuple[Network, list[TrainRecord]]:
+) -> Network:
     """Run exactly ``tparams.epochs`` updates; returns the trained copy.
 
     Deterministic given its inputs.  Raises DivergenceError naming the
@@ -87,20 +94,9 @@ def train(
     if len(split) == 0:
         raise DatasetError("cannot train on an empty split")
     net = net.copy()
-    records: list[TrainRecord] = []
     for epoch in range(1, tparams.epochs + 1):
-        _update(net, split, tparams.learning_rate, penalty)
-        theta = objective(net, split.examples, split.targets, penalty)
-        if not np.isfinite(theta):
-            raise DivergenceError(f"objective became non-finite at epoch {epoch}")
-        records.append(
-            TrainRecord(
-                epoch=epoch,
-                objective_value=theta,
-                train_accuracy=accuracy(net, split),
-            )
-        )
-    return net, records
+        epoch_step(net, split, tparams.learning_rate, penalty, epoch)
+    return net
 
 
 def retrain(
@@ -123,10 +119,7 @@ def retrain(
     if accuracy(net, val_split) >= floor:
         return net, True
     for epoch in range(1, max_epochs + 1):
-        _update(net, train_split, tparams.learning_rate, penalty)
-        theta = objective(net, train_split.examples, train_split.targets, penalty)
-        if not np.isfinite(theta):
-            raise DivergenceError(f"objective became non-finite at epoch {epoch}")
+        epoch_step(net, train_split, tparams.learning_rate, penalty, epoch)
         if accuracy(net, val_split) >= floor:
             return net, True
     return net, False

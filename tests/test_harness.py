@@ -6,14 +6,18 @@ import pytest
 
 from nnprune import (
     ConfigurationError,
+    DivergenceError,
     NetworkConfig,
     PenaltyParams,
     PruneParams,
     TrainParams,
+    accuracy,
     deserialize,
     export_dot,
     init_network,
+    objective,
     run_experiment,
+    train,
 )
 from nnprune.cli import main
 from nnprune.harness import load_config, parse_config_text
@@ -93,6 +97,18 @@ class TestConfigParsing:
     def test_unparsable_value_names_key(self, line):
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
+            parse_config_text(f"dataset = cancer1\ndata_path = x\n{line}\n")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("split_seeds = 1,-1", "split_seeds must be >= 0"),
+            ("init_seed = -1", "seed must be >= 0"),
+            ("init_range = 1e308", "init_range must be in"),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, line, message):
+        with pytest.raises(ConfigurationError, match=message):
             parse_config_text(f"dataset = cancer1\ndata_path = x\n{line}\n")
 
     @pytest.mark.parametrize("name", ["cancer1", "diabetes", "glass"])
@@ -257,6 +273,77 @@ class TestCli:
         inactive += [(KIND_HIDDEN_NODE, (int(m),)) for m in np.flatnonzero(~pruned.hidden_active)]
         assert inactive
         assert set(inactive) <= logged
+
+    def test_train_trace_rows_match_saved_network(self, cancer_file, cancer_bundle, tmp_path):
+        argv = ["train", "--dataset", "cancer1", "--data", str(cancer_file), "--epochs", "20"]
+        assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
+        traced = ["--out", str(tmp_path / "net.json"), "--trace", str(tmp_path / "t.csv")]
+        assert main(argv + traced) == 0
+        assert (tmp_path / "net.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        header, *rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert header == "epoch,objective,train_accuracy"
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 21))
+        saved = deserialize((tmp_path / "net.json").read_text())
+        split = cancer_bundle.train
+        theta = objective(saved, split.examples, split.targets, PenaltyParams())
+        assert rows[-1] == f"20,{theta!r},{accuracy(saved, split)!r}"
+
+    def test_train_divergence_names_true_epoch(self, cancer_file, cancer_bundle, tmp_path, capsys):
+        net = init_network(NetworkConfig(9, 3, 2, seed=1))  # the CLI defaults
+        with pytest.raises(DivergenceError) as library:
+            train(net, cancer_bundle.train, TrainParams(1e30, 30), PenaltyParams())
+        assert int(str(library.value).rsplit(" ", 1)[1]) > 1
+        out, csv = tmp_path / "net.json", tmp_path / "t.csv"
+        rc = main(
+            [
+                "train", "--dataset", "cancer1", "--data", str(cancer_file), "--epochs", "30",
+                "--lr", "1e30", "--out", str(out), "--trace", str(csv),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {library.value}\n"
+        assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("train", "--eps1", "nan"),
+            ("train", "--eps2", "inf"),
+            ("train", "--beta", "inf"),
+            ("train", "--lr", "inf"),
+            ("train", "--init-range", "inf"),
+            ("train", "--split-seed", "-1"),
+            ("train", "--seed", "-1"),
+            ("prune", "--eta1", "nan"),
+            ("prune", "--eta2", "inf"),
+            ("prune", "--tolerance", "nan"),
+            ("prune", "--lr", "nan"),
+            ("gradcheck", "--step", "nan"),
+            ("gradcheck", "--seed", "-1"),
+            ("gradcheck", "--examples", "-1"),
+            ("synth-data", "--seed", "-1"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(
+        self, command, flag, value, cancer_file, tmp_path, capsys
+    ):
+        data = ["--dataset", "cancer1", "--data", str(cancer_file)]
+        required = {
+            "train": data + ["--out", str(tmp_path / "n.json")],
+            "prune": data + ["--net", str(tmp_path / "n.json"), "--out", str(tmp_path / "p.json")],
+            "gradcheck": [],
+            "synth-data": ["--out", str(tmp_path / "d")],
+        }
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required[command], flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_run_negative_split_seed_exit_1(self, cancer_file, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"dataset = cancer1\ndata_path = {cancer_file}\nsplit_seeds = -1\n")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: split_seeds must be >= 0")
 
     def test_gradcheck_exit_code(self, capsys):
         assert main(["gradcheck", "--seed", "42"]) == 0

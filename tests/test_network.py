@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             NetworkConfig(1, 1, 1, init_range=0.0)
 
+    @pytest.mark.parametrize("init_range", [1e308, float("inf"), float("nan")])
+    def test_unbounded_init_range_rejected(self, init_range):
+        with pytest.raises(ConfigurationError, match="init_range"):
+            NetworkConfig(1, 1, 1, init_range=init_range)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            NetworkConfig(1, 1, 1, seed=-1)
+
 
 class TestInit:
     def test_shapes_and_bound(self):
@@ -207,6 +216,22 @@ class TestSerialization:
         doc = json.loads(serialize(small_net(2, 2, 2)))
         doc["w"][0] = "abc"
         with pytest.raises(ParseError, match="'w'"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key,value", [("w_mask", "no"), ("w_mask", 0.5), ("v_mask", 1), ("hidden_active", None)]
+    )
+    def test_non_boolean_flag_rejected(self, key, value):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        doc[key][0] = value
+        with pytest.raises(ParseError, match=f"'{key}' must be a list of booleans"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("key,value", [("n", 2.7), ("h", 2.0), ("o", "2"), ("n", True)])
+    def test_non_integer_size_rejected(self, key, value):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        doc[key] = value
+        with pytest.raises(ParseError, match="must be integers"):
             deserialize(json.dumps(doc))
 
     def test_garbage_rejected(self):

@@ -173,7 +173,7 @@ class TestEliminateWeights:
         # two-input halfplane net: either input alone cannot represent the
         # margin rule, so the first fallback removal must be rolled back
         bundle = halfplane_bundle(seed=1)
-        net, _ = train(init_network(NetworkConfig(2, 1, 2, seed=1)), bundle.train, TP, PEN)
+        net = train(init_network(NetworkConfig(2, 1, 2, seed=1)), bundle.train, TP, PEN)
         assert accuracy(net, bundle.validation) > 0.9
         out, trace = eliminate_weights(net, bundle, TP, PEN, PruneParams(retrain_max_epochs=50))
         assert serialize(out) == serialize(net)  # bit-identical rollback
@@ -182,7 +182,7 @@ class TestEliminateWeights:
         assert trace.n_removed_weights() == 0
 
     def test_monotone_sparsity_and_trace_completeness(self, cancer_bundle):
-        net, _ = train(
+        net = train(
             init_network(NetworkConfig(9, 3, 2, seed=5)),
             cancer_bundle.train,
             TrainParams(0.1, 500),
@@ -201,7 +201,7 @@ class TestEliminateWeights:
             assert e.metric <= e.threshold
 
     def test_floor_holds_at_exit(self, cancer_bundle):
-        net, _ = train(
+        net = train(
             init_network(NetworkConfig(9, 3, 2, seed=6)),
             cancer_bundle.train,
             TrainParams(0.1, 500),
@@ -213,7 +213,7 @@ class TestEliminateWeights:
         assert accuracy(out, cancer_bundle.validation) >= baseline - 0.02
 
     def test_explicit_floor_is_respected(self, cancer_bundle):
-        net, _ = train(
+        net = train(
             init_network(NetworkConfig(9, 3, 2, seed=7)),
             cancer_bundle.train,
             TrainParams(0.1, 500),

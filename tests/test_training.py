@@ -10,6 +10,7 @@ from nnprune import (
     Split,
     TrainParams,
     accuracy,
+    epoch_step,
     init_network,
     objective,
     retrain,
@@ -38,8 +39,7 @@ class TestTrain:
     def test_zero_epochs_identity(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=1))
         split = toy_split()
-        out, records = train(net, split, TrainParams(0.1, 0), PenaltyParams())
-        assert records == []
+        out = train(net, split, TrainParams(0.1, 0), PenaltyParams())
         assert np.array_equal(out.w, net.w)
         assert np.array_equal(out.v, net.v)
 
@@ -55,7 +55,7 @@ class TestTrain:
         split = toy_split(seed=2)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         before = objective(net, split.examples, split.targets, off)
-        stepped, _ = train(net, split, TrainParams(1e-4, 1), off)
+        stepped = train(net, split, TrainParams(1e-4, 1), off)
         after = objective(stepped, split.examples, split.targets, off)
         assert after <= before + 1e-9
 
@@ -63,37 +63,47 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=3))
         split = toy_split(seed=3)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        _, records = train(net, split, TrainParams(1e-3, 40), off)
-        values = [objective(net, split.examples, split.targets, off)] + [
-            r.objective_value for r in records
-        ]
+        values = [objective(net, split.examples, split.targets, off)]
+        for epoch in range(1, 41):
+            epoch_step(net, split, 1e-3, off, epoch)
+            values.append(objective(net, split.examples, split.targets, off))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9)
 
     def test_deterministic(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=4))
         split = toy_split(seed=4)
-        a, ra = train(net, split, TrainParams(0.1, 50), PenaltyParams())
-        b, rb = train(net, split, TrainParams(0.1, 50), PenaltyParams())
+        a = train(net, split, TrainParams(0.1, 50), PenaltyParams())
+        b = train(net, split, TrainParams(0.1, 50), PenaltyParams())
         assert np.array_equal(a.w, b.w) and np.array_equal(a.v, b.v)
-        assert ra == rb
 
     def test_mask_preserved_through_training(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=5))
         net.w_mask[0, 0] = False
         net.v_mask[1, 2] = False
         net.apply_masks()
-        out, _ = train(net, toy_split(seed=5), TrainParams(0.1, 60), PenaltyParams())
+        out = train(net, toy_split(seed=5), TrainParams(0.1, 60), PenaltyParams())
         assert out.w[0, 0] == 0.0
         assert out.v[1, 2] == 0.0
         out.validate()
 
-    def test_records_epoch_numbering(self):
+    def test_never_evaluates_accuracy(self, monkeypatch):
+        def forbidden(net, split):
+            raise AssertionError("train evaluated accuracy")
+
+        monkeypatch.setattr("nnprune.training.accuracy", forbidden)
         net = init_network(NetworkConfig(4, 3, 2, seed=6))
-        _, records = train(net, toy_split(seed=6), TrainParams(0.1, 5), PenaltyParams())
-        assert [r.epoch for r in records] == [1, 2, 3, 4, 5]
-        assert all(np.isfinite(r.objective_value) for r in records)
-        assert all(0.0 <= r.train_accuracy <= 1.0 for r in records)
+        train(net, toy_split(seed=6), TrainParams(0.1, 5), PenaltyParams())
+
+    def test_epoch_step_matches_train(self):
+        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        split = toy_split(seed=6)
+        stepped = net.copy()
+        for epoch in range(1, 6):
+            theta = epoch_step(stepped, split, 0.1, PenaltyParams(), epoch)
+        trained = train(net, split, TrainParams(0.1, 5), PenaltyParams())
+        assert np.array_equal(stepped.w, trained.w) and np.array_equal(stepped.v, trained.v)
+        assert theta == objective(trained, split.examples, split.targets, PenaltyParams())
 
     def test_divergence_error_names_epoch(self):
         net = init_network(NetworkConfig(2, 2, 2, seed=7))
@@ -166,7 +176,7 @@ class TestRetrain:
 
     def test_recovers_after_removal(self):
         split = toy_split(k=60, seed=14)
-        net, _ = train(
+        net = train(
             init_network(NetworkConfig(4, 3, 2, seed=14)),
             split,
             TrainParams(0.1, 300),
