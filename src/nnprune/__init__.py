@@ -43,6 +43,7 @@ from .network import (
     serialize,
 )
 from .objective import (
+    Evaluation,
     Gradients,
     PenaltyParams,
     cross_entropy,
@@ -78,6 +79,7 @@ __all__ = [
     "DatasetError",
     "DatasetSpec",
     "DivergenceError",
+    "Evaluation",
     "ExperimentConfig",
     "ExperimentReport",
     "Gradients",

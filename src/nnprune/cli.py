@@ -25,7 +25,7 @@ from .data import SPECS, load_bundle
 from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError
 from .harness import CONFIG_DEFAULTS, export_dot, finite_float, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
-from .objective import PenaltyParams, finite_diff_check
+from .objective import PenaltyParams, finite_diff_check, objective
 from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
 from .training import TrainParams, accuracy, epoch_step
 
@@ -36,6 +36,13 @@ def non_negative_int(value: str) -> int:
     number = int(value)
     if number < 0:
         raise ValueError(f"{value!r} is negative")
+    return number
+
+
+def positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"{value!r} is below 1")
     return number
 
 
@@ -60,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True, type=Path)
-    p_run.add_argument("--jobs", type=int, default=1)
+    p_run.add_argument("--jobs", type=positive_int, default=1)
     p_run.add_argument("--out", type=Path, default=None, help="override output_dir")
 
     p_train = sub.add_parser("train", help="train a fresh network on one split")
@@ -143,11 +150,12 @@ def _cmd_train(args) -> int:
     tparams = TrainParams(learning_rate=args.lr, epochs=args.epochs)
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
     net = init_network(config)
+    at = objective(net, bundle.train.examples, bundle.train.targets, penalty)
     rows = ["epoch,objective,train_accuracy\n"]
     for epoch in range(1, tparams.epochs + 1):
-        theta = epoch_step(net, bundle.train, tparams.learning_rate, penalty, epoch)
+        at = epoch_step(net, bundle.train, tparams.learning_rate, penalty, epoch, at)
         if args.trace is not None:
-            rows.append(f"{epoch},{theta!r},{accuracy(net, bundle.train)!r}\n")
+            rows.append(f"{epoch},{at.theta!r},{accuracy(net, bundle.train)!r}\n")
     args.out.write_text(serialize(net) + "\n", encoding="utf-8")
     if args.trace is not None:
         args.trace.write_text("".join(rows), encoding="utf-8")

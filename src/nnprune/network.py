@@ -150,14 +150,17 @@ def init_network(config: NetworkConfig) -> Network:
 
 
 def logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic 1 / (1 + exp(-z))."""
+    """Numerically stable logistic 1 / (1 + exp(-z)).
+
+    With e = exp(-|z|), which never overflows, z >= 0 gives 1 / (1 + e) and
+    z < 0 gives e / (1 + e) = exp(z) / (1 + exp(z)).  Both are computed over
+    the whole array and selected elementwise; there is no boolean indexing,
+    whose per-call cost dominates at these array sizes.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

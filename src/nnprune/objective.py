@@ -11,12 +11,18 @@ pulls small weights toward zero while leaving large weights nearly alone,
 which is what makes magnitude-based weight elimination effective after
 training.
 
-Analytic gradients are provided together with a central finite-difference
-checker that serves as an independent oracle for them.
+Evaluating the objective runs one forward pass over the batch, and
+:func:`objective` returns that pass with theta as an :class:`Evaluation`.
+The data gradient is taken from such an evaluation instead of a pass of its
+own, so a training epoch that evaluates theta after its update already holds
+the pass the next epoch's gradient needs.  Analytic gradients are provided
+together with a central finite-difference checker that serves as an
+independent oracle for them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +44,21 @@ class PenaltyParams:
     beta: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.eps1 < 0 or self.eps2 < 0:
-            raise ConfigurationError("eps1 and eps2 must be >= 0")
-        if not self.beta > 0:
-            raise ConfigurationError(f"beta must be > 0, got {self.beta}")
+        for name in ("eps1", "eps2"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+        if not 0 < self.beta < math.inf:
+            raise ConfigurationError(f"beta must be finite and > 0, got {self.beta}")
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """Theta of one network on one batch, with the forward pass behind it."""
+
+    theta: float
+    hidden: np.ndarray  # [k, h] tanh activations
+    preds: np.ndarray   # [k, o] logistic outputs
 
 
 @dataclass
@@ -89,9 +106,9 @@ def penalty(net: Network, params: PenaltyParams) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         w2 = net.w ** 2
         v2 = net.v ** 2
-        saturating = (params.beta * w2 / (1.0 + params.beta * w2)).sum() + (
-            params.beta * v2 / (1.0 + params.beta * v2)
-        ).sum()
+        bw2 = params.beta * w2
+        bv2 = params.beta * v2
+        saturating = (bw2 / (1.0 + bw2)).sum() + (bv2 / (1.0 + bv2)).sum()
         quadratic = w2.sum() + v2.sum()
         return float(params.eps1 * saturating + params.eps2 * quadratic)
 
@@ -101,24 +118,34 @@ def objective(
     inputs: np.ndarray,
     targets: np.ndarray,
     params: PenaltyParams,
-) -> float:
-    """theta = cross-entropy over the batch + weight penalty."""
-    inputs, targets = _check_batch(net, inputs, targets)
-    if inputs.shape[0] == 0:
-        raise ShapeError("batch must be nonempty")
-    _, preds = forward_batch(net, inputs)
-    return cross_entropy(preds, targets) + penalty(net, params)
+) -> Evaluation:
+    """theta = cross-entropy over the batch + weight penalty.
 
-
-def data_gradients(net: Network, inputs: np.ndarray, targets: np.ndarray) -> Gradients:
-    """Gradient of the summed cross-entropy alone, masked entries zeroed."""
+    Runs one forward pass and returns it together with theta.
+    """
     inputs, targets = _check_batch(net, inputs, targets)
     if inputs.shape[0] == 0:
         raise ShapeError("batch must be nonempty")
     hidden, preds = forward_batch(net, inputs)
-    d_out = preds - targets                      # dF/d(pre-logistic), [k, o]
-    d_v = d_out.T @ hidden                       # [o, h]
-    d_hidden = (d_out @ net.v) * (1.0 - hidden ** 2)
+    return Evaluation(cross_entropy(preds, targets) + penalty(net, params), hidden, preds)
+
+
+def data_gradients(
+    net: Network, inputs: np.ndarray, targets: np.ndarray, at: Evaluation
+) -> Gradients:
+    """Gradient of the summed cross-entropy alone, masked entries zeroed.
+
+    ``at`` must be ``objective(net, inputs, targets, ...)`` for the current
+    weights of ``net``; its forward pass is differentiated, none is run here.
+    """
+    inputs, targets = _check_batch(net, inputs, targets)
+    if at.preds.shape != targets.shape:
+        raise ShapeError(
+            f"evaluation outputs {at.preds.shape} do not match targets {targets.shape}"
+        )
+    d_out = at.preds - targets                   # dF/d(pre-logistic), [k, o]
+    d_v = d_out.T @ at.hidden                    # [o, h]
+    d_hidden = (d_out @ net.v) * (1.0 - at.hidden ** 2)
     d_w = d_hidden.T @ inputs                    # [h, n]
     d_w[~net.w_mask] = 0.0
     d_v[~net.v_mask] = 0.0
@@ -150,7 +177,7 @@ def gradients(
     params: PenaltyParams,
 ) -> Gradients:
     """Analytic gradient of the full objective wrt every unmasked weight."""
-    data = data_gradients(net, inputs, targets)
+    data = data_gradients(net, inputs, targets, objective(net, inputs, targets, params))
     pen = penalty_gradients(net, params)
     return Gradients(d_w=data.d_w + pen.d_w, d_v=data.d_v + pen.d_v)
 
@@ -185,9 +212,9 @@ def finite_diff_check(
             i, j = idx
             saved = matrix[i, j]
             matrix[i, j] = saved + step
-            plus = objective(work, inputs, targets, params)
+            plus = objective(work, inputs, targets, params).theta
             matrix[i, j] = saved - step
-            minus = objective(work, inputs, targets, params)
+            minus = objective(work, inputs, targets, params).theta
             matrix[i, j] = saved
             numeric = (plus - minus) / (2.0 * step)
             a = grad[i, j]

@@ -12,14 +12,18 @@ loss and penalty).  Masks are re-applied after every update so pruned
 weights stay at 0.0.
 
 :func:`epoch_step` is that update plus the objective after it, the one
-divergence check; :func:`train` (a fixed number of epochs) and
-:func:`retrain` (until a validation-accuracy floor is met) both advance
-through it, and ``nnprune train --trace`` calls it directly to log
-per-epoch rows.
+divergence check.  Each epoch runs one forward pass over the training
+split: the gradient is taken from the evaluation the previous step
+returned, and the objective after the update is the pass the next step
+differentiates, so a loop evaluates the objective once before its first
+step.  :func:`train` (a fixed number of epochs) and :func:`retrain` (until
+a validation-accuracy floor is met) both advance through it, and
+``nnprune train --trace`` calls it directly to log per-epoch rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +32,7 @@ from .data import Split
 from .errors import ConfigurationError, DatasetError, DivergenceError
 from .network import Network, classify_batch
 from .objective import (
+    Evaluation,
     PenaltyParams,
     data_gradients,
     objective,
@@ -44,32 +49,38 @@ class TrainParams:
     shuffle_seed: int = 0  # reserved; full-batch updates never consume it
 
     def __post_init__(self) -> None:
-        if not self.learning_rate > 0:
-            raise ConfigurationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
 
 
 def epoch_step(
-    net: Network, split: Split, lr: float, penalty: PenaltyParams, epoch: int
-) -> float:
+    net: Network, split: Split, lr: float, penalty: PenaltyParams, epoch: int, at: Evaluation
+) -> Evaluation:
     """One in-place full-batch descent update; returns the objective after it.
 
-    Masks are re-applied after the update.  Raises DivergenceError naming
-    ``epoch`` if the objective becomes non-finite.
+    ``at`` is the objective of ``net`` on ``split`` before the update (the
+    previous step's return value, or an :func:`objective` call before the
+    first step); its forward pass gives the gradient.  Masks are re-applied
+    after the update.  The returned evaluation holds theta and the forward
+    pass of the updated network, ready for the next step.  Raises
+    DivergenceError naming ``epoch`` if the objective becomes non-finite.
     """
     step = lr / len(split)
-    data = data_gradients(net, split.examples, split.targets)
+    data = data_gradients(net, split.examples, split.targets, at)
     pen = penalty_gradients(net, penalty)
     # overflow on diverged weights is caught right after by the theta guard
     with np.errstate(over="ignore", invalid="ignore"):
         net.w -= step * (data.d_w + pen.d_w)
         net.v -= step * (data.d_v + pen.d_v)
     net.apply_masks()
-    theta = objective(net, split.examples, split.targets, penalty)
-    if not np.isfinite(theta):
+    after = objective(net, split.examples, split.targets, penalty)
+    if not np.isfinite(after.theta):
         raise DivergenceError(f"objective became non-finite at epoch {epoch}")
-    return theta
+    return after
 
 
 def accuracy(net: Network, split: Split) -> float:
@@ -94,8 +105,9 @@ def train(
     if len(split) == 0:
         raise DatasetError("cannot train on an empty split")
     net = net.copy()
+    at = objective(net, split.examples, split.targets, penalty)
     for epoch in range(1, tparams.epochs + 1):
-        epoch_step(net, split, tparams.learning_rate, penalty, epoch)
+        at = epoch_step(net, split, tparams.learning_rate, penalty, epoch, at)
     return net
 
 
@@ -118,8 +130,9 @@ def retrain(
     net = net.copy()
     if accuracy(net, val_split) >= floor:
         return net, True
+    at = objective(net, train_split.examples, train_split.targets, penalty)
     for epoch in range(1, max_epochs + 1):
-        epoch_step(net, train_split, tparams.learning_rate, penalty, epoch)
+        at = epoch_step(net, train_split, tparams.learning_rate, penalty, epoch, at)
         if accuracy(net, val_split) >= floor:
             return net, True
     return net, False

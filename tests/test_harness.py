@@ -285,7 +285,7 @@ class TestCli:
         assert [int(row.split(",")[0]) for row in rows] == list(range(1, 21))
         saved = deserialize((tmp_path / "net.json").read_text())
         split = cancer_bundle.train
-        theta = objective(saved, split.examples, split.targets, PenaltyParams())
+        theta = objective(saved, split.examples, split.targets, PenaltyParams()).theta
         assert rows[-1] == f"20,{theta!r},{accuracy(saved, split)!r}"
 
     def test_train_divergence_names_true_epoch(self, cancer_file, cancer_bundle, tmp_path, capsys):
@@ -322,6 +322,8 @@ class TestCli:
             ("gradcheck", "--seed", "-1"),
             ("gradcheck", "--examples", "-1"),
             ("synth-data", "--seed", "-1"),
+            ("run", "--jobs", "0"),
+            ("run", "--jobs", "-3"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(
@@ -333,6 +335,7 @@ class TestCli:
             "prune": data + ["--net", str(tmp_path / "n.json"), "--out", str(tmp_path / "p.json")],
             "gradcheck": [],
             "synth-data": ["--out", str(tmp_path / "d")],
+            "run": ["--config", str(tmp_path / "exp.conf")],
         }
         with pytest.raises(SystemExit) as exc:
             main([command, *required[command], flag, value])
@@ -356,7 +359,7 @@ class TestCli:
             f"dataset = cancer1\ndata_path = {cancer_file}\n"
             f"output_dir = {tmp_path / 'out'}\nsplit_seeds = 1\nepochs = 200\n"
         )
-        assert main(["run", "--config", str(conf)]) == 0
+        assert main(["run", "--config", str(conf), "--jobs", "1"]) == 0
         assert (tmp_path / "out" / "report.json").is_file()
 
     def test_run_bad_config_value_exit_1(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnprune import (
@@ -17,6 +18,7 @@ from nnprune import (
     init_network,
     serialize,
 )
+from nnprune.network import logistic
 
 # independently derived by scalar evaluation: tanh(1) and 1/(1+exp(-tanh(1)))
 TANH_1 = 0.7615941559557649
@@ -142,6 +144,44 @@ class TestForward:
             y = x.copy()
             y[2] = rng.random() * 10 - 5
             assert np.array_equal(forward_one(net, x)[1], forward_one(net, y)[1])
+
+
+def masked_logistic(z: np.ndarray) -> np.ndarray:
+    """The boolean-mask form of the stable logistic, kept as the reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308]
+
+
+class TestLogistic:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(),  # any float64, including nan, +-inf and subnormals
+                st.floats(min_value=-800.0, max_value=800.0),
+                st.sampled_from(SPECIAL),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example(SPECIAL)
+    def test_bit_identical_to_masked_form(self, values):
+        z = np.array(values, dtype=np.float64)
+        expected = masked_logistic(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from exp or the divisions
+            got = logistic(z)
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
 
 
 class TestClassify:

@@ -1,3 +1,6 @@
+import importlib
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from nnprune import (
     TrainParams,
     accuracy,
     epoch_step,
+    forward_batch,
     init_network,
     objective,
     retrain,
@@ -34,6 +38,19 @@ class TestTrainParams:
         with pytest.raises(ConfigurationError):
             TrainParams(learning_rate=0.1, epochs=-1)
 
+    @pytest.mark.parametrize(
+        "params,field,value",
+        [
+            (TrainParams, "learning_rate", math.inf),
+            (PenaltyParams, "eps1", math.nan),
+            (PenaltyParams, "eps2", math.inf),
+            (PenaltyParams, "beta", math.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, params, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            params(**{field: value})
+
 
 class TestTrain:
     def test_zero_epochs_identity(self):
@@ -54,19 +71,20 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=2))
         split = toy_split(seed=2)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        before = objective(net, split.examples, split.targets, off)
+        before = objective(net, split.examples, split.targets, off).theta
         stepped = train(net, split, TrainParams(1e-4, 1), off)
-        after = objective(stepped, split.examples, split.targets, off)
+        after = objective(stepped, split.examples, split.targets, off).theta
         assert after <= before + 1e-9
 
     def test_objective_sequence_non_increasing_small_lr(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=3))
         split = toy_split(seed=3)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        values = [objective(net, split.examples, split.targets, off)]
+        at = objective(net, split.examples, split.targets, off)
+        values = [at.theta]
         for epoch in range(1, 41):
-            epoch_step(net, split, 1e-3, off, epoch)
-            values.append(objective(net, split.examples, split.targets, off))
+            at = epoch_step(net, split, 1e-3, off, epoch, at)
+            values.append(objective(net, split.examples, split.targets, off).theta)
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9)
 
@@ -99,11 +117,29 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=6))
         split = toy_split(seed=6)
         stepped = net.copy()
+        at = objective(stepped, split.examples, split.targets, PenaltyParams())
         for epoch in range(1, 6):
-            theta = epoch_step(stepped, split, 0.1, PenaltyParams(), epoch)
+            at = epoch_step(stepped, split, 0.1, PenaltyParams(), epoch, at)
         trained = train(net, split, TrainParams(0.1, 5), PenaltyParams())
         assert np.array_equal(stepped.w, trained.w) and np.array_equal(stepped.v, trained.v)
-        assert theta == objective(trained, split.examples, split.targets, PenaltyParams())
+        fresh = objective(trained, split.examples, split.targets, PenaltyParams())
+        assert at.theta == fresh.theta
+        assert np.array_equal(at.hidden, fresh.hidden) and np.array_equal(at.preds, fresh.preds)
+
+    @pytest.mark.parametrize("epochs", [0, 1, 7])
+    def test_one_forward_pass_per_epoch(self, epochs, monkeypatch):
+        calls = []
+
+        def counting(net, inputs):
+            calls.append(1)
+            return forward_batch(net, inputs)
+
+        # ``nnprune.objective`` names the function; the module is looked up
+        for module in ("nnprune.objective", "nnprune.network"):
+            monkeypatch.setattr(importlib.import_module(module), "forward_batch", counting)
+        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
+        assert len(calls) == epochs + 1
 
     def test_divergence_error_names_epoch(self):
         net = init_network(NetworkConfig(2, 2, 2, seed=7))
