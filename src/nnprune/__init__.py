@@ -22,7 +22,6 @@ from .errors import (
     ConfigurationError,
     DatasetError,
     DivergenceError,
-    NoRemovableWeightError,
     ParseError,
     ShapeError,
 )
@@ -57,13 +56,10 @@ from .pruning import (
     PruneParams,
     PruneTrace,
     RemovalEvent,
-    condition_candidates,
     eliminate_weights,
     grow_and_prune,
-    prune_dead_hidden,
-    prune_dead_inputs,
     prune_dead_nodes,
-    smallest_product,
+    removal_batch,
 )
 from .training import TrainParams, accuracy, epoch_step, retrain, train
 
@@ -86,7 +82,6 @@ __all__ = [
     "GrowPruneReport",
     "Network",
     "NetworkConfig",
-    "NoRemovableWeightError",
     "ParseError",
     "PenaltyParams",
     "PruneParams",
@@ -97,7 +92,6 @@ __all__ = [
     "TrainParams",
     "accuracy",
     "classify_batch",
-    "condition_candidates",
     "cross_entropy",
     "deserialize",
     "eliminate_weights",
@@ -114,12 +108,10 @@ __all__ = [
     "objective",
     "penalty",
     "prepare",
-    "prune_dead_hidden",
-    "prune_dead_inputs",
     "prune_dead_nodes",
+    "removal_batch",
     "retrain",
     "run_experiment",
     "serialize",
-    "smallest_product",
     "train",
 ]

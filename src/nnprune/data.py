@@ -102,8 +102,9 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> list[tuple[tuple[str, ...],
     """Parse a benchmark file into (attribute strings, label string) records.
 
     Missing markers are preserved as-is; the id column, when configured, is
-    dropped.  Lines with the wrong field count or non-numeric attribute
-    values are rejected with their line number.  Blank lines are skipped.
+    dropped.  Lines with the wrong field count or non-numeric or non-finite
+    attribute values are rejected with their line number.  Blank lines are
+    skipped.
     """
     path = Path(path)
     records: list[tuple[tuple[str, ...], str]] = []
@@ -128,11 +129,13 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> list[tuple[tuple[str, ...],
                 if value == spec.missing_marker:
                     continue
                 try:
-                    float(value)
+                    number = float(value)
                 except ValueError:
                     raise ParseError(
                         f"{path.name} line {lineno}: non-numeric attribute {value!r}"
                     ) from None
+                if not math.isfinite(number):
+                    raise ParseError(f"{path.name} line {lineno}: non-finite attribute {value!r}")
             records.append((attrs, label))
     return records
 

@@ -19,7 +19,3 @@ class DatasetError(ValueError):
 
 class DivergenceError(RuntimeError):
     """The training objective became non-finite."""
-
-
-class NoRemovableWeightError(RuntimeError):
-    """All input-to-hidden weights are already masked out."""

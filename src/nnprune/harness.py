@@ -48,6 +48,9 @@ class ExperimentConfig:
             raise ConfigurationError("at least one split seed is required")
         if min(self.split_seeds) < 0:
             raise ConfigurationError(f"split_seeds must be >= 0, got {self.split_seeds}")
+        repeated = [s for i, s in enumerate(self.split_seeds) if s in self.split_seeds[:i]]
+        if repeated:
+            raise ConfigurationError(f"split seed {repeated[0]} is listed more than once")
 
     @property
     def spec(self) -> DatasetSpec:

@@ -1,7 +1,7 @@
 """Weight elimination and node pruning for trained networks.
 
 Weight elimination repeatedly removes connections that the trained weights
-show to be redundant:
+show to be redundant.  ``removal_batch`` states the rule once:
 
 * an input-to-hidden weight w[m, l] is removable when
   ``max_p |v[p, m] * w[m, l]| <= 4 * eta2`` (its worst-case influence on
@@ -13,7 +13,7 @@ show to be redundant:
 
 After each removal batch the network is retrained; if it can no longer
 reach the accuracy floor, the batch is rolled back and elimination stops.
-Node pruning then deactivates inputs and hidden units left with no
+``prune_dead_nodes`` then deactivates hidden units and inputs left with no
 unmasked connections, which provably leaves the network function
 unchanged.  The growth loop wraps all of this: it starts from a single
 hidden unit and adds units until the pruned network is acceptable,
@@ -23,12 +23,13 @@ restarting from fresh weights when generalization fails.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from itertools import count
 
 import numpy as np
 
 from .data import DatasetBundle
-from .errors import ConfigurationError, NoRemovableWeightError
+from .errors import ConfigurationError
 from .network import Network, NetworkConfig, init_network, serialize
 from .objective import PenaltyParams
 from .training import TrainParams, accuracy, retrain, train
@@ -91,19 +92,7 @@ class RemovalEvent:
     implied_connections: int = 0     # weights newly masked by a node removal
 
     def to_json(self) -> str:
-        doc = {
-            "type": "removal",
-            "kind": self.kind,
-            "indices": list(self.indices),
-            "trigger": self.trigger,
-            "batch": self.batch,
-            "metric": self.metric,
-            "threshold": self.threshold,
-            "rolled_back": self.rolled_back,
-            "accuracy_after_retrain": self.accuracy_after_retrain,
-            "implied_connections": self.implied_connections,
-        }
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps({"type": "removal", **asdict(self)}, sort_keys=True)
 
 
 @dataclass
@@ -164,57 +153,36 @@ class PruneTrace:
         return trace
 
 
-def _influence(net: Network) -> np.ndarray:
-    """Worst-case output influence per w entry: max_p |v[p, m] * w[m, l]|."""
-    col_max_v = np.abs(net.v).max(axis=0)            # [h]
-    return col_max_v[:, None] * np.abs(net.w)        # [h, n]
+def removal_batch(net: Network, params: PruneParams, batch: int) -> list[RemovalEvent]:
+    """The weights the elimination rule removes next from ``net``.
 
-
-def condition_candidates(
-    net: Network, params: PruneParams
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """All unmasked weights currently below the removal threshold.
-
-    Returns ``(w_removals, v_removals)`` in lexicographic index order:
-    (m, l) pairs with max_p |v[p, m] * w[m, l]| <= 4*eta2, and (p, m) pairs
-    with |v[p, m]| <= 4*eta2.
+    Every unmasked w[m, l] with max_p |v[p, m] * w[m, l]| <= 4*eta2, then
+    every unmasked v[p, m] with |v[p, m]| <= 4*eta2, each in lexicographic
+    index order.  When none qualifies, the single unmasked w entry with the
+    smallest max_p |v[p, m] * w[m, l]| (the lexicographically first among
+    equal minima); empty when no w entry is left either.  Each event is
+    numbered ``batch`` and records its decision value.
     """
     thr = params.threshold
-    influence = _influence(net)
-    w_removals = [
-        (int(m), int(l))
+    abs_v = np.abs(net.v)
+    influence = abs_v.max(axis=0)[:, None] * np.abs(net.w)  # [h, n]
+    events = [
+        RemovalEvent(KIND_WEIGHT_W, (int(m), int(l)), TRIGGER_PRODUCT, batch,
+                     metric=float(influence[m, l]), threshold=thr)
         for m, l in np.argwhere(net.w_mask & (influence <= thr))
+    ] + [
+        RemovalEvent(KIND_WEIGHT_V, (int(p), int(m)), TRIGGER_MAGNITUDE, batch,
+                     metric=float(abs_v[p, m]), threshold=thr)
+        for p, m in np.argwhere(net.v_mask & (abs_v <= thr))
     ]
-    v_removals = [
-        (int(p), int(m))
-        for p, m in np.argwhere(net.v_mask & (np.abs(net.v) <= thr))
-    ]
-    return w_removals, v_removals
-
-
-def smallest_product(net: Network) -> tuple[int, int]:
-    """Unmasked (m, l) minimizing max_p |v[p, m] * w[m, l]|; ties pick the
-    lexicographically smallest pair."""
-    if not net.w_mask.any():
-        raise NoRemovableWeightError("no unmasked input-to-hidden weights remain")
-    influence = np.where(net.w_mask, _influence(net), np.inf)
+    if events or not net.w_mask.any():
+        return events
     # argmin on the raveled array returns the first (lexicographically
     # smallest) index among equal minima
-    m, l = np.unravel_index(int(np.argmin(influence)), influence.shape)
-    return int(m), int(l)
-
-
-def _apply_batch(net: Network, batch: list[RemovalEvent]) -> None:
-    for event in batch:
-        if event.kind == KIND_WEIGHT_W:
-            m, l = event.indices
-            net.w_mask[m, l] = False
-        elif event.kind == KIND_WEIGHT_V:
-            p, m = event.indices
-            net.v_mask[p, m] = False
-        else:
-            raise ValueError(f"cannot apply event kind {event.kind}")
-    net.apply_masks()
+    fallback = np.where(net.w_mask, influence, np.inf)
+    m, l = np.unravel_index(int(np.argmin(fallback)), fallback.shape)
+    return [RemovalEvent(KIND_WEIGHT_W, (int(m), int(l)), TRIGGER_SMALLEST, batch,
+                         metric=float(influence[m, l]))]
 
 
 def eliminate_weights(
@@ -227,65 +195,28 @@ def eliminate_weights(
 ) -> tuple[Network, PruneTrace]:
     """Iteratively remove redundant weights from an already-trained network.
 
-    Each round removes every threshold candidate at once (or the single
-    smallest-influence w weight when there is none) and retrains toward the
-    floor, by default the entry validation accuracy minus
+    Each round removes the batch ``removal_batch`` builds and retrains
+    toward the floor, by default the entry validation accuracy minus
     ``accuracy_drop_tolerance`` (pass ``floor`` to anchor it elsewhere,
-    e.g. to a reference network's accuracy).  A round that cannot recover
-    the floor is rolled back exactly and elimination stops.  The returned
-    network is the last one that met the floor.
+    e.g. to a reference network's accuracy).  Elimination stops at an empty
+    batch or at a round that cannot recover the floor, which is rolled back
+    exactly.  The returned network is the last one that met the floor.
     """
     current = net.copy()
     if floor is None:
         baseline = accuracy(current, bundle.validation)
         floor = max(0.0, baseline - params.accuracy_drop_tolerance)
     trace = PruneTrace()
-    batch_id = 0
-    while True:
-        w_cands, v_cands = condition_candidates(current, params)
-        influence = _influence(current)
-        batch: list[RemovalEvent] = []
-        if w_cands or v_cands:
-            for m, l in w_cands:
-                batch.append(
-                    RemovalEvent(
-                        kind=KIND_WEIGHT_W,
-                        indices=(m, l),
-                        trigger=TRIGGER_PRODUCT,
-                        batch=batch_id,
-                        metric=float(influence[m, l]),
-                        threshold=params.threshold,
-                    )
-                )
-            for p, m in v_cands:
-                batch.append(
-                    RemovalEvent(
-                        kind=KIND_WEIGHT_V,
-                        indices=(p, m),
-                        trigger=TRIGGER_MAGNITUDE,
-                        batch=batch_id,
-                        metric=float(abs(current.v[p, m])),
-                        threshold=params.threshold,
-                    )
-                )
-        else:
-            try:
-                m, l = smallest_product(current)
-            except NoRemovableWeightError:
-                break
-            batch.append(
-                RemovalEvent(
-                    kind=KIND_WEIGHT_W,
-                    indices=(m, l),
-                    trigger=TRIGGER_SMALLEST,
-                    batch=batch_id,
-                    metric=float(influence[m, l]),
-                    threshold=None,
-                )
-            )
+    for batch_id in count():
+        batch = removal_batch(current, params, batch_id)
+        if not batch:
+            break
         trace.snapshots[batch_id] = serialize(current)
         candidate = current.copy()
-        _apply_batch(candidate, batch)
+        for event in batch:
+            mask = candidate.w_mask if event.kind == KIND_WEIGHT_W else candidate.v_mask
+            mask[event.indices] = False
+        candidate.apply_masks()
         candidate, met = retrain(
             candidate,
             bundle.train,
@@ -303,44 +234,7 @@ def eliminate_weights(
         if not met:
             break  # `current` was never touched: exact rollback
         current = candidate
-        batch_id += 1
     return current, trace
-
-
-def prune_dead_inputs(net: Network) -> tuple[Network, list[int]]:
-    """Deactivate inputs whose entire outgoing weight column is masked.
-
-    Forward outputs are unchanged: a fully masked column contributes zero
-    for any input value.
-    """
-    net = net.copy()
-    removed = [
-        int(l)
-        for l in range(net.n_inputs)
-        if net.input_active[l] and not net.w_mask[:, l].any()
-    ]
-    for l in removed:
-        net.input_active[l] = False
-    return net, removed
-
-
-def prune_dead_hidden(net: Network) -> tuple[Network, list[int]]:
-    """Deactivate hidden units whose entire outgoing v column is masked.
-
-    The unit's incoming w row is masked with it; since no output consumed
-    the unit, forward outputs are unchanged.
-    """
-    net = net.copy()
-    removed = [
-        int(m)
-        for m in range(net.n_hidden)
-        if net.hidden_active[m] and not net.v_mask[:, m].any()
-    ]
-    for m in removed:
-        net.hidden_active[m] = False
-        net.w_mask[m, :] = False
-    net.apply_masks()
-    return net, removed
 
 
 @dataclass(frozen=True)
@@ -367,35 +261,32 @@ def derived_seed(*parts: int) -> int:
 
 
 def prune_dead_nodes(net: Network, trace: PruneTrace) -> Network:
-    """Apply both dead-node rules and log the removals in ``trace``.
+    """Deactivate nodes left with no unmasked connections; log them in ``trace``.
 
-    Hidden units go first, so inputs that fed only dead hidden units are
-    removed too.  The events share one batch id after the last in ``trace``.
+    A hidden unit whose outgoing v column is fully masked goes first, with
+    its incoming w row masked; no output consumed it.  An input whose
+    outgoing w column is then fully masked goes next, so inputs that fed
+    only dead hidden units are removed too; it contributed zero for any
+    value.  Forward outputs are therefore unchanged.  Events list hidden
+    units, then inputs, each in ascending order, and share one batch id
+    after the last in ``trace``.
     """
     batch = 1 + max((e.batch for e in trace.events), default=-1)
-    implied = {m: int(net.w_mask[m, :].sum()) for m in range(net.n_hidden)}
-    pruned, dead_hidden = prune_dead_hidden(net)
-    for m in dead_hidden:
-        trace.events.append(
-            RemovalEvent(
-                kind=KIND_HIDDEN_NODE,
-                indices=(m,),
-                trigger=TRIGGER_DEAD_HIDDEN,
-                batch=batch,
-                implied_connections=implied[m],
-            )
-        )
-    pruned, dead_inputs = prune_dead_inputs(pruned)
-    for l in dead_inputs:
-        trace.events.append(
-            RemovalEvent(
-                kind=KIND_INPUT_NODE,
-                indices=(l,),
-                trigger=TRIGGER_DEAD_INPUT,
-                batch=batch,
-            )
-        )
-    return pruned
+    net = net.copy()
+    for m in range(net.n_hidden):
+        if net.hidden_active[m] and not net.v_mask[:, m].any():
+            trace.events.append(RemovalEvent(
+                KIND_HIDDEN_NODE, (m,), TRIGGER_DEAD_HIDDEN, batch,
+                implied_connections=int(net.w_mask[m].sum()),
+            ))
+            net.hidden_active[m] = False
+            net.w_mask[m, :] = False
+    net.apply_masks()
+    for l in range(net.n_inputs):
+        if net.input_active[l] and not net.w_mask[:, l].any():
+            trace.events.append(RemovalEvent(KIND_INPUT_NODE, (l,), TRIGGER_DEAD_INPUT, batch))
+            net.input_active[l] = False
+    return net
 
 
 def grow_and_prune(
@@ -434,12 +325,8 @@ def grow_and_prune(
         grown_h = 0
         for h in range(1, max_hidden + 1):
             grown_h = h
-            config_h = NetworkConfig(
-                n_inputs=base_config.n_inputs,
-                n_hidden=h,
-                n_outputs=base_config.n_outputs,
-                init_range=base_config.init_range,
-                seed=derived_seed(base_config.seed, restart, h),
+            config_h = replace(
+                base_config, n_hidden=h, seed=derived_seed(base_config.seed, restart, h)
             )
             net = train(init_network(config_h), bundle.train, tparams, penalty)
             net, trace = eliminate_weights(

@@ -27,8 +27,7 @@ from nnprune import (
     load_raw,
     penalty,
     prepare,
-    prune_dead_hidden,
-    prune_dead_inputs,
+    prune_dead_nodes,
     run_experiment,
 )
 from nnprune.pruning import (
@@ -292,8 +291,7 @@ def test_criterion_6_pruning_soundness(cancer_run, diabetes_run, glass_run):
         net.w_mask[:, dead_inputs] = False
         net.v_mask[:, dead_hidden] = False
         net.apply_masks()
-        pruned, _ = prune_dead_hidden(net)
-        pruned, _ = prune_dead_inputs(pruned)
+        pruned = prune_dead_nodes(net, PruneTrace())
         xs = rng.random((100, n))
         _, before = forward_batch(net, xs)
         _, after = forward_batch(pruned, xs)

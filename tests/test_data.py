@@ -48,6 +48,14 @@ class TestLoadRaw:
         with pytest.raises(ParseError, match="line 2"):
             load_raw(path, DIABETES)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "Infinity", "NaN"])
+    def test_non_finite_attribute_rejected(self, tmp_path, value):
+        path = tmp_path / "bad.data"
+        good = ",".join(["1"] * 9)
+        path.write_text(f"{good}\n1,2,{value},4,5,6,7,8,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"bad.data line 2: non-finite attribute '{value}'"):
+            load_raw(path, DIABETES)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.data"
         row = ",".join(["1"] * 8) + ",0"

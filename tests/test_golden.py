@@ -1,4 +1,5 @@
-"""Golden outputs: the three shipped experiments, byte for byte.
+"""Golden outputs: the three shipped experiments and ``nnprune prune``, byte
+for byte.
 
 Each ``configs/<name>.conf`` runs on the default-seed stand-in files from
 ``synth.write_all`` with split seed 1 only, and its ``report.json``,
@@ -6,6 +7,12 @@ Each ``configs/<name>.conf`` runs on the default-seed stand-in files from
 ``tests/golden/<name>/``.  Data and output paths are relative to a scratch
 directory, so the path strings inside the report do not depend on where the
 test runs.
+
+The CLI case trains cancer1 (split seed 1) for 200 epochs with ``nnprune
+train`` and simplifies it with ``nnprune prune --trace-out``; the pruned
+network and the audit log must equal ``tests/golden/prune/``.  It covers the
+entry-accuracy floor of ``eliminate_weights`` and the CLI's dead-node step,
+which the experiment runs never reach.
 
 A golden file changes only with a declared change of behaviour.  To rewrite
 them from the current code:
@@ -26,12 +33,14 @@ from pathlib import Path
 import pytest
 
 from nnprune import load_config, run_experiment
+from nnprune.cli import main
 from nnprune.synth import FILENAMES, write_all
 
 _REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ("cancer1", "diabetes", "glass")
 PATTERNS = ("report.json", "networks/*.json", "traces/*.jsonl")
+PRUNE_PATTERNS = ("pruned.json", "prune.jsonl")
 
 
 def run_config(name: str, workdir: Path) -> Path:
@@ -48,10 +57,25 @@ def run_config(name: str, workdir: Path) -> Path:
     return workdir / config.output_dir
 
 
-def output_files(out: Path) -> dict[str, bytes]:
+def run_prune(workdir: Path) -> Path:
+    """Train and prune a cancer1 network with the CLI under ``workdir``;
+    returns the output directory."""
+    data = write_all(workdir / "data")["cancer1"]
+    out = workdir / "out" / "prune"
+    out.mkdir(parents=True)
+    split = ["--dataset", "cancer1", "--data", str(data), "--split-seed", "1"]
+    assert main(["train", *split, "--epochs", "200", "--out", str(out / "net.json")]) == 0
+    assert main([
+        "prune", *split, "--net", str(out / "net.json"),
+        "--out", str(out / "pruned.json"), "--trace-out", str(out / "prune.jsonl"),
+    ]) == 0
+    return out
+
+
+def output_files(out: Path, patterns=PATTERNS) -> dict[str, bytes]:
     return {
         p.relative_to(out).as_posix(): p.read_bytes()
-        for pattern in PATTERNS
+        for pattern in patterns
         for p in sorted(out.glob(pattern))
     }
 
@@ -94,14 +118,22 @@ def describe_mismatch(name: str, got: bytes, want: bytes) -> str:
     return f"{name}: same JSON values, different bytes"
 
 
+def assert_matches_golden(name: str, got: dict[str, bytes], want: dict[str, bytes]) -> None:
+    assert sorted(got) == sorted(want)
+    mismatches = [describe_mismatch(f, got[f], want[f]) for f in want if got[f] != want[f]]
+    assert not mismatches, f"{name}: " + "; ".join(mismatches)
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_outputs_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = output_files(run_config(name, tmp_path))
-    want = output_files(GOLDEN / name)
-    assert sorted(got) == sorted(want)
-    mismatches = [describe_mismatch(f, got[f], want[f]) for f in want if got[f] != want[f]]
-    assert not mismatches, f"{name}: " + "; ".join(mismatches)
+    assert_matches_golden(name, got, output_files(GOLDEN / name))
+
+
+def test_prune_cli_matches_golden(tmp_path):
+    got = output_files(run_prune(tmp_path), PRUNE_PATTERNS)
+    assert_matches_golden("prune", got, output_files(GOLDEN / "prune", PRUNE_PATTERNS))
 
 
 def test_first_difference_names_the_field():
@@ -113,12 +145,15 @@ def test_first_difference_names_the_field():
 
 
 def _regenerate() -> None:
-    for name in CONFIGS:
+    for name in (*CONFIGS, "prune"):
         with tempfile.TemporaryDirectory() as tmp:
             old = os.getcwd()
             os.chdir(tmp)
             try:
-                files = output_files(run_config(name, Path(tmp)))
+                if name == "prune":
+                    files = output_files(run_prune(Path(tmp)), PRUNE_PATTERNS)
+                else:
+                    files = output_files(run_config(name, Path(tmp)))
             finally:
                 os.chdir(old)
         shutil.rmtree(GOLDEN / name, ignore_errors=True)

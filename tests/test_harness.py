@@ -105,6 +105,7 @@ class TestConfigParsing:
             ("split_seeds = 1,-1", "split_seeds must be >= 0"),
             ("init_seed = -1", "seed must be >= 0"),
             ("init_range = 1e308", "init_range must be in"),
+            ("split_seeds = 1,2,1", "split seed 1 is listed more than once"),
         ],
     )
     def test_out_of_range_value_rejected(self, line, message):
@@ -347,6 +348,13 @@ class TestCli:
         conf.write_text(f"dataset = cancer1\ndata_path = {cancer_file}\nsplit_seeds = -1\n")
         assert main(["run", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: split_seeds must be >= 0")
+
+    def test_run_repeated_split_seed_exit_1(self, cancer_file, tmp_path, capsys):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"dataset = cancer1\ndata_path = {cancer_file}\nsplit_seeds = 1,1\n")
+        assert main(["run", "--config", str(conf), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: split seed 1 is listed more than once")
+        assert not (tmp_path / "out").exists()
 
     def test_gradcheck_exit_code(self, capsys):
         assert main(["gradcheck", "--seed", "42"]) == 0

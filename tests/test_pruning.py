@@ -1,30 +1,39 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnprune import (
-    CANCER1,
     ConfigurationError,
     DatasetBundle,
     NetworkConfig,
-    NoRemovableWeightError,
     PenaltyParams,
     PruneParams,
     PruneTrace,
     Split,
     TrainParams,
     accuracy,
-    condition_candidates,
     eliminate_weights,
     forward_batch,
     grow_and_prune,
     init_network,
-    prune_dead_hidden,
-    prune_dead_inputs,
+    prune_dead_nodes,
+    removal_batch,
     serialize,
-    smallest_product,
     train,
 )
-from nnprune.pruning import KIND_WEIGHT_V, KIND_WEIGHT_W, RemovalEvent
+from nnprune.pruning import (
+    KIND_HIDDEN_NODE,
+    KIND_INPUT_NODE,
+    KIND_WEIGHT_V,
+    KIND_WEIGHT_W,
+    TRIGGER_DEAD_HIDDEN,
+    TRIGGER_DEAD_INPUT,
+    TRIGGER_MAGNITUDE,
+    TRIGGER_PRODUCT,
+    TRIGGER_SMALLEST,
+    RemovalEvent,
+)
 
 TP = TrainParams(learning_rate=0.1, epochs=300)
 PEN = PenaltyParams()
@@ -87,7 +96,108 @@ class TestPruneParams:
             PruneParams(eta1=0.0, eta2=0.1)
 
 
+def threshold_removals(net, params):
+    """(w indices, v indices) of the threshold events of ``removal_batch``."""
+    batch = removal_batch(net, params, 0)
+    return (
+        [e.indices for e in batch if e.trigger == TRIGGER_PRODUCT],
+        [e.indices for e in batch if e.trigger == TRIGGER_MAGNITUDE],
+    )
+
+
+def reference_influence(net):
+    return np.abs(net.v).max(axis=0)[:, None] * np.abs(net.w)
+
+
+def reference_condition_candidates(net, params):
+    """The separate threshold-candidate formula, kept as the reference."""
+    thr = params.threshold
+    influence = reference_influence(net)
+    w_removals = [(int(m), int(l)) for m, l in np.argwhere(net.w_mask & (influence <= thr))]
+    v_removals = [(int(p), int(m)) for p, m in np.argwhere(net.v_mask & (np.abs(net.v) <= thr))]
+    return w_removals, v_removals
+
+
+def reference_smallest_product(net):
+    """The separate fallback formula, kept as the reference; None when no
+    w entry is unmasked."""
+    if not net.w_mask.any():
+        return None
+    influence = np.where(net.w_mask, reference_influence(net), np.inf)
+    m, l = np.unravel_index(int(np.argmin(influence)), influence.shape)
+    return int(m), int(l)
+
+
+def reference_batch(net, params, batch):
+    """The elimination batch built from the reference formulas, event by event."""
+    influence = reference_influence(net)
+    w_cands, v_cands = reference_condition_candidates(net, params)
+    events = [
+        RemovalEvent(kind=KIND_WEIGHT_W, indices=ml, trigger=TRIGGER_PRODUCT, batch=batch,
+                     metric=float(influence[ml]), threshold=params.threshold)
+        for ml in w_cands
+    ] + [
+        RemovalEvent(kind=KIND_WEIGHT_V, indices=pm, trigger=TRIGGER_MAGNITUDE, batch=batch,
+                     metric=float(abs(net.v[pm])), threshold=params.threshold)
+        for pm in v_cands
+    ]
+    if events:
+        return events
+    ml = reference_smallest_product(net)
+    if ml is None:
+        return []
+    return [RemovalEvent(kind=KIND_WEIGHT_W, indices=ml, trigger=TRIGGER_SMALLEST, batch=batch,
+                         metric=float(influence[ml]), threshold=None)]
+
+
+# few distinct values on and around the default threshold 0.4, so that
+# threshold boundaries are common, and few distinct values above every
+# threshold drawn, so that the smallest-product rule meets equal products
+TIE_PRONE = (0.0, -0.0, 0.05, -0.1, 0.1, 0.2, -0.4, 0.4, 0.5, -1.0, 2.0)
+ABOVE_THRESHOLD = (0.7, -0.7, 1.0, 2.0)
+
+
+@st.composite
+def masked_networks(draw):
+    n, h, o = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    net = init_network(NetworkConfig(n, h, o))
+    value = draw(st.sampled_from([
+        st.sampled_from(TIE_PRONE),
+        st.sampled_from(ABOVE_THRESHOLD),
+        st.one_of(st.sampled_from(TIE_PRONE), st.floats(-3.0, 3.0)),
+    ]))
+    for weights, mask in ((net.w, net.w_mask), (net.v, net.v_mask)):
+        size = weights.size
+        weights[:] = np.reshape(draw(st.lists(value, min_size=size, max_size=size)), weights.shape)
+        mask[:] = np.reshape(draw(st.lists(st.booleans(), min_size=size, max_size=size)), mask.shape)
+    net.apply_masks()
+    return net
+
+
+def all_w_masked():
+    """Every w masked; one v entry (0.34) lies below 0.4 but above 0.04."""
+    net = init_network(NetworkConfig(3, 2, 2, seed=12))
+    net.w_mask[:] = False
+    net.apply_masks()
+    return net
+
+
+class TestRemovalBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(net=masked_networks(), eta2=st.sampled_from([0.01, 0.1, 0.12]), batch=st.integers(0, 9))
+    @example(net=all_w_masked(), eta2=0.1, batch=0)   # v events only
+    @example(net=all_w_masked(), eta2=0.01, batch=3)  # nothing left: []
+    def test_matches_reference_formulas(self, net, eta2, batch):
+        params = PruneParams(eta1=0.35, eta2=eta2)
+        before = serialize(net)
+        got = removal_batch(net, params, batch)
+        assert got == reference_batch(net, params, batch)
+        assert serialize(net) == before  # the rule only reads the network
+
+
 class TestConditionCandidates:
+    """The threshold rules of ``removal_batch``."""
+
     def net_1out(self):
         net = init_network(NetworkConfig(2, 1, 1, seed=0))
         return net
@@ -97,7 +207,7 @@ class TestConditionCandidates:
         net = self.net_1out()
         net.v[0, 0] = 1.0
         net.w[0, 0], net.w[0, 1] = 0.3, 0.5
-        w_c, _ = condition_candidates(net, PruneParams(eta1=0.35, eta2=0.10))
+        w_c, _ = threshold_removals(net, PruneParams(eta1=0.35, eta2=0.10))
         assert (0, 0) in w_c
         assert (0, 1) not in w_c
 
@@ -105,10 +215,10 @@ class TestConditionCandidates:
         net = self.net_1out()
         net.w[:] = 1.0
         net.v[0, 0] = 0.39
-        _, v_c = condition_candidates(net, PruneParams(eta1=0.35, eta2=0.10))
+        _, v_c = threshold_removals(net, PruneParams(eta1=0.35, eta2=0.10))
         assert (0, 0) in v_c
         net.v[0, 0] = 0.41
-        _, v_c = condition_candidates(net, PruneParams(eta1=0.35, eta2=0.10))
+        _, v_c = threshold_removals(net, PruneParams(eta1=0.35, eta2=0.10))
         assert v_c == []
 
     def test_dead_fanout_makes_all_w_candidates(self):
@@ -116,7 +226,7 @@ class TestConditionCandidates:
         net.w[:] = 5.0  # far above any threshold on their own
         net.v[:, 0] = 0.0  # hidden 0 has zero fan-out
         net.v[:, 1] = 5.0
-        w_c, _ = condition_candidates(net, PruneParams())
+        w_c, _ = threshold_removals(net, PruneParams())
         assert {(0, 0), (0, 1), (0, 2)} <= set(w_c)
         assert all(m == 0 for m, _ in w_c)
 
@@ -125,7 +235,7 @@ class TestConditionCandidates:
         net = init_network(NetworkConfig(1, 1, 2, seed=2))
         net.w[0, 0] = 0.3
         net.v[0, 0], net.v[1, 0] = 0.1, 3.0  # max |v*w| = 0.9 > 0.4
-        w_c, _ = condition_candidates(net, PruneParams())
+        w_c, _ = threshold_removals(net, PruneParams())
         assert w_c == []
 
     def test_masked_entries_excluded(self):
@@ -133,24 +243,42 @@ class TestConditionCandidates:
         net.w[:] = 0.0
         net.v[:] = 0.0
         net.w_mask[0, 0] = False
-        w_c, v_c = condition_candidates(net, PruneParams())
+        w_c, v_c = threshold_removals(net, PruneParams())
         assert (0, 0) not in w_c
         assert (0, 1) in w_c  # still unmasked and below threshold
 
 
+# threshold 4*eta2 = 0.04 lies below every unmasked weight and product in
+# these cases, so only the smallest-product rule applies
+FALLBACK = PruneParams(eta1=0.35, eta2=0.01)
+
+
+def fallback_removal(net):
+    batch = removal_batch(net, FALLBACK, 0)
+    if not batch:
+        return None
+    (event,) = batch
+    assert event.kind == KIND_WEIGHT_W and event.trigger == TRIGGER_SMALLEST
+    assert event.threshold is None
+    return event.indices
+
+
 class TestSmallestProduct:
+    """The smallest-product rule of ``removal_batch``."""
+
     def test_single_unmasked(self):
         net = init_network(NetworkConfig(2, 2, 1, seed=3))
+        net.v[:] = 1.0
         net.w_mask[:] = False
         net.w_mask[1, 0] = True
         net.apply_masks()
-        assert smallest_product(net) == (1, 0)
+        assert fallback_removal(net) == (1, 0)
 
     def test_argmin(self):
         net = init_network(NetworkConfig(3, 1, 1, seed=4))
         net.v[0, 0] = 1.0
         net.w[0] = np.array([0.5, 0.2, 0.9])
-        assert smallest_product(net) == (0, 1)
+        assert fallback_removal(net) == (0, 1)
 
     def test_tie_break_lexicographic(self):
         net = init_network(NetworkConfig(4, 2, 1, seed=5))
@@ -158,14 +286,15 @@ class TestSmallestProduct:
         net.w[:] = 1.0
         net.w[0, 3] = 0.05
         net.w[1, 1] = 0.05
-        assert smallest_product(net) == (0, 3)
+        assert fallback_removal(net) == (0, 3)
 
-    def test_exhausted_raises(self):
+    def test_exhausted_returns_empty(self):
+        # all w masked and no v below the threshold: nothing left to remove
         net = init_network(NetworkConfig(2, 2, 1, seed=6))
+        net.v[:] = 1.0
         net.w_mask[:] = False
         net.apply_masks()
-        with pytest.raises(NoRemovableWeightError):
-            smallest_product(net)
+        assert fallback_removal(net) is None
 
 
 class TestEliminateWeights:
@@ -225,38 +354,61 @@ class TestEliminateWeights:
         assert accuracy(out, cancer_bundle.validation) >= 0.5
 
 
+def assert_same_function(net, out, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        x = rng.random((1, net.n_inputs))
+        assert np.array_equal(forward_batch(net, x)[1], forward_batch(out, x)[1])
+
+
 class TestNodePruning:
     def test_fully_connected_untouched(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=8))
-        out, removed = prune_dead_inputs(net)
-        assert removed == []
-        out, removed = prune_dead_hidden(net)
-        assert removed == []
+        trace = PruneTrace()
+        out = prune_dead_nodes(net, trace)
+        assert trace.events == []
+        assert serialize(out) == serialize(net)
 
     def test_dead_input_column(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=9))
         net.w_mask[:, 2] = False
         net.apply_masks()
-        out, removed = prune_dead_inputs(net)
-        assert removed == [2]
+        trace = PruneTrace()
+        out = prune_dead_nodes(net, trace)
+        assert trace.events == [RemovalEvent(KIND_INPUT_NODE, (2,), TRIGGER_DEAD_INPUT, 0)]
         assert not out.input_active[2]
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            x = rng.random((1, 4))
-            assert np.array_equal(forward_batch(net, x)[1], forward_batch(out, x)[1])
+        assert net.input_active[2]  # the input network is left as it was
+        assert_same_function(net, out, seed=9)
 
     def test_dead_hidden_column(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=10))
         net.v_mask[:, 1] = False
         net.apply_masks()
-        out, removed = prune_dead_hidden(net)
-        assert removed == [1]
+        trace = PruneTrace()
+        out = prune_dead_nodes(net, trace)
+        assert trace.events == [
+            RemovalEvent(KIND_HIDDEN_NODE, (1,), TRIGGER_DEAD_HIDDEN, 0, implied_connections=4)
+        ]
         assert not out.hidden_active[1]
         assert not out.w_mask[1].any()
-        rng = np.random.default_rng(10)
-        for _ in range(100):
-            x = rng.random((1, 4))
-            assert np.array_equal(forward_batch(net, x)[1], forward_batch(out, x)[1])
+        assert_same_function(net, out, seed=10)
+        out.validate()
+
+    def test_inputs_fed_only_dead_hidden_units_go_after_them(self):
+        net = init_network(NetworkConfig(3, 3, 2, seed=13))
+        net.w_mask[1, 2] = False       # input 2 feeds hidden 0 and 2 only
+        net.w_mask[0, 1] = False       # hidden 0 keeps inputs 0 and 2
+        net.w_mask[2, 0:2] = False     # hidden 2 keeps input 2
+        net.v_mask[:, [0, 2]] = False  # hidden 0 and 2 have no fan-out
+        net.apply_masks()
+        trace = PruneTrace(events=[RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_PRODUCT, 4)])
+        out = prune_dead_nodes(net, trace)
+        assert [(e.kind, e.indices, e.batch, e.implied_connections) for e in trace.events[1:]] == [
+            (KIND_HIDDEN_NODE, (0,), 5, 2),
+            (KIND_HIDDEN_NODE, (2,), 5, 1),
+            (KIND_INPUT_NODE, (2,), 5, 0),
+        ]
+        assert_same_function(net, out, seed=13)
         out.validate()
 
 
