@@ -43,13 +43,16 @@ from .network import (
 )
 from .objective import (
     Evaluation,
+    ForwardPass,
     Gradients,
     PenaltyParams,
     cross_entropy,
     finite_diff_check,
+    forward_pass,
     gradients,
     objective,
     penalty,
+    theta_certainly_finite,
 )
 from .pruning import (
     GrowPruneReport,
@@ -78,6 +81,7 @@ __all__ = [
     "Evaluation",
     "ExperimentConfig",
     "ExperimentReport",
+    "ForwardPass",
     "Gradients",
     "GrowPruneReport",
     "Network",
@@ -99,6 +103,7 @@ __all__ = [
     "export_dot",
     "finite_diff_check",
     "forward_batch",
+    "forward_pass",
     "gradients",
     "grow_and_prune",
     "init_network",
@@ -113,5 +118,6 @@ __all__ = [
     "retrain",
     "run_experiment",
     "serialize",
+    "theta_certainly_finite",
     "train",
 ]

@@ -25,7 +25,7 @@ from .data import SPECS, load_bundle
 from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError
 from .harness import CONFIG_DEFAULTS, export_dot, finite_float, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
-from .objective import PenaltyParams, finite_diff_check, objective
+from .objective import PenaltyParams, finite_diff_check, forward_pass, objective
 from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
 from .training import TrainParams, accuracy, epoch_step
 
@@ -150,18 +150,20 @@ def _cmd_train(args) -> int:
     tparams = TrainParams(learning_rate=args.lr, epochs=args.epochs)
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
     net = init_network(config)
-    at = objective(net, bundle.train.examples, bundle.train.targets, penalty)
+    split = bundle.train
+    at = forward_pass(net, split.examples)
     rows = ["epoch,objective,train_accuracy\n"]
     for epoch in range(1, tparams.epochs + 1):
-        at = epoch_step(net, bundle.train, tparams.learning_rate, penalty, epoch, at)
+        at = epoch_step(net, split, tparams.learning_rate, penalty, epoch, at)
         if args.trace is not None:
-            rows.append(f"{epoch},{at.theta!r},{accuracy(net, bundle.train)!r}\n")
+            theta = objective(net, split.examples, split.targets, penalty).theta
+            rows.append(f"{epoch},{theta!r},{accuracy(net, split)!r}\n")
     args.out.write_text(serialize(net) + "\n", encoding="utf-8")
     if args.trace is not None:
         args.trace.write_text("".join(rows), encoding="utf-8")
     print(
         f"trained {config.n_inputs}-{config.n_hidden}-{config.n_outputs}: "
-        f"train acc {accuracy(net, bundle.train):.5f}, "
+        f"train acc {accuracy(net, split):.5f}, "
         f"validation acc {accuracy(net, bundle.validation):.5f}"
     )
     return 0

@@ -77,11 +77,37 @@ SPECS = {s.name: s for s in (CANCER1, GLASS, DIABETES)}
 
 @dataclass
 class Split:
-    """Normalized examples with one-hot targets for one partition."""
+    """Normalized examples with one-hot targets for one partition.
+
+    Construction checks that the examples are finite, that every target
+    row is one-hot with entries 0.0 and 1.0, and that its 1.0 sits at the
+    row's class index; training relies on these to bound the objective.
+    """
 
     examples: np.ndarray       # float64 [k, n], values in [0, 1]
     targets: np.ndarray        # float64 [k, o], one-hot rows
     class_indices: np.ndarray  # int64 [k]
+
+    def __post_init__(self) -> None:
+        k = self.examples.shape[:1]
+        if (
+            self.examples.ndim != 2
+            or self.targets.ndim != 2
+            or self.targets.shape[:1] != k
+            or self.class_indices.shape != k
+        ):
+            raise DatasetError(
+                f"split shapes disagree: examples {self.examples.shape}, "
+                f"targets {self.targets.shape}, class indices {self.class_indices.shape}"
+            )
+        if not np.isfinite(self.examples).all():
+            raise DatasetError("split examples must be finite")
+        if not (
+            np.isin(self.targets, (0.0, 1.0)).all() and (self.targets.sum(axis=1) == 1.0).all()
+        ):
+            raise DatasetError("split targets must be one-hot rows of 0.0 and 1.0")
+        if len(self) and not np.array_equal(self.targets.argmax(axis=1), self.class_indices):
+            raise DatasetError("split targets disagree with the class indices")
 
     def __len__(self) -> int:
         return self.examples.shape[0]

@@ -153,14 +153,13 @@ def logistic(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic 1 / (1 + exp(-z)).
 
     With e = exp(-|z|), which never overflows, z >= 0 gives 1 / (1 + e) and
-    z < 0 gives e / (1 + e) = exp(z) / (1 + exp(z)).  Both are computed over
-    the whole array and selected elementwise; there is no boolean indexing,
+    z < 0 gives e / (1 + e) = exp(z) / (1 + exp(z)).  The numerator (1 or e)
+    is selected elementwise and divided once; there is no boolean indexing,
     whose per-call cost dominates at these array sizes.
     """
     z = np.asarray(z, dtype=np.float64)
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,13 +11,17 @@ pulls small weights toward zero while leaving large weights nearly alone,
 which is what makes magnitude-based weight elimination effective after
 training.
 
-Evaluating the objective runs one forward pass over the batch, and
-:func:`objective` returns that pass with theta as an :class:`Evaluation`.
-The data gradient is taken from such an evaluation instead of a pass of its
-own, so a training epoch that evaluates theta after its update already holds
-the pass the next epoch's gradient needs.  Analytic gradients are provided
-together with a central finite-difference checker that serves as an
-independent oracle for them.
+The data gradient is taken from a :class:`ForwardPass` instead of a pass of
+its own: :func:`forward_pass` runs one, and :func:`objective` returns the
+pass it ran together with theta as an :class:`Evaluation`.  A training
+epoch needs theta only to detect divergence, so it asks
+:func:`theta_certainly_finite`, which proves theta finite from the pass and
+the weights without computing it, and falls back to :func:`objective` only
+when that proof fails.  :func:`data_gradients` and
+:func:`penalty_gradients` return raw gradients (the trainer pins masked
+weights once after its update); :func:`gradients`, the full gradient,
+zeroes masked entries.  A central finite-difference checker serves as an
+independent oracle for the analytic gradients.
 """
 
 from __future__ import annotations
@@ -33,6 +37,12 @@ from .network import Network, forward_batch
 # Outputs are clamped to [LOG_CLAMP, 1 - LOG_CLAMP] before taking logs so the
 # loss stays finite at saturated outputs.
 LOG_CLAMP = 1e-12
+# Most that one output can add to the cross-entropy: -log of the clamp, with
+# room for rounding in 1 - (1 - LOG_CLAMP).
+CROSS_ENTROPY_TERM_MAX = -math.log(LOG_CLAMP / 2)
+# Every bound of the finiteness certificate stays below a quarter of the
+# largest double, so rounding in theta's own sums cannot reach overflow.
+CERTIFICATE_LIMIT = float(np.finfo(np.float64).max) / 4
 
 
 @dataclass(frozen=True)
@@ -53,17 +63,28 @@ class PenaltyParams:
 
 
 @dataclass(frozen=True)
-class Evaluation:
-    """Theta of one network on one batch, with the forward pass behind it."""
+class ForwardPass:
+    """One forward pass of one network over one batch."""
 
-    theta: float
     hidden: np.ndarray  # [k, h] tanh activations
     preds: np.ndarray   # [k, o] logistic outputs
 
 
+@dataclass(frozen=True)
+class Evaluation(ForwardPass):
+    """Theta of one network on one batch, with the forward pass behind it."""
+
+    theta: float
+
+
 @dataclass
 class Gradients:
-    """Gradient of the objective wrt every weight; masked entries are 0.0."""
+    """Gradient wrt every weight, w and v shaped.
+
+    :func:`data_gradients` and :func:`penalty_gradients` leave masked
+    entries raw (whatever the formula gives there); :func:`gradients`
+    zeroes them.
+    """
 
     d_w: np.ndarray  # [h, n]
     d_v: np.ndarray  # [o, h]
@@ -113,6 +134,12 @@ def penalty(net: Network, params: PenaltyParams) -> float:
         return float(params.eps1 * saturating + params.eps2 * quadratic)
 
 
+def forward_pass(net: Network, inputs: np.ndarray) -> ForwardPass:
+    """One forward pass of ``net`` over ``inputs``, ready to differentiate."""
+    hidden, preds = forward_batch(net, inputs)
+    return ForwardPass(hidden=hidden, preds=preds)
+
+
 def objective(
     net: Network,
     inputs: np.ndarray,
@@ -127,16 +154,51 @@ def objective(
     if inputs.shape[0] == 0:
         raise ShapeError("batch must be nonempty")
     hidden, preds = forward_batch(net, inputs)
-    return Evaluation(cross_entropy(preds, targets) + penalty(net, params), hidden, preds)
+    theta = cross_entropy(preds, targets) + penalty(net, params)
+    return Evaluation(hidden=hidden, preds=preds, theta=theta)
+
+
+def theta_certainly_finite(net: Network, at: ForwardPass, params: PenaltyParams) -> bool:
+    """A cheap sufficient condition for a finite theta at ``at``.
+
+    ``at`` must be the forward pass of ``net`` on a batch whose targets are
+    one-hot rows of 0.0 and 1.0 (every :class:`~nnprune.data.Split` is).
+    True means ``objective(net, ...).theta`` is finite; False proves
+    nothing.  The argument, with S the sum of all squared weights and N the
+    number of weights:
+
+    * no NaN in the outputs: every clamped log term is at most
+      CROSS_ENTROPY_TERM_MAX, so the cross-entropy is at most that times
+      the number of outputs;
+    * beta*S and S finite: every w^2, beta*w^2 and the quadratic sum are
+      finite, every saturating term lies in [0, 1], and the penalty is at
+      most eps1*N + eps2*S;
+    * the sum of these bounds stays below CERTIFICATE_LIMIT, a quarter of
+      the largest double.
+
+    A NaN or infinite weight makes S non-finite and the check False.
+    """
+    # Python floats: an overflow gives inf without a numpy warning
+    squares = float(np.vdot(net.w, net.w)) + float(np.vdot(net.v, net.v))
+    bound = (
+        CROSS_ENTROPY_TERM_MAX * at.preds.size
+        + params.eps1 * (net.w.size + net.v.size)
+        + params.eps2 * squares
+    )
+    return bool(
+        squares * max(params.beta, 1.0) <= CERTIFICATE_LIMIT
+        and bound <= CERTIFICATE_LIMIT
+        and not np.isnan(at.preds).any()
+    )
 
 
 def data_gradients(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, at: Evaluation
+    net: Network, inputs: np.ndarray, targets: np.ndarray, at: ForwardPass
 ) -> Gradients:
-    """Gradient of the summed cross-entropy alone, masked entries zeroed.
+    """Gradient of the summed cross-entropy alone, masked entries raw.
 
-    ``at`` must be ``objective(net, inputs, targets, ...)`` for the current
-    weights of ``net``; its forward pass is differentiated, none is run here.
+    ``at`` must be the forward pass of ``net`` over ``inputs`` for its
+    current weights; it is differentiated, no pass is run here.
     """
     inputs, targets = _check_batch(net, inputs, targets)
     if at.preds.shape != targets.shape:
@@ -147,27 +209,25 @@ def data_gradients(
     d_v = d_out.T @ at.hidden                    # [o, h]
     d_hidden = (d_out @ net.v) * (1.0 - at.hidden ** 2)
     d_w = d_hidden.T @ inputs                    # [h, n]
-    d_w[~net.w_mask] = 0.0
-    d_v[~net.v_mask] = 0.0
     return Gradients(d_w=d_w, d_v=d_v)
 
 
 def _penalty_grad(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = weights ** 2
-        return (
-            params.eps1 * 2.0 * params.beta * weights / (1.0 + params.beta * w2) ** 2
-            + 2.0 * params.eps2 * weights
-        )
+    w2 = weights ** 2
+    return (
+        params.eps1 * 2.0 * params.beta * weights / (1.0 + params.beta * w2) ** 2
+        + 2.0 * params.eps2 * weights
+    )
 
 
 def penalty_gradients(net: Network, params: PenaltyParams) -> Gradients:
-    """Gradient of the penalty alone, masked entries zeroed."""
-    d_w = _penalty_grad(net.w, params)
-    d_v = _penalty_grad(net.v, params)
-    d_w[~net.w_mask] = 0.0
-    d_v[~net.v_mask] = 0.0
-    return Gradients(d_w=d_w, d_v=d_v)
+    """Gradient of the penalty alone, masked entries raw.
+
+    Masked weights are exactly 0.0, so their raw entries are 0.0 as well.
+    """
+    # overflow on diverged weights is caught by the trainer's divergence check
+    with np.errstate(over="ignore", invalid="ignore"):
+        return Gradients(d_w=_penalty_grad(net.w, params), d_v=_penalty_grad(net.v, params))
 
 
 def gradients(
@@ -176,10 +236,14 @@ def gradients(
     targets: np.ndarray,
     params: PenaltyParams,
 ) -> Gradients:
-    """Analytic gradient of the full objective wrt every unmasked weight."""
+    """Analytic gradient of the full objective, masked entries zeroed."""
     data = data_gradients(net, inputs, targets, objective(net, inputs, targets, params))
     pen = penalty_gradients(net, params)
-    return Gradients(d_w=data.d_w + pen.d_w, d_v=data.d_v + pen.d_v)
+    d_w = data.d_w + pen.d_w
+    d_v = data.d_v + pen.d_v
+    d_w[~net.w_mask] = 0.0
+    d_v[~net.v_mask] = 0.0
+    return Gradients(d_w=d_w, d_v=d_v)
 
 
 def finite_diff_check(
@@ -195,9 +259,11 @@ def finite_diff_check(
     (theta(w+step) - theta(w-step)) / (2*step) is compared against the
     analytic entry; the relative error uses the denominator
     max(|analytic|, |numeric|, 1e-8).  Returns the maximum over all
-    unmasked weights.  Steps around 1e-6 balance truncation against
-    rounding; a large step (say 0.5) inflates truncation error and can
-    push the reported error past any sensible tolerance.
+    unmasked weights, or NaN if any comparison is NaN (an overflowing step
+    or weights whose objective is not finite), so that no tolerance test
+    passes on it.  Steps around 1e-6 balance truncation against rounding;
+    a large step (say 0.5) inflates truncation error and can push the
+    reported error past any sensible tolerance.
     """
     if not step > 0:
         raise ConfigurationError(f"step must be > 0, got {step}")
@@ -219,5 +285,6 @@ def finite_diff_check(
             numeric = (plus - minus) / (2.0 * step)
             a = grad[i, j]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+            if math.isnan(rel) or rel > worst:  # a NaN result sticks
+                worst = rel
     return worst

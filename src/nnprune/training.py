@@ -8,17 +8,22 @@ full objective, scaled by the number of training examples k:
 The 1/k scaling keeps the step size meaningful at learning rates like 0.1
 regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
-loss and penalty).  Masks are re-applied after every update so pruned
-weights stay at 0.0.
+loss and penalty).
 
-:func:`epoch_step` is that update plus the objective after it, the one
-divergence check.  Each epoch runs one forward pass over the training
-split: the gradient is taken from the evaluation the previous step
-returned, and the objective after the update is the pass the next step
-differentiates, so a loop evaluates the objective once before its first
-step.  :func:`train` (a fixed number of epochs) and :func:`retrain` (until
-a validation-accuracy floor is met) both advance through it, and
-``nnprune train --trace`` calls it directly to log per-epoch rows.
+:func:`epoch_step` is one update: the data and penalty gradients, raw, the
+descent step, one ``apply_masks`` (the only place a step pins masked
+weights back to 0.0) and the forward pass of the updated network, which it
+returns for the next step to differentiate.  So each epoch runs one forward
+pass, and a loop runs one more before its first step.  Theta itself is not
+computed: divergence is detected by
+:func:`~nnprune.objective.theta_certainly_finite`, a cheap proof from the
+new weights and outputs that theta is finite, and only when that proof
+fails is theta computed with :func:`~nnprune.objective.objective`; a
+non-finite theta raises DivergenceError at the same epoch as evaluating it
+every epoch would.  :func:`train` (a fixed number of epochs) and
+:func:`retrain` (until a validation-accuracy floor is met) both advance
+through it, and ``nnprune train`` calls it directly, evaluating theta for
+its ``--trace`` rows only.
 """
 
 from __future__ import annotations
@@ -32,11 +37,13 @@ from .data import Split
 from .errors import ConfigurationError, DatasetError, DivergenceError
 from .network import Network, classify_batch
 from .objective import (
-    Evaluation,
+    ForwardPass,
     PenaltyParams,
     data_gradients,
+    forward_pass,
     objective,
     penalty_gradients,
+    theta_certainly_finite,
 )
 
 
@@ -58,27 +65,28 @@ class TrainParams:
 
 
 def epoch_step(
-    net: Network, split: Split, lr: float, penalty: PenaltyParams, epoch: int, at: Evaluation
-) -> Evaluation:
-    """One in-place full-batch descent update; returns the objective after it.
+    net: Network, split: Split, lr: float, penalty: PenaltyParams, epoch: int, at: ForwardPass
+) -> ForwardPass:
+    """One in-place full-batch descent update; returns the pass after it.
 
-    ``at`` is the objective of ``net`` on ``split`` before the update (the
-    previous step's return value, or an :func:`objective` call before the
-    first step); its forward pass gives the gradient.  Masks are re-applied
-    after the update.  The returned evaluation holds theta and the forward
-    pass of the updated network, ready for the next step.  Raises
+    ``at`` is the forward pass of ``net`` on ``split`` before the update
+    (the previous step's return value, or a
+    :func:`~nnprune.objective.forward_pass` before the first step); it gives
+    the gradient.  Masks are applied once, after the update.  Raises
     DivergenceError naming ``epoch`` if the objective becomes non-finite.
     """
     step = lr / len(split)
     data = data_gradients(net, split.examples, split.targets, at)
     pen = penalty_gradients(net, penalty)
-    # overflow on diverged weights is caught right after by the theta guard
+    # overflow on diverged weights is caught right after by the divergence check
     with np.errstate(over="ignore", invalid="ignore"):
         net.w -= step * (data.d_w + pen.d_w)
         net.v -= step * (data.d_v + pen.d_v)
     net.apply_masks()
-    after = objective(net, split.examples, split.targets, penalty)
-    if not np.isfinite(after.theta):
+    after = forward_pass(net, split.examples)
+    if not theta_certainly_finite(net, after, penalty) and not np.isfinite(
+        objective(net, split.examples, split.targets, penalty).theta
+    ):
         raise DivergenceError(f"objective became non-finite at epoch {epoch}")
     return after
 
@@ -105,7 +113,7 @@ def train(
     if len(split) == 0:
         raise DatasetError("cannot train on an empty split")
     net = net.copy()
-    at = objective(net, split.examples, split.targets, penalty)
+    at = forward_pass(net, split.examples)
     for epoch in range(1, tparams.epochs + 1):
         at = epoch_step(net, split, tparams.learning_rate, penalty, epoch, at)
     return net
@@ -130,7 +138,9 @@ def retrain(
     net = net.copy()
     if accuracy(net, val_split) >= floor:
         return net, True
-    at = objective(net, train_split.examples, train_split.targets, penalty)
+    if len(train_split) == 0:
+        raise DatasetError("cannot train on an empty split")
+    at = forward_pass(net, train_split.examples)
     for epoch in range(1, max_epochs + 1):
         at = epoch_step(net, train_split, tparams.learning_rate, penalty, epoch, at)
         if accuracy(net, val_split) >= floor:

@@ -8,6 +8,7 @@ from nnprune import (
     DatasetError,
     DatasetSpec,
     ParseError,
+    Split,
     load_raw,
     prepare,
 )
@@ -206,3 +207,44 @@ class TestPrepare:
     def test_imputed_values_finite(self, cancer_file):
         bundle = prepare(load_raw(cancer_file, CANCER1), CANCER1, split_seed=1)
         assert np.all(np.isfinite(bundle.imputation))
+
+
+def split_parts():
+    """Examples, one-hot targets and class indices of a valid 3-row split."""
+    classes = np.array([0, 1, 1])
+    return np.full((3, 2), 0.5), np.eye(2)[classes], classes
+
+
+class TestSplitInvariants:
+    def test_valid_and_empty_splits_accepted(self):
+        x, t, c = split_parts()
+        assert len(Split(examples=x, targets=t, class_indices=c)) == 3
+        empty = Split(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        assert len(empty) == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_examples_rejected(self, value):
+        x, t, c = split_parts()
+        x[1, 0] = value
+        with pytest.raises(DatasetError, match="finite"):
+            Split(examples=x, targets=t, class_indices=c)
+
+    @pytest.mark.parametrize(
+        "row", [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [2.0, -1.0], [np.nan, 1.0]]
+    )
+    def test_non_one_hot_targets_rejected(self, row):
+        x, t, c = split_parts()
+        t[2] = row
+        with pytest.raises(DatasetError, match="one-hot"):
+            Split(examples=x, targets=t, class_indices=c)
+
+    def test_targets_disagreeing_with_class_indices_rejected(self):
+        x, t, c = split_parts()
+        c[0] = 1
+        with pytest.raises(DatasetError, match="class indices"):
+            Split(examples=x, targets=t, class_indices=c)
+
+    def test_mismatched_shapes_rejected(self):
+        x, t, c = split_parts()
+        with pytest.raises(DatasetError, match="shapes"):
+            Split(examples=x, targets=t, class_indices=c[:2])

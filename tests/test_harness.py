@@ -361,6 +361,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
+    def test_gradcheck_fails_when_no_comparison_is_finite(self, capsys):
+        # a step of 1e308 overflows every central difference
+        assert main(["gradcheck", "--step", "1e308"]) == 1
+        assert capsys.readouterr().out == "max relative error: nan\n"
+
     def test_run_from_config(self, cancer_file, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
         conf.write_text(

@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nnprune import (
     ConfigurationError,
     NetworkConfig,
     PenaltyParams,
     ShapeError,
+    Split,
     cross_entropy,
     finite_diff_check,
+    forward_pass,
     gradients,
     init_network,
     objective,
     penalty,
+    theta_certainly_finite,
 )
 from nnprune.objective import data_gradients
 
@@ -155,6 +160,17 @@ class TestGradients:
         assert g.d_w[1, 2] == 0.0
         assert g.d_v[0, 1] == 0.0
 
+    def test_data_gradient_is_raw_at_masked_entries(self):
+        # masks are the trainer's to apply; the formula's value is kept
+        net = init_network(NetworkConfig(4, 3, 2, seed=2))
+        net.w[1, 2] = 0.0
+        x, t = make_batch(4, 2, 6, seed=2)
+        unmasked = data_gradients(net, x, t, forward_pass(net, x))
+        net.w_mask[1, 2] = False
+        raw = data_gradients(net, x, t, forward_pass(net, x))
+        assert raw.d_w[1, 2] != 0.0
+        assert np.array_equal(raw.d_w, unmasked.d_w)
+
     def test_penalty_only_gradient_sign(self):
         net = init_network(NetworkConfig(1, 1, 1, seed=1))
         net.w[0, 0] = 0.7
@@ -194,6 +210,17 @@ class TestGradients:
         err = finite_diff_check(net, x, t, PenaltyParams(), step=1e-6)
         assert err == pytest.approx(0.0, abs=1e-9)
 
+    def test_non_finite_comparison_fails_the_check(self):
+        # theta is not finite around weights of 1e200, so neither is any
+        # central difference; the check must not report agreement
+        net = init_network(NetworkConfig(3, 2, 2, seed=9))
+        net.w[:] = 1e200
+        x, t = make_batch(3, 2, 4, seed=9)
+        with np.errstate(all="ignore"):
+            err = finite_diff_check(net, x, t, PenaltyParams(), step=1e-6)
+        assert math.isnan(err)
+        assert not err < 1e-5
+
     def test_bad_step_rejected(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=9))
         x, t = make_batch(3, 2, 4, seed=9)
@@ -208,3 +235,71 @@ class TestGradients:
         g2 = gradients(net, x[perm], t[perm], PenaltyParams())
         assert np.allclose(g1.d_w, g2.d_w, rtol=1e-12, atol=1e-12)
         assert np.allclose(g1.d_v, g2.d_v, rtol=1e-12, atol=1e-12)
+
+
+def signed_decades(lo, hi):
+    """Floats spread over decades 10**lo .. 10**hi, either sign (1e308 * 9.99
+    rounds to inf, so the top decade reaches infinity too)."""
+    return st.builds(
+        lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+        st.sampled_from((1.0, -1.0)),
+        st.floats(1.0, 9.99),
+        st.integers(lo, hi),
+    )
+
+
+WEIGHT = st.one_of(
+    signed_decades(-300, 308), st.sampled_from((0.0, math.inf, -math.inf, math.nan)), st.floats()
+)
+INPUT = st.one_of(st.floats(0.0, 1.0), signed_decades(-300, 308).filter(math.isfinite))
+STRENGTH = signed_decades(-300, 308).map(abs).filter(math.isfinite)
+
+# one example per clause: theta is not finite, and only that clause of the
+# certificate stands between it and a wrong True
+W_ONES = [1.0] * 12
+NAN_SUM = [10.0, -10.0, 10.0, -10.0] + [1.0] * 8  # 1e309 - 1e309 on large inputs
+LARGE_INPUTS = [1e308] * 12
+UNIT_INPUTS = [0.5] * 12
+
+
+class TestThetaCertificate:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        weights=st.lists(WEIGHT, min_size=12, max_size=12),
+        inputs=st.lists(INPUT, min_size=12, max_size=12),
+        classes=st.lists(st.integers(0, 1), min_size=1, max_size=3),
+        eps1=st.one_of(st.just(0.0), STRENGTH),
+        eps2=st.one_of(st.just(0.0), STRENGTH),
+        beta=STRENGTH,
+    )
+    @example(NAN_SUM, LARGE_INPUTS, [0], 0.1, 1e-5, 10.0)  # nan outputs, finite weights
+    @example([1e5] * 12, UNIT_INPUTS, [0, 1, 0], 0.1, 1e-5, 1e300)  # beta*w^2 overflows
+    @example([1e154] * 12, UNIT_INPUTS, [0, 1, 0], 0.1, 0.0, 1e-300)  # sum w^2 overflows
+    @example([4e153] * 8 + [6e153] * 4, UNIT_INPUTS, [0, 1, 0], 0.1, 0.0, 1e-300)  # w + v does
+    @example(W_ONES, UNIT_INPUTS, [0, 1, 0], 1e308, 1e-5, 10.0)  # eps1 term overflows
+    @example([1e5] * 12, UNIT_INPUTS, [0, 1, 0], 0.1, 1e300, 10.0)  # eps2 term overflows
+    @example(W_ONES, UNIT_INPUTS, [0, 1, 0], 1.2e308 / 12, 0.9e308 / 12, 1e300)  # their sum does
+    @example([math.inf] + W_ONES[1:], UNIT_INPUTS, [0, 1, 0], 0.1, 1e-5, 10.0)
+    @example([math.nan] + W_ONES[1:], UNIT_INPUTS, [0, 1, 0], 0.1, 1e-5, 10.0)
+    def test_certificate_implies_finite_theta(self, weights, inputs, classes, eps1, eps2, beta):
+        net = init_network(NetworkConfig(4, 2, 2))
+        net.w[:] = np.reshape(weights[:8], (2, 4))
+        net.v[:] = np.reshape(weights[8:], (2, 2))
+        k = len(classes)
+        split = Split(
+            examples=np.reshape(inputs[: 4 * k], (k, 4)),
+            targets=np.eye(2)[classes],
+            class_indices=np.array(classes),
+        )
+        params = PenaltyParams(eps1=eps1, eps2=eps2, beta=beta)
+        with np.errstate(all="ignore"):  # overflow in the passes is the point
+            at = forward_pass(net, split.examples)
+            # the check the certificate replaces on the training path
+            finite = np.isfinite(objective(net, split.examples, split.targets, params).theta)
+        certified = theta_certainly_finite(net, at, params)  # warnings are errors here
+        assert finite or not certified
+
+    def test_holds_on_an_ordinary_network(self):
+        net = init_network(NetworkConfig(9, 3, 2, seed=42))
+        x, _ = make_batch(9, 2, 10, seed=42)
+        assert theta_certainly_finite(net, forward_pass(net, x), PenaltyParams())

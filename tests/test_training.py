@@ -15,6 +15,8 @@ from nnprune import (
     accuracy,
     epoch_step,
     forward_batch,
+    forward_pass,
+    gradients,
     init_network,
     objective,
     retrain,
@@ -117,13 +119,13 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=6))
         split = toy_split(seed=6)
         stepped = net.copy()
-        at = objective(stepped, split.examples, split.targets, PenaltyParams())
+        at = forward_pass(stepped, split.examples)
         for epoch in range(1, 6):
             at = epoch_step(stepped, split, 0.1, PenaltyParams(), epoch, at)
         trained = train(net, split, TrainParams(0.1, 5), PenaltyParams())
         assert np.array_equal(stepped.w, trained.w) and np.array_equal(stepped.v, trained.v)
         fresh = objective(trained, split.examples, split.targets, PenaltyParams())
-        assert at.theta == fresh.theta
+        assert objective(stepped, split.examples, split.targets, PenaltyParams()).theta == fresh.theta
         assert np.array_equal(at.hidden, fresh.hidden) and np.array_equal(at.preds, fresh.preds)
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
@@ -141,6 +143,16 @@ class TestTrain:
         train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
         assert len(calls) == epochs + 1
 
+    def test_never_evaluates_theta(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("train evaluated theta")
+
+        monkeypatch.setattr("nnprune.training.objective", forbidden)
+        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net.w_mask[0, 1] = False
+        net.apply_masks()
+        train(net, toy_split(seed=6), TrainParams(0.1, 200), PenaltyParams())
+
     def test_divergence_error_names_epoch(self):
         net = init_network(NetworkConfig(2, 2, 2, seed=7))
         net.w[0, 0] = 1e200  # non-finite objective after the first update
@@ -157,6 +169,66 @@ class TestTrain:
         )
         with pytest.raises(DatasetError):
             train(net, empty, TrainParams(0.1, 1), PenaltyParams())
+
+
+def reference_train(net, split, lr, penalty, epochs):
+    """Training with theta evaluated after every update.
+
+    The step before the finiteness certificate: masked full gradients, the
+    update, masks, then the objective, diverged when theta is non-finite.
+    Returns the network and the divergence epoch (None if it finished).
+    """
+    net = net.copy()
+    for epoch in range(1, epochs + 1):
+        g = gradients(net, split.examples, split.targets, penalty)
+        net.w -= lr / len(split) * g.d_w
+        net.v -= lr / len(split) * g.d_v
+        net.apply_masks()
+        if not np.isfinite(objective(net, split.examples, split.targets, penalty).theta):
+            return net, epoch
+    return net, None
+
+
+class TestDivergenceEpoch:
+    def test_learning_rate_sweep_matches_theta_every_epoch(self, monkeypatch):
+        theta_calls = []
+        real_objective = objective
+
+        def counting(*args):
+            theta_calls.append(1)
+            return real_objective(*args)
+
+        monkeypatch.setattr("nnprune.training.objective", counting)
+        split = toy_split(seed=21)
+        outcomes = set()
+        for penalty in (
+            PenaltyParams(),
+            PenaltyParams(eps2=1.0),
+            PenaltyParams(eps1=0.0, eps2=0.0),
+            PenaltyParams(beta=1e200),
+            PenaltyParams(eps1=3e306),
+        ):
+            for lr in (1e2, 1e3, 1e5, 1e10, 1e20, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300):
+                net = init_network(NetworkConfig(4, 3, 2, seed=21))
+                net.w_mask[0, 1] = False
+                net.apply_masks()
+                theta_calls.clear()
+                # overflow warnings of the diverging passes are not under test
+                with np.errstate(all="ignore"):
+                    expected, epoch = reference_train(net, split, lr, penalty, 40)
+                    if epoch is None:
+                        got = train(net, split, TrainParams(lr, 40), penalty)
+                        assert np.array_equal(got.w, expected.w)
+                        assert np.array_equal(got.v, expected.v)
+                        outcomes.add("finished, theta evaluated" if theta_calls else "finished")
+                    else:
+                        with pytest.raises(DivergenceError, match=f"at epoch {epoch}$"):
+                            train(net, split, TrainParams(lr, 40), penalty)
+                        outcomes.add("diverged at epoch 1" if epoch == 1 else "diverged later")
+        # the sweep reaches every branch of the check
+        assert outcomes == {
+            "finished", "finished, theta evaluated", "diverged at epoch 1", "diverged later"
+        }
 
 
 class TestAccuracy:
@@ -229,6 +301,19 @@ class TestRetrain:
         )
         assert met is True
         assert out.w[m, l] == 0.0
+
+    def test_empty_training_split_rejected(self):
+        net = init_network(NetworkConfig(4, 2, 2, seed=15))
+        empty = Split(
+            examples=np.zeros((0, 4)),
+            targets=np.zeros((0, 2)),
+            class_indices=np.zeros(0, dtype=np.int64),
+        )
+        with pytest.raises(DatasetError):
+            retrain(
+                net, empty, toy_split(seed=15), TrainParams(0.1, 0), PenaltyParams(),
+                floor=1.0, max_epochs=5,
+            )
 
     def test_floor_validation(self):
         net = init_network(NetworkConfig(4, 2, 2, seed=15))
