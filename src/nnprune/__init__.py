@@ -42,17 +42,13 @@ from .network import (
     serialize,
 )
 from .objective import (
-    Evaluation,
-    ForwardPass,
     Gradients,
     PenaltyParams,
     cross_entropy,
     finite_diff_check,
-    forward_pass,
     gradients,
     objective,
     penalty,
-    theta_certainly_finite,
 )
 from .pruning import (
     GrowPruneReport,
@@ -64,7 +60,7 @@ from .pruning import (
     prune_dead_nodes,
     removal_batch,
 )
-from .training import TrainParams, accuracy, epoch_step, retrain, train
+from .training import TrainParams, accuracy, descend, retrain, train
 
 __version__ = "0.1.0"
 
@@ -78,10 +74,8 @@ __all__ = [
     "DatasetError",
     "DatasetSpec",
     "DivergenceError",
-    "Evaluation",
     "ExperimentConfig",
     "ExperimentReport",
-    "ForwardPass",
     "Gradients",
     "GrowPruneReport",
     "Network",
@@ -97,13 +91,12 @@ __all__ = [
     "accuracy",
     "classify_batch",
     "cross_entropy",
+    "descend",
     "deserialize",
     "eliminate_weights",
-    "epoch_step",
     "export_dot",
     "finite_diff_check",
     "forward_batch",
-    "forward_pass",
     "gradients",
     "grow_and_prune",
     "init_network",
@@ -118,6 +111,5 @@ __all__ = [
     "retrain",
     "run_experiment",
     "serialize",
-    "theta_certainly_finite",
     "train",
 ]

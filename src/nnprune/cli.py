@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from .data import SPECS, load_bundle
 from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError
 from .harness import CONFIG_DEFAULTS, export_dot, finite_float, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
-from .objective import PenaltyParams, finite_diff_check, forward_pass, objective
+from .objective import PenaltyParams, finite_diff_check, objective
 from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
-from .training import TrainParams, accuracy, epoch_step
+from .training import TrainParams, accuracy, descend
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -39,10 +40,10 @@ def non_negative_int(value: str) -> int:
     return number
 
 
-def positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"{value!r} is below 1")
+def positive_float(value: str) -> float:
+    number = finite_float(value)
+    if not number > 0:
+        raise ValueError(f"{value!r} is not above 0")
     return number
 
 
@@ -67,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True, type=Path)
-    p_run.add_argument("--jobs", type=positive_int, default=1)
+    # seeds run one after another; --jobs accepts only 1, which the benchmark
+    # workload passes, and goes with ROADMAP item 1
+    p_run.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p_run.add_argument("--out", type=Path, default=None, help="override output_dir")
 
     p_train = sub.add_parser("train", help="train a fresh network on one split")
@@ -75,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_penalty_args(p_train)
     p_train.add_argument("--hidden", type=int, default=CONFIG_DEFAULTS["n_hidden"])
     p_train.add_argument("--epochs", type=int, default=CONFIG_DEFAULTS["epochs"])
-    p_train.add_argument("--lr", type=finite_float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_train.add_argument("--lr", type=positive_float, default=CONFIG_DEFAULTS["learning_rate"])
     p_train.add_argument("--init-range", type=finite_float, default=CONFIG_DEFAULTS["init_range"])
     p_train.add_argument(
         "--seed", type=non_negative_int, default=CONFIG_DEFAULTS["init_seed"],
@@ -99,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prune.add_argument(
         "--retrain-epochs", type=int, default=CONFIG_DEFAULTS["retrain_max_epochs"]
     )
-    p_prune.add_argument("--lr", type=finite_float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_prune.add_argument("--lr", type=positive_float, default=CONFIG_DEFAULTS["learning_rate"])
     p_prune.add_argument("--out", required=True, type=Path)
     p_prune.add_argument("--trace-out", type=Path, default=None, help="JSONL audit log")
 
@@ -131,7 +134,7 @@ def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    report = run_experiment(config, jobs=args.jobs)
+    report = run_experiment(config)
     sys.stdout.write(report.to_text())
     print(f"report written to {Path(config.output_dir) / 'report.json'}")
     return 0
@@ -151,12 +154,10 @@ def _cmd_train(args) -> int:
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
     net = init_network(config)
     split = bundle.train
-    at = forward_pass(net, split.examples)
     rows = ["epoch,objective,train_accuracy\n"]
-    for epoch in range(1, tparams.epochs + 1):
-        at = epoch_step(net, split, tparams.learning_rate, penalty, epoch, at)
+    for epoch in islice(descend(net, split, tparams.learning_rate, penalty), tparams.epochs):
         if args.trace is not None:
-            theta = objective(net, split.examples, split.targets, penalty).theta
+            theta = objective(net, split.examples, split.targets, penalty)
             rows.append(f"{epoch},{theta!r},{accuracy(net, split)!r}\n")
     args.out.write_text(serialize(net) + "\n", encoding="utf-8")
     if args.trace is not None:
@@ -173,7 +174,6 @@ def _cmd_prune(args) -> int:
     spec = SPECS[args.dataset]
     bundle = load_bundle(args.data, spec, args.split_seed)
     net = deserialize(args.net.read_text(encoding="utf-8"))
-    tparams = TrainParams(learning_rate=args.lr, epochs=0)
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
     params = PruneParams(
         eta1=args.eta1,
@@ -181,7 +181,7 @@ def _cmd_prune(args) -> int:
         accuracy_drop_tolerance=args.tolerance,
         retrain_max_epochs=args.retrain_epochs,
     )
-    pruned, trace = eliminate_weights(net, bundle, tparams, penalty, params)
+    pruned, trace = eliminate_weights(net, bundle, args.lr, penalty, params)
     pruned = prune_dead_nodes(pruned, trace)
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
     if args.trace_out is not None:
@@ -250,10 +250,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigurationError, DatasetError, ParseError, ShapeError, DivergenceError) as exc:
+    except (
+        OSError,
+        UnicodeDecodeError,
+        ConfigurationError,
+        DatasetError,
+        ParseError,
+        ShapeError,
+        DivergenceError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -276,7 +275,7 @@ def _run_seed(
     return SeedResult(split_seed=split_seed, report=report), full_net, pruned, trace
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every split seed, write per-seed artifacts, return the report.
 
     Per-seed networks and traces are persisted as soon as each seed
@@ -286,35 +285,20 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     (out / "networks").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
 
-    def run_and_persist(seed: int) -> SeedResult:
-        result, full_net, pruned_net, trace = _run_seed(config, seed)
-        (out / "networks" / f"full_seed{seed}.json").write_text(
-            serialize(full_net) + "\n", encoding="utf-8"
-        )
-        (out / "networks" / f"pruned_seed{seed}.json").write_text(
-            serialize(pruned_net) + "\n", encoding="utf-8"
-        )
-        (out / "traces" / f"seed{seed}.jsonl").write_text(
-            trace.to_jsonl(), encoding="utf-8"
-        )
-        return result
-
     rows: list[SeedResult] = []
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(run_and_persist, s) for s in config.split_seeds]
-                errors = []
-                for future in futures:
-                    try:
-                        rows.append(future.result())
-                    except Exception as exc:  # keep finished seeds, re-raise below
-                        errors.append(exc)
-                if errors:
-                    raise errors[0]
-        else:
-            for seed in config.split_seeds:
-                rows.append(run_and_persist(seed))
+        for seed in config.split_seeds:
+            result, full_net, pruned_net, trace = _run_seed(config, seed)
+            (out / "networks" / f"full_seed{seed}.json").write_text(
+                serialize(full_net) + "\n", encoding="utf-8"
+            )
+            (out / "networks" / f"pruned_seed{seed}.json").write_text(
+                serialize(pruned_net) + "\n", encoding="utf-8"
+            )
+            (out / "traces" / f"seed{seed}.jsonl").write_text(
+                trace.to_jsonl(), encoding="utf-8"
+            )
+            rows.append(result)
     finally:
         # persist whatever completed, even when a later seed failed
         rows.sort(key=lambda r: r.split_seed)

@@ -12,9 +12,9 @@ which is what makes magnitude-based weight elimination effective after
 training.
 
 The data gradient is taken from a :class:`ForwardPass` instead of a pass of
-its own: :func:`forward_pass` runs one, and :func:`objective` returns the
-pass it ran together with theta as an :class:`Evaluation`.  A training
-epoch needs theta only to detect divergence, so it asks
+its own: :func:`forward_pass` runs one, and the trainer keeps the pass of
+its last update for the next gradient.  :func:`objective` returns theta
+alone.  A training epoch needs theta only to detect divergence, so it asks
 :func:`theta_certainly_finite`, which proves theta finite from the pass and
 the weights without computing it, and falls back to :func:`objective` only
 when that proof fails.  :func:`data_gradients` and
@@ -68,13 +68,6 @@ class ForwardPass:
 
     hidden: np.ndarray  # [k, h] tanh activations
     preds: np.ndarray   # [k, o] logistic outputs
-
-
-@dataclass(frozen=True)
-class Evaluation(ForwardPass):
-    """Theta of one network on one batch, with the forward pass behind it."""
-
-    theta: float
 
 
 @dataclass
@@ -145,17 +138,13 @@ def objective(
     inputs: np.ndarray,
     targets: np.ndarray,
     params: PenaltyParams,
-) -> Evaluation:
-    """theta = cross-entropy over the batch + weight penalty.
-
-    Runs one forward pass and returns it together with theta.
-    """
+) -> float:
+    """theta = cross-entropy over the batch + weight penalty."""
     inputs, targets = _check_batch(net, inputs, targets)
     if inputs.shape[0] == 0:
         raise ShapeError("batch must be nonempty")
-    hidden, preds = forward_batch(net, inputs)
-    theta = cross_entropy(preds, targets) + penalty(net, params)
-    return Evaluation(hidden=hidden, preds=preds, theta=theta)
+    _, preds = forward_batch(net, inputs)
+    return cross_entropy(preds, targets) + penalty(net, params)
 
 
 def theta_certainly_finite(net: Network, at: ForwardPass, params: PenaltyParams) -> bool:
@@ -163,7 +152,7 @@ def theta_certainly_finite(net: Network, at: ForwardPass, params: PenaltyParams)
 
     ``at`` must be the forward pass of ``net`` on a batch whose targets are
     one-hot rows of 0.0 and 1.0 (every :class:`~nnprune.data.Split` is).
-    True means ``objective(net, ...).theta`` is finite; False proves
+    True means ``objective(net, ...)`` is finite; False proves
     nothing.  The argument, with S the sum of all squared weights and N the
     number of weights:
 
@@ -237,7 +226,7 @@ def gradients(
     params: PenaltyParams,
 ) -> Gradients:
     """Analytic gradient of the full objective, masked entries zeroed."""
-    data = data_gradients(net, inputs, targets, objective(net, inputs, targets, params))
+    data = data_gradients(net, inputs, targets, forward_pass(net, inputs))
     pen = penalty_gradients(net, params)
     d_w = data.d_w + pen.d_w
     d_v = data.d_v + pen.d_v
@@ -278,9 +267,9 @@ def finite_diff_check(
             i, j = idx
             saved = matrix[i, j]
             matrix[i, j] = saved + step
-            plus = objective(work, inputs, targets, params).theta
+            plus = objective(work, inputs, targets, params)
             matrix[i, j] = saved - step
-            minus = objective(work, inputs, targets, params).theta
+            minus = objective(work, inputs, targets, params)
             matrix[i, j] = saved
             numeric = (plus - minus) / (2.0 * step)
             a = grad[i, j]

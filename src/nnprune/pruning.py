@@ -188,19 +188,20 @@ def removal_batch(net: Network, params: PruneParams, batch: int) -> list[Removal
 def eliminate_weights(
     net: Network,
     bundle: DatasetBundle,
-    tparams: TrainParams,
+    lr: float,
     penalty: PenaltyParams,
     params: PruneParams,
     floor: float | None = None,
 ) -> tuple[Network, PruneTrace]:
     """Iteratively remove redundant weights from an already-trained network.
 
-    Each round removes the batch ``removal_batch`` builds and retrains
-    toward the floor, by default the entry validation accuracy minus
-    ``accuracy_drop_tolerance`` (pass ``floor`` to anchor it elsewhere,
-    e.g. to a reference network's accuracy).  Elimination stops at an empty
-    batch or at a round that cannot recover the floor, which is rolled back
-    exactly.  The returned network is the last one that met the floor.
+    Each round removes the batch ``removal_batch`` builds and retrains at
+    learning rate ``lr`` toward the floor, by default the entry validation
+    accuracy minus ``accuracy_drop_tolerance`` (pass ``floor`` to anchor it
+    elsewhere, e.g. to a reference network's accuracy).  Elimination stops
+    at an empty batch or at a round that cannot recover the floor, which is
+    rolled back exactly.  The returned network is the last one that met the
+    floor.
     """
     current = net.copy()
     if floor is None:
@@ -221,7 +222,7 @@ def eliminate_weights(
             candidate,
             bundle.train,
             bundle.validation,
-            tparams,
+            lr,
             penalty,
             floor,
             params.retrain_max_epochs,
@@ -330,7 +331,7 @@ def grow_and_prune(
             )
             net = train(init_network(config_h), bundle.train, tparams, penalty)
             net, trace = eliminate_weights(
-                net, bundle, tparams, penalty, params, floor=val_floor
+                net, bundle, tparams.learning_rate, penalty, params, floor=val_floor
             )
             if accuracy(net, bundle.validation) >= val_floor:
                 accepted = True

@@ -10,26 +10,28 @@ regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
 loss and penalty).
 
-:func:`epoch_step` is one update: the data and penalty gradients, raw, the
-descent step, one ``apply_masks`` (the only place a step pins masked
-weights back to 0.0) and the forward pass of the updated network, which it
-returns for the next step to differentiate.  So each epoch runs one forward
-pass, and a loop runs one more before its first step.  Theta itself is not
-computed: divergence is detected by
+:func:`descend` is the one training loop.  Each epoch takes the data and
+penalty gradients, raw, makes the descent step, applies the masks once (the
+only place a step pins masked weights back to 0.0) and runs the forward
+pass of the updated network, which the next epoch differentiates.  So each
+epoch runs one forward pass, and the loop runs one more before its first
+epoch.  Theta itself is not computed: divergence is detected by
 :func:`~nnprune.objective.theta_certainly_finite`, a cheap proof from the
 new weights and outputs that theta is finite, and only when that proof
 fails is theta computed with :func:`~nnprune.objective.objective`; a
 non-finite theta raises DivergenceError at the same epoch as evaluating it
-every epoch would.  :func:`train` (a fixed number of epochs) and
-:func:`retrain` (until a validation-accuracy floor is met) both advance
-through it, and ``nnprune train`` calls it directly, evaluating theta for
-its ``--trace`` rows only.
+every epoch would.  :func:`train` takes a fixed number of its epochs,
+:func:`retrain` takes epochs until a validation-accuracy floor is met, and
+``nnprune train`` iterates it directly, evaluating theta for its
+``--trace`` rows only.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .data import Split
 from .errors import ConfigurationError, DatasetError, DivergenceError
 from .network import Network, classify_batch
 from .objective import (
-    ForwardPass,
     PenaltyParams,
     data_gradients,
     forward_pass,
@@ -64,31 +65,31 @@ class TrainParams:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
 
 
-def epoch_step(
-    net: Network, split: Split, lr: float, penalty: PenaltyParams, epoch: int, at: ForwardPass
-) -> ForwardPass:
-    """One in-place full-batch descent update; returns the pass after it.
+def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> Iterator[int]:
+    """Full-batch descent on ``net`` in place; yields each finished epoch.
 
-    ``at`` is the forward pass of ``net`` on ``split`` before the update
-    (the previous step's return value, or a
-    :func:`~nnprune.objective.forward_pass` before the first step); it gives
-    the gradient.  Masks are applied once, after the update.  Raises
-    DivergenceError naming ``epoch`` if the objective becomes non-finite.
+    Runs nothing until the first ``next``.  Each epoch differentiates the
+    forward pass the previous epoch left behind (the first runs one),
+    applies the update and the masks once, and runs one forward pass of
+    the updated network.  Raises DivergenceError naming the epoch if the
+    objective becomes non-finite.  ``split`` must not be empty.
     """
     step = lr / len(split)
-    data = data_gradients(net, split.examples, split.targets, at)
-    pen = penalty_gradients(net, penalty)
-    # overflow on diverged weights is caught right after by the divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        net.w -= step * (data.d_w + pen.d_w)
-        net.v -= step * (data.d_v + pen.d_v)
-    net.apply_masks()
-    after = forward_pass(net, split.examples)
-    if not theta_certainly_finite(net, after, penalty) and not np.isfinite(
-        objective(net, split.examples, split.targets, penalty).theta
-    ):
-        raise DivergenceError(f"objective became non-finite at epoch {epoch}")
-    return after
+    at = forward_pass(net, split.examples)
+    for epoch in count(1):
+        data = data_gradients(net, split.examples, split.targets, at)
+        pen = penalty_gradients(net, penalty)
+        # overflow on diverged weights is caught right after by the divergence check
+        with np.errstate(over="ignore", invalid="ignore"):
+            net.w -= step * (data.d_w + pen.d_w)
+            net.v -= step * (data.d_v + pen.d_v)
+        net.apply_masks()
+        at = forward_pass(net, split.examples)
+        if not theta_certainly_finite(net, at, penalty) and not np.isfinite(
+            objective(net, split.examples, split.targets, penalty)
+        ):
+            raise DivergenceError(f"objective became non-finite at epoch {epoch}")
+        yield epoch
 
 
 def accuracy(net: Network, split: Split) -> float:
@@ -113,9 +114,8 @@ def train(
     if len(split) == 0:
         raise DatasetError("cannot train on an empty split")
     net = net.copy()
-    at = forward_pass(net, split.examples)
-    for epoch in range(1, tparams.epochs + 1):
-        at = epoch_step(net, split, tparams.learning_rate, penalty, epoch, at)
+    for _ in islice(descend(net, split, tparams.learning_rate, penalty), tparams.epochs):
+        pass
     return net
 
 
@@ -123,7 +123,7 @@ def retrain(
     net: Network,
     train_split: Split,
     val_split: Split,
-    tparams: TrainParams,
+    lr: float,
     penalty: PenaltyParams,
     floor: float,
     max_epochs: int,
@@ -140,9 +140,7 @@ def retrain(
         return net, True
     if len(train_split) == 0:
         raise DatasetError("cannot train on an empty split")
-    at = forward_pass(net, train_split.examples)
-    for epoch in range(1, max_epochs + 1):
-        at = epoch_step(net, train_split, tparams.learning_rate, penalty, epoch, at)
+    for _ in islice(descend(net, train_split, lr, penalty), max_epochs):
         if accuracy(net, val_split) >= floor:
             return net, True
     return net, False

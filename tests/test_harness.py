@@ -214,17 +214,6 @@ class TestRunExperiment:
         trace = PruneTrace.from_jsonl((out / "traces" / "seed1.jsonl").read_text())
         assert trace.events
 
-    def test_jobs_parallel_equals_serial(self, cancer_file, tmp_path, shipped_config):
-        c1 = shipped_config("cancer1", cancer_file, tmp_path / "s", split_seeds=(1, 2))
-        c2 = shipped_config("cancer1", cancer_file, tmp_path / "p", split_seeds=(1, 2))
-        run_experiment(c1, jobs=1)
-        run_experiment(c2, jobs=2)
-        serial = (tmp_path / "s" / "report.json").read_text()
-        parallel = (tmp_path / "p" / "report.json").read_text()
-        assert serial.replace(str(tmp_path / "s"), "X") == parallel.replace(
-            str(tmp_path / "p"), "X"
-        )
-
 
 class TestCli:
     def test_synth_data(self, tmp_path, capsys):
@@ -286,7 +275,7 @@ class TestCli:
         assert [int(row.split(",")[0]) for row in rows] == list(range(1, 21))
         saved = deserialize((tmp_path / "net.json").read_text())
         split = cancer_bundle.train
-        theta = objective(saved, split.examples, split.targets, PenaltyParams()).theta
+        theta = objective(saved, split.examples, split.targets, PenaltyParams())
         assert rows[-1] == f"20,{theta!r},{accuracy(saved, split)!r}"
 
     def test_train_divergence_names_true_epoch(self, cancer_file, cancer_bundle, tmp_path, capsys):
@@ -323,8 +312,11 @@ class TestCli:
             ("gradcheck", "--seed", "-1"),
             ("gradcheck", "--examples", "-1"),
             ("synth-data", "--seed", "-1"),
+            ("train", "--lr", "0"),
+            ("prune", "--lr", "-1"),
             ("run", "--jobs", "0"),
             ("run", "--jobs", "-3"),
+            ("run", "--jobs", "2"),
         ],
     )
     def test_out_of_range_flag_is_usage_error(
@@ -389,6 +381,33 @@ class TestCli:
         )
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,bad",
+        [
+            ("run", "--config", "directory"),
+            ("eval", "--data", "directory"),
+            ("train", "--out", "directory"),
+            ("run", "--config", "latin-1"),
+            ("eval", "--data", "latin-1"),
+            ("eval", "--net", "latin-1"),
+        ],
+    )
+    def test_unreadable_path_exit_1(self, command, flag, bad, cancer_file, tmp_path, capsys):
+        path = tmp_path / "bad"
+        if bad == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("dataset = caf\xe9\n".encode("latin-1"))
+        data = ["--dataset", "cancer1", "--data", str(cancer_file)]
+        argv = {
+            "run": ["run", "--config", "x"],
+            "eval": ["eval", *data, "--net", "x"],
+            "train": ["train", *data, "--epochs", "1", "--out", "x"],
+        }[command]
+        argv[argv.index(flag) + 1] = str(path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -13,14 +13,12 @@ from nnprune import (
     Split,
     cross_entropy,
     finite_diff_check,
-    forward_pass,
     gradients,
     init_network,
     objective,
     penalty,
-    theta_certainly_finite,
 )
-from nnprune.objective import data_gradients
+from nnprune.objective import data_gradients, forward_pass, theta_certainly_finite
 
 # hand evaluations, frozen
 TWO_LN_TWO = 1.3862943611198906          # -(log .5 + log .5)
@@ -108,24 +106,21 @@ class TestObjective:
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         from nnprune import forward_batch
 
-        hidden, preds = forward_batch(net, x)
-        at = objective(net, x, t, off)
-        assert at.theta == pytest.approx(cross_entropy(preds, t), rel=1e-15)
-        # the evaluation carries the forward pass it was computed from
-        assert np.array_equal(at.hidden, hidden) and np.array_equal(at.preds, preds)
+        _, preds = forward_batch(net, x)
+        assert objective(net, x, t, off) == pytest.approx(cross_entropy(preds, t), rel=1e-15)
 
     def test_zero_network_two_class(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
         net.w[:] = 0.0
         net.v[:] = 0.0
         x, t = make_batch(3, 2, 1, seed=6)
-        assert objective(net, x, t, PenaltyParams()).theta == pytest.approx(TWO_LN_TWO, abs=1e-12)
+        assert objective(net, x, t, PenaltyParams()) == pytest.approx(TWO_LN_TWO, abs=1e-12)
 
     def test_objective_at_least_cross_entropy(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
         x, t = make_batch(3, 2, 10, seed=7)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        assert objective(net, x, t, PenaltyParams()).theta >= objective(net, x, t, off).theta
+        assert objective(net, x, t, PenaltyParams()) >= objective(net, x, t, off)
 
     def test_empty_batch_rejected(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
@@ -135,7 +130,7 @@ class TestObjective:
     def test_gradient_rejects_evaluation_of_another_batch(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
         x, t = make_batch(3, 2, 10, seed=8)
-        at = objective(net, x[:4], t[:4], PenaltyParams())
+        at = forward_pass(net, x[:4])
         with pytest.raises(ShapeError):
             data_gradients(net, x, t, at)
 
@@ -295,7 +290,7 @@ class TestThetaCertificate:
         with np.errstate(all="ignore"):  # overflow in the passes is the point
             at = forward_pass(net, split.examples)
             # the check the certificate replaces on the training path
-            finite = np.isfinite(objective(net, split.examples, split.targets, params).theta)
+            finite = np.isfinite(objective(net, split.examples, split.targets, params))
         certified = theta_certainly_finite(net, at, params)  # warnings are errors here
         assert finite or not certified
 

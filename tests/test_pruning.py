@@ -304,7 +304,9 @@ class TestEliminateWeights:
         bundle = halfplane_bundle(seed=1)
         net = train(init_network(NetworkConfig(2, 1, 2, seed=1)), bundle.train, TP, PEN)
         assert accuracy(net, bundle.validation) > 0.9
-        out, trace = eliminate_weights(net, bundle, TP, PEN, PruneParams(retrain_max_epochs=50))
+        out, trace = eliminate_weights(
+            net, bundle, TP.learning_rate, PEN, PruneParams(retrain_max_epochs=50)
+        )
         assert serialize(out) == serialize(net)  # bit-identical rollback
         assert len(trace.events) >= 1
         assert all(e.rolled_back for e in trace.events)
@@ -318,7 +320,7 @@ class TestEliminateWeights:
             PEN,
         )
         before = net.n_unmasked()
-        out, trace = eliminate_weights(net, cancer_bundle, TrainParams(0.1, 0), PEN, PruneParams())
+        out, trace = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams())
         out.validate()
         after = out.n_unmasked()
         assert after <= before
@@ -338,7 +340,7 @@ class TestEliminateWeights:
         )
         baseline = accuracy(net, cancer_bundle.validation)
         params = PruneParams(accuracy_drop_tolerance=0.02)
-        out, _ = eliminate_weights(net, cancer_bundle, TrainParams(0.1, 0), PEN, params)
+        out, _ = eliminate_weights(net, cancer_bundle, 0.1, PEN, params)
         assert accuracy(out, cancer_bundle.validation) >= baseline - 0.02
 
     def test_explicit_floor_is_respected(self, cancer_bundle):
@@ -349,7 +351,7 @@ class TestEliminateWeights:
             PEN,
         )
         out, _ = eliminate_weights(
-            net, cancer_bundle, TrainParams(0.1, 0), PEN, PruneParams(), floor=0.5
+            net, cancer_bundle, 0.1, PEN, PruneParams(), floor=0.5
         )
         assert accuracy(out, cancer_bundle.validation) >= 0.5
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,9 +14,8 @@ from nnprune import (
     Split,
     TrainParams,
     accuracy,
-    epoch_step,
+    descend,
     forward_batch,
-    forward_pass,
     gradients,
     init_network,
     objective,
@@ -73,20 +73,18 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=2))
         split = toy_split(seed=2)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        before = objective(net, split.examples, split.targets, off).theta
+        before = objective(net, split.examples, split.targets, off)
         stepped = train(net, split, TrainParams(1e-4, 1), off)
-        after = objective(stepped, split.examples, split.targets, off).theta
+        after = objective(stepped, split.examples, split.targets, off)
         assert after <= before + 1e-9
 
     def test_objective_sequence_non_increasing_small_lr(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=3))
         split = toy_split(seed=3)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        at = objective(net, split.examples, split.targets, off)
-        values = [at.theta]
-        for epoch in range(1, 41):
-            at = epoch_step(net, split, 1e-3, off, epoch, at)
-            values.append(objective(net, split.examples, split.targets, off).theta)
+        values = [objective(net, split.examples, split.targets, off)]
+        for _ in islice(descend(net, split, 1e-3, off), 40):
+            values.append(objective(net, split.examples, split.targets, off))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9)
 
@@ -115,18 +113,31 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=6))
         train(net, toy_split(seed=6), TrainParams(0.1, 5), PenaltyParams())
 
-    def test_epoch_step_matches_train(self):
+    def test_descend_matches_train(self, monkeypatch):
+        passes = []
+
+        def recording(net, inputs):
+            passes.append(forward_batch(net, inputs))
+            return passes[-1]
+
+        # ``nnprune.objective`` names the function; the module is looked up
+        monkeypatch.setattr(
+            importlib.import_module("nnprune.objective"), "forward_batch", recording
+        )
         net = init_network(NetworkConfig(4, 3, 2, seed=6))
         split = toy_split(seed=6)
         stepped = net.copy()
-        at = forward_pass(stepped, split.examples)
-        for epoch in range(1, 6):
-            at = epoch_step(stepped, split, 0.1, PenaltyParams(), epoch, at)
+        epochs = list(islice(descend(stepped, split, 0.1, PenaltyParams()), 5))
+        monkeypatch.undo()
+        assert epochs == [1, 2, 3, 4, 5]
         trained = train(net, split, TrainParams(0.1, 5), PenaltyParams())
         assert np.array_equal(stepped.w, trained.w) and np.array_equal(stepped.v, trained.v)
-        fresh = objective(trained, split.examples, split.targets, PenaltyParams())
-        assert objective(stepped, split.examples, split.targets, PenaltyParams()).theta == fresh.theta
-        assert np.array_equal(at.hidden, fresh.hidden) and np.array_equal(at.preds, fresh.preds)
+        # and both equal a loop that runs a fresh pass for every gradient
+        expected, _ = reference_train(net, split, 0.1, PenaltyParams(), 5)
+        assert np.array_equal(stepped.w, expected.w) and np.array_equal(stepped.v, expected.v)
+        # the pass the next epoch would differentiate is the updated network's
+        hidden, preds = forward_batch(trained, split.examples)
+        assert np.array_equal(passes[-1][0], hidden) and np.array_equal(passes[-1][1], preds)
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_forward_pass_per_epoch(self, epochs, monkeypatch):
@@ -141,7 +152,8 @@ class TestTrain:
             monkeypatch.setattr(importlib.import_module(module), "forward_batch", counting)
         net = init_network(NetworkConfig(4, 3, 2, seed=6))
         train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
-        assert len(calls) == epochs + 1
+        # descend is lazy: zero epochs start no pass
+        assert len(calls) == (epochs + 1 if epochs else 0)
 
     def test_never_evaluates_theta(self, monkeypatch):
         def forbidden(*args):
@@ -169,6 +181,9 @@ class TestTrain:
         )
         with pytest.raises(DatasetError):
             train(net, empty, TrainParams(0.1, 1), PenaltyParams())
+        # checked before the lazy loop, so also when no epoch runs
+        with pytest.raises(DatasetError):
+            train(net, empty, TrainParams(0.1, 0), PenaltyParams())
 
 
 def reference_train(net, split, lr, penalty, epochs):
@@ -184,7 +199,7 @@ def reference_train(net, split, lr, penalty, epochs):
         net.w -= lr / len(split) * g.d_w
         net.v -= lr / len(split) * g.d_v
         net.apply_masks()
-        if not np.isfinite(objective(net, split.examples, split.targets, penalty).theta):
+        if not np.isfinite(objective(net, split.examples, split.targets, penalty)):
             return net, epoch
     return net, None
 
@@ -264,7 +279,7 @@ class TestRetrain:
         net = init_network(NetworkConfig(4, 2, 2, seed=12))
         split = toy_split(seed=12)
         out, met = retrain(
-            net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=0.0, max_epochs=100
+            net, split, split, 0.1, PenaltyParams(), floor=0.0, max_epochs=100
         )
         assert met is True
         assert np.array_equal(out.w, net.w)
@@ -278,7 +293,7 @@ class TestRetrain:
         split = Split(examples=x, targets=t, class_indices=classes)
         net = init_network(NetworkConfig(3, 2, 2, seed=13))
         out, met = retrain(
-            net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=1.0, max_epochs=25
+            net, split, split, 0.1, PenaltyParams(), floor=1.0, max_epochs=25
         )
         assert met is False
 
@@ -296,7 +311,7 @@ class TestRetrain:
         pruned.w_mask[m, l] = False
         pruned.apply_masks()
         out, met = retrain(
-            pruned, split, split, TrainParams(0.1, 0), PenaltyParams(),
+            pruned, split, split, 0.1, PenaltyParams(),
             floor=max(0.0, base - 0.02), max_epochs=100,
         )
         assert met is True
@@ -311,7 +326,7 @@ class TestRetrain:
         )
         with pytest.raises(DatasetError):
             retrain(
-                net, empty, toy_split(seed=15), TrainParams(0.1, 0), PenaltyParams(),
+                net, empty, toy_split(seed=15), 0.1, PenaltyParams(),
                 floor=1.0, max_epochs=5,
             )
 
@@ -320,5 +335,5 @@ class TestRetrain:
         split = toy_split(seed=15)
         with pytest.raises(ConfigurationError):
             retrain(
-                net, split, split, TrainParams(0.1, 0), PenaltyParams(), floor=1.5, max_epochs=100
+                net, split, split, 0.1, PenaltyParams(), floor=1.5, max_epochs=100
             )
