@@ -7,6 +7,8 @@ Three comma-separated benchmark formats are supported:
 * ``glass``    - id, 9 real attributes, class label in {1,2,3,5,6,7};
 * ``diabetes`` - 8 real attributes, class label 0 or 1.
 
+Each file is parsed once into a float array of attribute values, with NaN
+where the missing marker stood, and an integer array of class indices.
 Records are shuffled with a seeded generator and partitioned 50/25/25,
 rounding the training and validation sizes up; this gives the PROBEN1
 partition sizes (Prechelt, 1994) of all three files: 350/175/174 for the
@@ -124,46 +126,50 @@ class DatasetBundle:
     imputation: np.ndarray                        # per-attribute train mean
 
 
-def load_raw(path: str | Path, spec: DatasetSpec) -> list[tuple[tuple[str, ...], str]]:
-    """Parse a benchmark file into (attribute strings, label string) records.
+def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a benchmark file into attribute values and class indices.
 
-    Missing markers are preserved as-is; the id column, when configured, is
-    dropped.  Lines with the wrong field count or non-numeric or non-finite
-    attribute values are rejected with their line number.  Blank lines are
-    skipped.
+    Returns ``(values, class_indices)``: a float64 ``[k, n_attributes]``
+    array with NaN where the missing marker stood (the id column, when
+    configured, is dropped) and an int64 ``[k]`` array of labels mapped
+    through ``spec.class_label_map``.  Each value is parsed once.  Lines
+    with the wrong field count, a non-numeric or non-finite attribute, or a
+    label outside the map are rejected with their file and line number.
+    Blank lines are skipped.
     """
     path = Path(path)
-    records: list[tuple[tuple[str, ...], str]] = []
+    rows: list[list[float]] = []
+    class_indices: list[int] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path.name} line {lineno}"
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != spec.n_columns:
-                raise ParseError(
-                    f"{path.name} line {lineno}: expected {spec.n_columns} "
-                    f"fields, got {len(fields)}"
-                )
-            label = fields[spec.class_column]
-            attrs = tuple(
-                f
-                for i, f in enumerate(fields)
-                if i != spec.class_column and i != spec.id_column
-            )
-            for value in attrs:
+                raise ParseError(f"{where}: expected {spec.n_columns} fields, got {len(fields)}")
+            row = []
+            for i, value in enumerate(fields):
+                if i == spec.class_column or i == spec.id_column:
+                    continue
                 if value == spec.missing_marker:
+                    row.append(math.nan)
                     continue
                 try:
                     number = float(value)
                 except ValueError:
-                    raise ParseError(
-                        f"{path.name} line {lineno}: non-numeric attribute {value!r}"
-                    ) from None
+                    raise ParseError(f"{where}: non-numeric attribute {value!r}") from None
                 if not math.isfinite(number):
-                    raise ParseError(f"{path.name} line {lineno}: non-finite attribute {value!r}")
-            records.append((attrs, label))
-    return records
+                    raise ParseError(f"{where}: non-finite attribute {value!r}")
+                row.append(number)
+            label = fields[spec.class_column]
+            if label not in spec.class_label_map:
+                raise ParseError(f"{where}: class label {label!r} not in the label map")
+            rows.append(row)
+            class_indices.append(spec.class_label_map[label])
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), spec.n_attributes)
+    return values, np.array(class_indices, dtype=np.int64)
 
 
 def split_counts(total: int) -> tuple[int, int, int]:
@@ -173,73 +179,56 @@ def split_counts(total: int) -> tuple[int, int, int]:
     return n_train, n_val, total - n_train - n_val
 
 
-def _encode(
-    values: np.ndarray,
-    missing: np.ndarray,
-    labels: list[str],
+def prepare(
+    raw: tuple[np.ndarray, np.ndarray],
     spec: DatasetSpec,
-    means: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> Split:
+    split_seed: int,
+) -> DatasetBundle:
+    """Shuffle, partition, impute, normalize, and one-hot encode records.
+
+    ``raw`` is the ``(values, class_indices)`` pair of :func:`load_raw`;
+    NaN in ``values`` marks a missing attribute.
+    """
+    values, class_indices = np.asarray(raw[0], dtype=np.float64), np.asarray(raw[1])
+    k = len(values)
+    if k == 0:
+        raise DatasetError("no records to prepare")
+    if values.shape != (k, spec.n_attributes) or class_indices.shape != (k,):
+        raise DatasetError(
+            f"expected values [k, {spec.n_attributes}] and class indices [k], got "
+            f"{values.shape} and {class_indices.shape}"
+        )
+    if np.isinf(values).any():
+        raise DatasetError("attribute values must be finite, or NaN where missing")
+    if not (
+        np.issubdtype(class_indices.dtype, np.integer)
+        and ((class_indices >= 0) & (class_indices < spec.n_classes)).all()
+    ):
+        raise DatasetError(f"class indices must be integers in [0, {spec.n_classes})")
+
+    order = np.random.default_rng(split_seed).permutation(k)
+    values, class_indices = values[order], class_indices[order]
+    missing = np.isnan(values)
+    n_train, n_val, _ = split_counts(k)
+
+    train_vals, train_miss = values[:n_train], missing[:n_train]
+    sums = np.where(train_miss, 0.0, train_vals).sum(axis=0)
+    counts = (~train_miss).sum(axis=0)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    imputed_train = np.where(train_miss, means, train_vals)
+    lo = imputed_train.min(axis=0)
+    hi = imputed_train.max(axis=0)
+
     x = np.where(missing, means, values)
     span = hi - lo
     with np.errstate(invalid="ignore", divide="ignore"):
         x = (x - lo) / span
     x[:, span == 0] = 0.0  # attribute constant on train: normalize to 0.0
     x = np.clip(x, 0.0, 1.0)
-    class_indices = np.empty(len(labels), dtype=np.int64)
-    for i, label in enumerate(labels):
-        if label not in spec.class_label_map:
-            raise DatasetError(f"class label {label!r} not in the label map")
-        class_indices[i] = spec.class_label_map[label]
-    targets = np.zeros((len(labels), spec.n_classes), dtype=np.float64)
-    targets[np.arange(len(labels)), class_indices] = 1.0
-    return Split(examples=x, targets=targets, class_indices=class_indices)
-
-
-def prepare(
-    raw: list[tuple[tuple[str, ...], str]],
-    spec: DatasetSpec,
-    split_seed: int,
-) -> DatasetBundle:
-    """Shuffle, partition, impute, normalize, and one-hot encode records."""
-    if not raw:
-        raise DatasetError("no records to prepare")
-    k = len(raw)
-    values = np.zeros((k, spec.n_attributes), dtype=np.float64)
-    missing = np.zeros((k, spec.n_attributes), dtype=bool)
-    labels: list[str] = []
-    for i, (attrs, label) in enumerate(raw):
-        labels.append(label)
-        for j, f in enumerate(attrs):
-            if f == spec.missing_marker:
-                missing[i, j] = True
-            else:
-                values[i, j] = float(f)
-
-    order = np.random.default_rng(split_seed).permutation(k)
-    n_train, n_val, _ = split_counts(k)
-    parts = (
-        order[:n_train],
-        order[n_train : n_train + n_val],
-        order[n_train + n_val :],
-    )
-
-    train_idx = parts[0]
-    train_vals = values[train_idx]
-    train_miss = missing[train_idx]
-    with np.errstate(invalid="ignore"):
-        sums = np.where(train_miss, 0.0, train_vals).sum(axis=0)
-        counts = (~train_miss).sum(axis=0)
-    means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-    imputed_train = np.where(train_miss, means, train_vals)
-    lo = imputed_train.min(axis=0)
-    hi = imputed_train.max(axis=0)
-
+    targets = np.eye(spec.n_classes)[class_indices]
     splits = [
-        _encode(values[idx], missing[idx], [labels[i] for i in idx], spec, means, lo, hi)
-        for idx in parts
+        Split(examples=x[part], targets=targets[part], class_indices=class_indices[part])
+        for part in (slice(n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, k))
     ]
     return DatasetBundle(
         train=splits[0],

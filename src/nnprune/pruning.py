@@ -134,22 +134,10 @@ class PruneTrace:
             if not line:
                 continue
             doc = json.loads(line)
-            if doc["type"] == "snapshot":
+            if doc.pop("type") == "snapshot":
                 trace.snapshots[int(doc["batch"])] = json.dumps(doc["network"], sort_keys=True)
             else:
-                trace.events.append(
-                    RemovalEvent(
-                        kind=doc["kind"],
-                        indices=tuple(doc["indices"]),
-                        trigger=doc["trigger"],
-                        batch=int(doc["batch"]),
-                        metric=doc["metric"],
-                        threshold=doc["threshold"],
-                        rolled_back=bool(doc["rolled_back"]),
-                        accuracy_after_retrain=doc["accuracy_after_retrain"],
-                        implied_connections=int(doc.get("implied_connections", 0)),
-                    )
-                )
+                trace.events.append(RemovalEvent(**{**doc, "indices": tuple(doc["indices"])}))
         return trace
 
 

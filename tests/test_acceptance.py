@@ -341,16 +341,9 @@ def test_criterion_8_data_pipeline(benchmark_files):
     )
 
     # leakage check: stats must equal a train-only recomputation
-    raw = load_raw(cancer_path, CANCER1)
-    values = np.zeros((len(raw), 9))
-    missing = np.zeros((len(raw), 9), dtype=bool)
-    for i, (attrs, _) in enumerate(raw):
-        for j, a in enumerate(attrs):
-            if a == "?":
-                missing[i, j] = True
-            else:
-                values[i, j] = float(a)
-    train_idx = np.random.default_rng(1).permutation(len(raw))[:350]
+    values, _ = load_raw(cancer_path, CANCER1)
+    missing = np.isnan(values)
+    train_idx = np.random.default_rng(1).permutation(len(values))[:350]
     tv, tm = values[train_idx], missing[train_idx]
     means = np.where(tm, 0.0, tv).sum(axis=0) / (~tm).sum(axis=0)
     imputed = np.where(tm, means, tv)

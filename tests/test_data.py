@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,29 +14,43 @@ from nnprune import (
     load_raw,
     prepare,
 )
-from nnprune.data import split_counts
+from nnprune.data import SPECS, split_counts
+from nnprune.synth import write_all
 
 
 class TestLoadRaw:
     def test_cancer_count(self, cancer_file):
-        assert len(load_raw(cancer_file, CANCER1)) == 699
+        assert len(load_raw(cancer_file, CANCER1)[0]) == 699
 
     def test_diabetes_count(self, diabetes_file):
-        assert len(load_raw(diabetes_file, DIABETES)) == 768
+        assert len(load_raw(diabetes_file, DIABETES)[0]) == 768
 
     def test_glass_count(self, glass_file):
-        assert len(load_raw(glass_file, GLASS)) == 214
+        assert len(load_raw(glass_file, GLASS)[0]) == 214
 
     def test_id_and_class_stripped(self, cancer_file):
-        records = load_raw(cancer_file, CANCER1)
-        attrs, label = records[0]
-        assert len(attrs) == 9
-        assert label in ("2", "4")
+        values, class_indices = load_raw(cancer_file, CANCER1)
+        assert values.shape == (699, 9) and values.dtype == np.float64
+        assert class_indices.shape == (699,) and class_indices.dtype == np.int64
+        assert set(class_indices.tolist()) <= {0, 1}
 
     def test_missing_marker_preserved(self, cancer_file):
-        records = load_raw(cancer_file, CANCER1)
-        n_missing = sum(1 for attrs, _ in records for a in attrs if a == "?")
-        assert n_missing >= 1
+        values, _ = load_raw(cancer_file, CANCER1)
+        assert np.isnan(values).sum() == 16
+
+    def test_unmapped_label_rejected(self, tmp_path):
+        spec = DatasetSpec(
+            name="bad",
+            n_attributes=1,
+            n_classes=2,
+            class_column=1,
+            class_label_map={"0": 0, "1": 1},
+        )
+        path = tmp_path / "bad.data"
+        path.write_text("1.0,0\n2.0,7\n", encoding="utf-8")
+        message = "bad.data line 2: class label '7' not in the label map"
+        with pytest.raises(ParseError, match=message):
+            load_raw(path, spec)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.data"
@@ -61,7 +77,7 @@ class TestLoadRaw:
         path = tmp_path / "ok.data"
         row = ",".join(["1"] * 8) + ",0"
         path.write_text(f"{row}\n\n{row}\n", encoding="utf-8")
-        assert len(load_raw(path, DIABETES)) == 2
+        assert len(load_raw(path, DIABETES)[0]) == 2
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -136,7 +152,7 @@ class TestPrepare:
             class_column=1,
             class_label_map={str(i): i for i in range(k)},
         )
-        raw = [((str(i % 7),), str(i)) for i in range(k)]
+        raw = ((np.arange(k) % 7.0)[:, None], np.arange(k))
         bundle = prepare(raw, spec, split_seed=5)
         seen = np.concatenate(
             [
@@ -154,15 +170,9 @@ class TestPrepare:
         seed = 4
         bundle = prepare(raw, CANCER1, split_seed=seed)
 
-        values = np.zeros((len(raw), 9))
-        missing = np.zeros((len(raw), 9), dtype=bool)
-        for i, (attrs, _) in enumerate(raw):
-            for j, a in enumerate(attrs):
-                if a == "?":
-                    missing[i, j] = True
-                else:
-                    values[i, j] = float(a)
-        order = np.random.default_rng(seed).permutation(len(raw))
+        values = raw[0]
+        missing = np.isnan(values)
+        order = np.random.default_rng(seed).permutation(len(values))
         train_idx = order[:350]
 
         tv, tm = values[train_idx], missing[train_idx]
@@ -183,30 +193,160 @@ class TestPrepare:
             class_column=2,
             class_label_map={"0": 0, "1": 1},
         )
-        raw = [((str(i), "7"), str(i % 2)) for i in range(12)]
+        raw = (np.column_stack([np.arange(12.0), np.full(12, 7.0)]), np.arange(12) % 2)
         bundle = prepare(raw, spec, split_seed=1)
         for split in (bundle.train, bundle.validation, bundle.test):
             assert np.all(split.examples[:, 1] == 0.0)
 
-    def test_unmapped_label_rejected(self):
-        spec = DatasetSpec(
-            name="bad",
-            n_attributes=1,
-            n_classes=2,
-            class_column=1,
-            class_label_map={"0": 0, "1": 1},
-        )
-        raw = [(("1.0",), "0"), (("2.0",), "7")]
-        with pytest.raises(DatasetError):
-            prepare(raw, spec, split_seed=1)
-
     def test_empty_raw_rejected(self):
         with pytest.raises(DatasetError):
-            prepare([], CANCER1, split_seed=1)
+            prepare((np.zeros((0, 9)), np.zeros(0, dtype=np.int64)), CANCER1, split_seed=1)
+
+    @pytest.mark.parametrize(
+        "values,class_indices,match",
+        [
+            (np.ones((4, 1)), [0, 1, 2, 0], "class indices"),
+            (np.ones((4, 1)), [0, 1, -1, 0], "class indices"),
+            (np.ones((4, 1)), [0.0, 1.0, 1.0, 0.0], "class indices"),
+            (np.ones((4, 2)), [0, 1, 1, 0], "expected values"),
+            (np.ones(4), [0, 1, 1, 0], "expected values"),
+            (np.ones((4, 1)), [0, 1, 1], "expected values"),
+            (np.array([[1.0], [np.inf], [2.0], [3.0]]), [0, 1, 1, 0], "finite"),
+        ],
+    )
+    def test_malformed_raw_rejected(self, values, class_indices, match):
+        spec = DatasetSpec(
+            name="two", n_attributes=1, n_classes=2, class_column=1,
+            class_label_map={"0": 0, "1": 1},
+        )
+        with pytest.raises(DatasetError, match=match):
+            prepare((values, np.array(class_indices)), spec, split_seed=1)
 
     def test_imputed_values_finite(self, cancer_file):
         bundle = prepare(load_raw(cancer_file, CANCER1), CANCER1, split_seed=1)
         assert np.all(np.isfinite(bundle.imputation))
+
+
+def reference_load_raw(path, spec):
+    """The former parser: (attribute strings, label string) records."""
+    records = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        fields = [f.strip() for f in line.strip().split(",")]
+        if fields != [""]:
+            attrs = tuple(
+                f for i, f in enumerate(fields) if i != spec.class_column and i != spec.id_column
+            )
+            records.append((attrs, fields[spec.class_column]))
+    return records
+
+
+def reference_prepare(raw, spec, split_seed):
+    """The former ``prepare``: a per-cell parse and a per-split encoding."""
+    k = len(raw)
+    values = np.zeros((k, spec.n_attributes), dtype=np.float64)
+    missing = np.zeros((k, spec.n_attributes), dtype=bool)
+    labels = []
+    for i, (attrs, label) in enumerate(raw):
+        labels.append(label)
+        for j, f in enumerate(attrs):
+            if f == spec.missing_marker:
+                missing[i, j] = True
+            else:
+                values[i, j] = float(f)
+    order = np.random.default_rng(split_seed).permutation(k)
+    n_train, n_val, _ = split_counts(k)
+    parts = (order[:n_train], order[n_train : n_train + n_val], order[n_train + n_val :])
+    train_vals, train_miss = values[parts[0]], missing[parts[0]]
+    sums = np.where(train_miss, 0.0, train_vals).sum(axis=0)
+    counts = (~train_miss).sum(axis=0)
+    means = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    imputed_train = np.where(train_miss, means, train_vals)
+    lo, hi = imputed_train.min(axis=0), imputed_train.max(axis=0)
+    splits = []
+    for idx in parts:
+        x = np.where(missing[idx], means, values[idx])
+        span = hi - lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = (x - lo) / span
+        x[:, span == 0] = 0.0
+        x = np.clip(x, 0.0, 1.0)
+        class_indices = np.array([spec.class_label_map[labels[i]] for i in idx], dtype=np.int64)
+        targets = np.zeros((len(idx), spec.n_classes))
+        targets[np.arange(len(idx)), class_indices] = 1.0
+        splits.append((x, targets, class_indices))
+    return splits, (lo, hi), means, parts, missing
+
+
+# id column, a constant column, blank lines, and missing markers in 9 of 12
+# records, so that every split of split seeds 1 and 2 holds some
+HAND_SPEC = DatasetSpec(
+    name="hand",
+    n_attributes=3,
+    n_classes=3,
+    class_column=4,
+    class_label_map={"a": 0, "b": 1, "c": 2},
+    id_column=0,
+)
+HAND_TEXT = """
+101, 0.5, ?, 5, a
+102, -1.25, 3e-1, 5, b
+
+103, ?, 0.75, 5, c
+104, 2, ?, 5, a
+105, ?, ?, 5, b
+106, 1e-3, 0.125, 5, c
+107, 3.5, ?, 5, a
+
+108, ?, -0.5, 5, b
+109, 0.25, ?, 5, c
+110, ?, 1.5, 5, a
+111, 4, 2.25, 5, b
+112, -0.75, ?, 5, c
+
+"""
+
+
+@pytest.fixture(scope="module")
+def differential_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("differential")
+    files = {
+        (seed, name): (path, SPECS[name])
+        for seed in (20240901, 7)
+        for name, path in write_all(root / str(seed), seed=seed).items()
+    }
+    hand = root / "hand.data"
+    hand.write_text(HAND_TEXT, encoding="utf-8")
+    files[(None, "hand")] = (hand, HAND_SPEC)
+    return files
+
+
+class TestDifferential:
+    """``load_raw`` + ``prepare`` equal the former string-record pipeline."""
+
+    @pytest.mark.parametrize("split_seed", [1, 2])
+    @pytest.mark.parametrize(
+        "data_seed,name",
+        [(s, n) for s in (20240901, 7) for n in ("cancer1", "diabetes", "glass")]
+        + [(None, "hand")],
+    )
+    def test_bundle_equals_reference(self, differential_files, data_seed, name, split_seed):
+        path, spec = differential_files[(data_seed, name)]
+        bundle = prepare(load_raw(path, spec), spec, split_seed)
+        splits, normalization, imputation, parts, missing = reference_prepare(
+            reference_load_raw(path, spec), spec, split_seed
+        )
+        if name == "hand":
+            assert all(missing[idx].any() for idx in parts)
+            assert normalization[0][2] == normalization[1][2]  # constant column
+        for split, (examples, targets, class_indices) in zip(
+            (bundle.train, bundle.validation, bundle.test), splits
+        ):
+            assert np.array_equal(split.examples, examples)
+            assert np.array_equal(split.targets, targets)
+            assert np.array_equal(split.class_indices, class_indices)
+        assert np.array_equal(bundle.normalization[0], normalization[0])
+        assert np.array_equal(bundle.normalization[1], normalization[1])
+        assert np.array_equal(bundle.imputation, imputation)
 
 
 def split_parts():

@@ -382,6 +382,19 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unmapped_class_label_names_file_and_line(self, tmp_path, capsys):
+        data = tmp_path / "bad.data"
+        rows = [",".join(["1"] * 8 + [label]) for label in ("0", "1", "0", "7")]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        rc = main(
+            ["eval", "--dataset", "diabetes", "--data", str(data),
+             "--net", str(tmp_path / "n.json")]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: bad.data line 4: class label '7' not in the label map\n"
+        )
+
     @pytest.mark.parametrize(
         "command,flag,bad",
         [
