@@ -29,6 +29,9 @@ import numpy as np
 
 from .errors import DatasetError, ParseError
 
+# the fewest records whose split_counts leave no split empty: (2, 1, 1)
+MIN_RECORDS = 4
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -135,7 +138,8 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarra
     through ``spec.class_label_map``.  Each value is parsed once.  Lines
     with the wrong field count, a non-numeric or non-finite attribute, or a
     label outside the map are rejected with their file and line number.
-    Blank lines are skipped.
+    Blank lines are skipped.  A file with fewer than MIN_RECORDS records
+    is rejected with DatasetError naming the file and the count.
     """
     path = Path(path)
     rows: list[list[float]] = []
@@ -168,6 +172,11 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarra
                 raise ParseError(f"{where}: class label {label!r} not in the label map")
             rows.append(row)
             class_indices.append(spec.class_label_map[label])
+    if len(rows) < MIN_RECORDS:
+        raise DatasetError(
+            f"{path.name}: too few records ({len(rows)}); the 50/25/25 split "
+            f"needs at least {MIN_RECORDS} to leave every split non-empty"
+        )
     values = np.array(rows, dtype=np.float64).reshape(len(rows), spec.n_attributes)
     return values, np.array(class_indices, dtype=np.int64)
 

@@ -103,6 +103,28 @@ class Network:
             hidden_active=self.hidden_active.copy(),
         )
 
+    def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``w``- and ``v``-shaped views of a vector in the packed layout:
+        the entries of ``w`` row-major, then those of ``v``."""
+        split = self.w.size
+        return flat[:split].reshape(self.w.shape), flat[split:].reshape(self.v.shape)
+
+    def pack(self) -> np.ndarray:
+        """Move ``w`` and ``v`` into one contiguous vector and return it.
+
+        Afterwards ``w`` and ``v`` are views of the vector (see
+        :meth:`views`), so a write through either is a write to it and one
+        elementwise operation on it covers every weight.  Values are
+        unchanged; :meth:`copy` gives independent arrays again.
+        """
+        flat = np.concatenate((self.w.ravel(), self.v.ravel()))
+        self.w, self.v = self.views(flat)
+        return flat
+
+    def masked_positions(self) -> np.ndarray:
+        """Indices of the masked weights in the packed layout."""
+        return np.flatnonzero(~np.concatenate((self.w_mask.ravel(), self.v_mask.ravel())))
+
     def apply_masks(self) -> None:
         """Pin masked-out weights back to exactly 0.0."""
         self.w[~self.w_mask] = 0.0

@@ -17,7 +17,15 @@ its last update for the next gradient.  :func:`objective` returns theta
 alone.  A training epoch needs theta only to detect divergence, so it asks
 :func:`theta_certainly_finite`, which proves theta finite from the pass and
 the weights without computing it, and falls back to :func:`objective` only
-when that proof fails.  :func:`data_gradients` and
+when that proof fails.
+
+The trainer works on a packed network (:meth:`Network.pack`): every weight
+in one vector, w's entries and then v's.  So :class:`Gradients` holds one
+vector in that layout with w- and v-shaped views of it,
+:func:`data_gradients` can write into a :class:`Gradients` kept across
+epochs, and :func:`penalty_gradients` and :func:`theta_certainly_finite`
+take any array of weights, elementwise, so the trainer calls each once per
+epoch on the packed vector.  :func:`data_gradients` and
 :func:`penalty_gradients` return raw gradients (the trainer pins masked
 weights once after its update); :func:`gradients`, the full gradient,
 zeroes masked entries.  A central finite-difference checker serves as an
@@ -72,15 +80,23 @@ class ForwardPass:
 
 @dataclass
 class Gradients:
-    """Gradient wrt every weight, w and v shaped.
+    """Gradient wrt every weight, in the packed layout of a network.
 
-    :func:`data_gradients` and :func:`penalty_gradients` leave masked
-    entries raw (whatever the formula gives there); :func:`gradients`
-    zeroes them.
+    ``flat`` holds the entries for w (row-major) and then those for v, as
+    :meth:`Network.pack` lays out the weights; ``d_w`` and ``d_v`` are
+    views of it.  :func:`data_gradients` leaves masked entries raw
+    (whatever the formula gives there); :func:`gradients` zeroes them.
     """
 
-    d_w: np.ndarray  # [h, n]
-    d_v: np.ndarray  # [o, h]
+    flat: np.ndarray  # [h*n + o*h]
+    d_w: np.ndarray   # [h, n], a view of flat
+    d_v: np.ndarray   # [o, h], a view of flat
+
+    @classmethod
+    def like(cls, net: Network) -> "Gradients":
+        """Uninitialized storage for a gradient of ``net``."""
+        flat = np.empty(net.w.size + net.v.size)
+        return cls(flat, *net.views(flat))
 
 
 def _check_batch(net: Network, inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,14 +163,15 @@ def objective(
     return cross_entropy(preds, targets) + penalty(net, params)
 
 
-def theta_certainly_finite(net: Network, at: ForwardPass, params: PenaltyParams) -> bool:
+def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: PenaltyParams) -> bool:
     """A cheap sufficient condition for a finite theta at ``at``.
 
-    ``at`` must be the forward pass of ``net`` on a batch whose targets are
-    one-hot rows of 0.0 and 1.0 (every :class:`~nnprune.data.Split` is).
-    True means ``objective(net, ...)`` is finite; False proves
-    nothing.  The argument, with S the sum of all squared weights and N the
-    number of weights:
+    ``weights`` holds every weight of the network, in any shape (the
+    trainer passes its packed vector).  ``at`` must be the forward pass of
+    that network on a batch whose targets are one-hot rows of 0.0 and 1.0
+    (every :class:`~nnprune.data.Split` is).  True means
+    ``objective(net, ...)`` is finite; False proves nothing.  The argument,
+    with S the sum of all squared weights and N the number of weights:
 
     * no NaN in the outputs: every clamped log term is at most
       CROSS_ENTROPY_TERM_MAX, so the cross-entropy is at most that times
@@ -167,11 +184,11 @@ def theta_certainly_finite(net: Network, at: ForwardPass, params: PenaltyParams)
 
     A NaN or infinite weight makes S non-finite and the check False.
     """
-    # Python floats: an overflow gives inf without a numpy warning
-    squares = float(np.vdot(net.w, net.w)) + float(np.vdot(net.v, net.v))
+    # a Python float: arithmetic on an overflowed S gives inf without a numpy warning
+    squares = float(np.vdot(weights, weights))
     bound = (
         CROSS_ENTROPY_TERM_MAX * at.preds.size
-        + params.eps1 * (net.w.size + net.v.size)
+        + params.eps1 * weights.size
         + params.eps2 * squares
     )
     return bool(
@@ -182,41 +199,47 @@ def theta_certainly_finite(net: Network, at: ForwardPass, params: PenaltyParams)
 
 
 def data_gradients(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, at: ForwardPass
+    net: Network,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    at: ForwardPass,
+    out: Gradients | None = None,
 ) -> Gradients:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
     ``at`` must be the forward pass of ``net`` over ``inputs`` for its
-    current weights; it is differentiated, no pass is run here.
+    current weights; it is differentiated, no pass is run here.  The
+    gradient is written into ``out`` (``Gradients.like(net)``) when given,
+    else into new storage, and returned.
     """
     inputs, targets = _check_batch(net, inputs, targets)
     if at.preds.shape != targets.shape:
         raise ShapeError(
             f"evaluation outputs {at.preds.shape} do not match targets {targets.shape}"
         )
+    grad = Gradients.like(net) if out is None else out
     d_out = at.preds - targets                   # dF/d(pre-logistic), [k, o]
-    d_v = d_out.T @ at.hidden                    # [o, h]
+    np.matmul(d_out.T, at.hidden, out=grad.d_v)  # [o, h]
     d_hidden = (d_out @ net.v) * (1.0 - at.hidden ** 2)
-    d_w = d_hidden.T @ inputs                    # [h, n]
-    return Gradients(d_w=d_w, d_v=d_v)
+    np.matmul(d_hidden.T, inputs, out=grad.d_w)  # [h, n]
+    return grad
 
 
-def _penalty_grad(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
-    w2 = weights ** 2
-    return (
-        params.eps1 * 2.0 * params.beta * weights / (1.0 + params.beta * w2) ** 2
-        + 2.0 * params.eps2 * weights
-    )
+def penalty_gradients(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
+    """Gradient of the penalty alone at ``weights``, masked entries raw.
 
-
-def penalty_gradients(net: Network, params: PenaltyParams) -> Gradients:
-    """Gradient of the penalty alone, masked entries raw.
-
-    Masked weights are exactly 0.0, so their raw entries are 0.0 as well.
+    The penalty is a sum of one term per weight, so its gradient is
+    elementwise: ``weights`` may be ``net.w``, ``net.v`` or a packed
+    vector of both, and the result has its shape.  Masked weights are
+    exactly 0.0, so their raw entries are 0.0 as well.
     """
     # overflow on diverged weights is caught by the trainer's divergence check
     with np.errstate(over="ignore", invalid="ignore"):
-        return Gradients(d_w=_penalty_grad(net.w, params), d_v=_penalty_grad(net.v, params))
+        w2 = weights ** 2
+        return (
+            params.eps1 * 2.0 * params.beta * weights / (1.0 + params.beta * w2) ** 2
+            + 2.0 * params.eps2 * weights
+        )
 
 
 def gradients(
@@ -226,13 +249,12 @@ def gradients(
     params: PenaltyParams,
 ) -> Gradients:
     """Analytic gradient of the full objective, masked entries zeroed."""
-    data = data_gradients(net, inputs, targets, forward_pass(net, inputs))
-    pen = penalty_gradients(net, params)
-    d_w = data.d_w + pen.d_w
-    d_v = data.d_v + pen.d_v
-    d_w[~net.w_mask] = 0.0
-    d_v[~net.v_mask] = 0.0
-    return Gradients(d_w=d_w, d_v=d_v)
+    grad = data_gradients(net, inputs, targets, forward_pass(net, inputs))
+    grad.d_w += penalty_gradients(net.w, params)
+    grad.d_v += penalty_gradients(net.v, params)
+    grad.d_w[~net.w_mask] = 0.0
+    grad.d_v[~net.v_mask] = 0.0
+    return grad
 
 
 def finite_diff_check(

@@ -10,20 +10,25 @@ regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
 loss and penalty).
 
-:func:`descend` is the one training loop.  Each epoch takes the data and
-penalty gradients, raw, makes the descent step, applies the masks once (the
-only place a step pins masked weights back to 0.0) and runs the forward
-pass of the updated network, which the next epoch differentiates.  So each
-epoch runs one forward pass, and the loop runs one more before its first
-epoch.  Theta itself is not computed: divergence is detected by
-:func:`~nnprune.objective.theta_certainly_finite`, a cheap proof from the
-new weights and outputs that theta is finite, and only when that proof
-fails is theta computed with :func:`~nnprune.objective.objective`; a
-non-finite theta raises DivergenceError at the same epoch as evaluating it
-every epoch would.  :func:`train` takes a fixed number of its epochs,
-:func:`retrain` takes epochs until a validation-accuracy floor is met, and
-``nnprune train`` iterates it directly, evaluating theta for its
-``--trace`` rows only.
+:func:`descend` is the one training loop.  When it starts it packs the
+network (:meth:`~nnprune.network.Network.pack`): every weight in one
+vector, of which ``net.w`` and ``net.v`` become views, and it reads the
+masks once, into the positions of the masked weights in that vector.  Each
+epoch then does each elementwise step once for all weights: it takes the
+data gradient (into storage kept across epochs) and the penalty gradient,
+both raw, makes the descent step, pins the masked weights back to 0.0 (the
+only place a step enforces masks; skipped when nothing is masked) and runs
+the forward pass of the updated network, which the next epoch
+differentiates.  So each epoch runs one forward pass, and the loop runs
+one more before its first epoch.  Theta itself is not computed: divergence
+is detected by :func:`~nnprune.objective.theta_certainly_finite`, a cheap
+proof from the new weights and outputs that theta is finite, and only when
+that proof fails is theta computed with
+:func:`~nnprune.objective.objective`; a non-finite theta raises
+DivergenceError at the same epoch as evaluating it every epoch would.
+:func:`train` takes a fixed number of its epochs, :func:`retrain` takes
+epochs until a validation-accuracy floor is met, and ``nnprune train``
+iterates it directly, evaluating theta for its ``--trace`` rows only.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .data import Split
 from .errors import ConfigurationError, DatasetError, DivergenceError
 from .network import Network, classify_batch
 from .objective import (
+    Gradients,
     PenaltyParams,
     data_gradients,
     forward_pass,
@@ -68,24 +74,30 @@ class TrainParams:
 def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
-    Runs nothing until the first ``next``.  Each epoch differentiates the
-    forward pass the previous epoch left behind (the first runs one),
-    applies the update and the masks once, and runs one forward pass of
-    the updated network.  Raises DivergenceError naming the epoch if the
-    objective becomes non-finite.  ``split`` must not be empty.
+    Runs nothing until the first ``next``, which packs ``net`` (its ``w``
+    and ``v`` stay views of one vector from then on) and reads its masks;
+    the caller must not change the masks, or rebind ``w`` or ``v``, while
+    it takes epochs.  Each epoch differentiates the forward pass the
+    previous epoch left behind (the first runs one), applies the update
+    and the masks once, and runs one forward pass of the updated network.
+    Raises DivergenceError naming the epoch if the objective becomes
+    non-finite.  ``split`` must not be empty.
     """
     step = lr / len(split)
+    weights = net.pack()
+    masked = net.masked_positions()
+    grad = Gradients.like(net)
     at = forward_pass(net, split.examples)
     for epoch in count(1):
-        data = data_gradients(net, split.examples, split.targets, at)
-        pen = penalty_gradients(net, penalty)
+        data_gradients(net, split.examples, split.targets, at, out=grad)
+        pen = penalty_gradients(weights, penalty)
         # overflow on diverged weights is caught right after by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            net.w -= step * (data.d_w + pen.d_w)
-            net.v -= step * (data.d_v + pen.d_v)
-        net.apply_masks()
+            weights -= step * (grad.flat + pen)
+        if masked.size:
+            weights[masked] = 0.0
         at = forward_pass(net, split.examples)
-        if not theta_certainly_finite(net, at, penalty) and not np.isfinite(
+        if not theta_certainly_finite(weights, at, penalty) and not np.isfinite(
             objective(net, split.examples, split.targets, penalty)
         ):
             raise DivergenceError(f"objective became non-finite at epoch {epoch}")

@@ -14,7 +14,7 @@ from nnprune import (
     load_raw,
     prepare,
 )
-from nnprune.data import SPECS, split_counts
+from nnprune.data import MIN_RECORDS, SPECS, split_counts
 from nnprune.synth import write_all
 
 
@@ -76,8 +76,25 @@ class TestLoadRaw:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ok.data"
         row = ",".join(["1"] * 8) + ",0"
-        path.write_text(f"{row}\n\n{row}\n", encoding="utf-8")
-        assert len(load_raw(path, DIABETES)[0]) == 2
+        path.write_text(f"{row}\n\n{row}\n{row}\n\n\n{row}\n", encoding="utf-8")
+        assert len(load_raw(path, DIABETES)[0]) == 4
+
+    @pytest.mark.parametrize("records", [0, 1, 3])
+    def test_too_few_records_rejected(self, tmp_path, records):
+        path = tmp_path / "short.data"
+        row = ",".join(["1"] * 8) + ",0"
+        path.write_text("\n" + f"{row}\n\n" * records, encoding="utf-8")
+        message = rf"short.data: too few records \({records}\); .* at least 4 "
+        with pytest.raises(DatasetError, match=message):
+            load_raw(path, DIABETES)
+
+    def test_fewest_records_leave_every_split_non_empty(self, tmp_path):
+        assert min(split_counts(MIN_RECORDS)) == 1
+        assert min(split_counts(MIN_RECORDS - 1)) == 0
+        path = tmp_path / "four.data"
+        path.write_text("".join(",".join(["1"] * 8) + f",{c}\n" for c in "0110"), encoding="utf-8")
+        bundle = prepare(load_raw(path, DIABETES), DIABETES, split_seed=1)
+        assert (len(bundle.train), len(bundle.validation), len(bundle.test)) == (2, 1, 1)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

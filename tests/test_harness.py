@@ -395,6 +395,24 @@ class TestCli:
             "error: bad.data line 4: class label '7' not in the label map\n"
         )
 
+    @pytest.mark.parametrize("command", ["eval", "train", "run"])
+    def test_too_few_records_names_file_exit_1(self, command, tmp_path, capsys):
+        data = tmp_path / "short.data"
+        data.write_text(",".join(["1"] * 8) + ",0\n", encoding="utf-8")
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"dataset = diabetes\ndata_path = {data}\noutput_dir = {tmp_path}\n")
+        source = ["--dataset", "diabetes", "--data", str(data)]
+        argv = {
+            "eval": ["eval", *source, "--net", str(tmp_path / "n.json")],
+            "train": ["train", *source, "--epochs", "1", "--out", str(tmp_path / "n.json")],
+            "run": ["run", "--config", str(conf)],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: short.data: too few records (1); the 50/25/25 split needs at "
+            "least 4 to leave every split non-empty\n"
+        )
+
     @pytest.mark.parametrize(
         "command,flag,bad",
         [

@@ -293,6 +293,29 @@ class TestSerialization:
             deserialize(json.dumps(doc))
 
 
+class TestPackedLayout:
+    def test_pack_keeps_values_and_shares_storage(self):
+        net = small_net(3, 4, 2, seed=5)
+        before = net.copy()
+        flat = net.pack()
+        assert np.array_equal(flat, np.concatenate((before.w.ravel(), before.v.ravel())))
+        assert np.array_equal(net.w, before.w) and np.array_equal(net.v, before.v)
+        flat[:] = np.arange(flat.size)
+        assert net.w[1, 0] == 3.0 and net.v[0, 0] == 12.0
+        independent = net.copy()
+        flat[:] = 0.0
+        assert independent.w[1, 0] == 3.0
+
+    def test_masked_positions_index_the_packed_vector(self):
+        net = small_net(3, 4, 2, seed=6)
+        net.w_mask[1, 2] = False
+        net.v_mask[1, 3] = False
+        net.apply_masks()
+        positions = net.masked_positions()
+        assert positions.tolist() == [1 * 3 + 2, 12 + 1 * 4 + 3]
+        assert np.all(net.pack()[positions] == 0.0)
+
+
 class TestMaskInvariant:
     def test_apply_masks_zeroes(self):
         net = small_net(3, 3, 2, seed=4)

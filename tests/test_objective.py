@@ -291,10 +291,10 @@ class TestThetaCertificate:
             at = forward_pass(net, split.examples)
             # the check the certificate replaces on the training path
             finite = np.isfinite(objective(net, split.examples, split.targets, params))
-        certified = theta_certainly_finite(net, at, params)  # warnings are errors here
+        certified = theta_certainly_finite(net.pack(), at, params)  # warnings are errors here
         assert finite or not certified
 
     def test_holds_on_an_ordinary_network(self):
         net = init_network(NetworkConfig(9, 3, 2, seed=42))
         x, _ = make_batch(9, 2, 10, seed=42)
-        assert theta_certainly_finite(net, forward_pass(net, x), PenaltyParams())
+        assert theta_certainly_finite(net.pack(), forward_pass(net, x), PenaltyParams())

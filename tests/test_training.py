@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 from itertools import islice
 
 import numpy as np
@@ -202,6 +203,79 @@ def reference_train(net, split, lr, penalty, epochs):
         if not np.isfinite(objective(net, split.examples, split.targets, penalty)):
             return net, epoch
     return net, None
+
+
+# networks shaped like the three benchmarks on their split-seed-1 training
+# splits (k = 350, 384, 107): (bundle, n, h, o, seed, pruned)
+BENCHMARK_SHAPES = [
+    ("cancer", 9, 3, 2, 31, True),
+    ("diabetes", 8, 3, 2, 32, True),
+    ("glass", 9, 4, 6, 33, True),
+    ("diabetes", 8, 3, 2, 34, False),
+]
+
+
+class TestPackedEpochs:
+    @pytest.mark.parametrize("bundle,n,h,o,seed,pruned", BENCHMARK_SHAPES)
+    def test_bit_identical_to_reference(self, bundle, n, h, o, seed, pruned, request):
+        split = request.getfixturevalue(f"{bundle}_bundle").train
+        net = init_network(NetworkConfig(n, h, o, seed=seed))
+        if pruned:
+            net.w_mask[0, 2] = net.w_mask[1, n - 1] = False
+            net.v_mask[o - 1, 0] = False
+            dead = h - 1  # one dead hidden unit: no weight in or out
+            net.hidden_active[dead] = False
+            net.w_mask[dead, :] = False
+            net.v_mask[:, dead] = False
+            net.apply_masks()
+        penalty = PenaltyParams()
+        stepped = net.copy()
+        for _ in islice(descend(stepped, split, 0.1, penalty), 50):
+            assert np.all(stepped.w[~stepped.w_mask] == 0.0)
+            assert np.all(stepped.v[~stepped.v_mask] == 0.0)
+        expected, diverged = reference_train(net, split, 0.1, penalty, 50)
+        assert diverged is None
+        assert np.array_equal(stepped.w, expected.w) and np.array_equal(stepped.v, expected.v)
+        stepped.validate()
+
+
+class TestEpochContract:
+    """The benchmark counts one GD update per ``nnprune.training.data_gradients``
+    call; a refactor must not change how many calls an epoch makes."""
+
+    @pytest.mark.parametrize("epochs", [1, 6])
+    @pytest.mark.parametrize("runner", ["train", "retrain"])
+    def test_one_call_of_each_per_epoch(self, runner, epochs, monkeypatch):
+        calls = Counter()
+
+        def count_calls(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        training = importlib.import_module("nnprune.training")
+        count_calls(training, "data_gradients")
+        count_calls(training, "penalty_gradients")
+        # ``nnprune.objective`` names the function; the module is looked up
+        count_calls(importlib.import_module("nnprune.objective"), "forward_batch")
+        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net.w_mask[0, 1] = False
+        net.apply_masks()
+        if runner == "train":
+            train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
+        else:
+            _, met = retrain(
+                net, toy_split(seed=6), toy_split(seed=7), 0.1, PenaltyParams(),
+                floor=1.0, max_epochs=epochs,
+            )
+            assert met is False
+        assert calls == {
+            "data_gradients": epochs, "penalty_gradients": epochs, "forward_batch": epochs + 1
+        }
 
 
 class TestDivergenceEpoch:
