@@ -94,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_prune)
     _add_penalty_args(p_prune)
     p_prune.add_argument("--net", required=True, type=Path)
-    p_prune.add_argument("--eta1", type=finite_float, default=CONFIG_DEFAULTS["eta1"])
     p_prune.add_argument("--eta2", type=finite_float, default=CONFIG_DEFAULTS["eta2"])
     p_prune.add_argument(
         "--tolerance", type=finite_float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
@@ -176,7 +175,6 @@ def _cmd_prune(args) -> int:
     net = deserialize(args.net.read_text(encoding="utf-8"))
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
     params = PruneParams(
-        eta1=args.eta1,
         eta2=args.eta2,
         accuracy_drop_tolerance=args.tolerance,
         retrain_max_epochs=args.retrain_epochs,
@@ -187,7 +185,7 @@ def _cmd_prune(args) -> int:
     if args.trace_out is not None:
         args.trace_out.write_text(trace.to_jsonl(), encoding="utf-8")
     print(
-        f"pruned to {pruned.architecture(active_only=True)} "
+        f"pruned to {pruned.architecture()} "
         f"({pruned.n_unmasked()} connections), "
         f"validation acc {accuracy(pruned, bundle.validation):.5f}"
     )

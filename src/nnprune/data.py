@@ -31,6 +31,8 @@ from .errors import DatasetError, ParseError
 
 # the fewest records whose split_counts leave no split empty: (2, 1, 1)
 MIN_RECORDS = 4
+# the attribute text that marks a missing value, in every benchmark file
+MISSING_MARKER = "?"
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class DatasetSpec:
     class_column: int                  # index into the raw comma-separated fields
     class_label_map: dict[str, int]    # label text -> class index
     id_column: int | None = None
-    missing_marker: str = "?"
 
     @property
     def n_columns(self) -> int:
@@ -157,7 +158,7 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarra
             for i, value in enumerate(fields):
                 if i == spec.class_column or i == spec.id_column:
                     continue
-                if value == spec.missing_marker:
+                if value == MISSING_MARKER:
                     row.append(math.nan)
                     continue
                 try:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+from numbers import Integral
 
 
 class ConfigurationError(ValueError):
@@ -19,3 +21,12 @@ class DatasetError(ValueError):
 
 class DivergenceError(RuntimeError):
     """The training objective became non-finite."""
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is an
+    integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")

@@ -105,14 +105,13 @@ def _optional_int(value) -> int | None:
 
 
 def _seeds(value) -> tuple[int, ...]:
-    if isinstance(value, str):
-        return tuple(int(s.strip()) for s in value.split(",") if s.strip())
-    return tuple(int(s) for s in value)
+    return tuple(int(s) for s in str(value).split(",") if s.strip())
 
 
 def config_from_mapping(values: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build an ExperimentConfig from a key-value mapping, applying defaults.
 
+    Values are spelled as in a config file (``split_seeds`` as ``"1,2,3"``).
     A value that does not parse raises ConfigurationError naming its key.
     """
     known = set(CONFIG_DEFAULTS) | {"dataset", "data_path"}
@@ -162,7 +161,6 @@ def config_from_mapping(values: dict, base_dir: Path | None = None) -> Experimen
             beta=get("beta", finite_float),
         ),
         prune=PruneParams(
-            eta1=get("eta1", finite_float),
             eta2=get("eta2", finite_float),
             accuracy_drop_tolerance=get("accuracy_drop_tolerance", finite_float),
             retrain_max_epochs=get("retrain_max_epochs", int),

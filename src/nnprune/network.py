@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError
+from .errors import ConfigurationError, ParseError, ShapeError, check_int
 
 # init draws from uniform(-r, r), whose width 2r must stay finite
 MAX_INIT_RANGE = float(np.finfo(np.float64).max) / 2
@@ -31,17 +31,13 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_inputs < 1 or self.n_hidden < 1 or self.n_outputs < 1:
-            raise ConfigurationError(
-                f"layer sizes must all be >= 1, got "
-                f"{self.n_inputs}-{self.n_hidden}-{self.n_outputs}"
-            )
+        for name in ("n_inputs", "n_hidden", "n_outputs"):
+            check_int(name, getattr(self, name), 1)
         if not 0 < self.init_range <= MAX_INIT_RANGE:
             raise ConfigurationError(
                 f"init_range must be in (0, {MAX_INIT_RANGE!r}], got {self.init_range}"
             )
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass
@@ -84,10 +80,9 @@ class Network:
     def n_active_hidden(self) -> int:
         return int(self.hidden_active.sum())
 
-    def architecture(self, active_only: bool = False) -> str:
-        if active_only:
-            return f"{self.n_active_inputs}-{self.n_active_hidden}-{self.n_outputs}"
-        return f"{self.n_inputs}-{self.n_hidden}-{self.n_outputs}"
+    def architecture(self) -> str:
+        """Active inputs, active hidden units and outputs, e.g. ``"3-1-2"``."""
+        return f"{self.n_active_inputs}-{self.n_active_hidden}-{self.n_outputs}"
 
     def n_unmasked(self) -> int:
         """Number of connections still present (w and v together)."""
@@ -238,10 +233,12 @@ def _field(doc: dict, key: str, length: int) -> list:
 
 def _weights(doc: dict, key: str, shape: tuple[int, int]) -> np.ndarray:
     values = _field(doc, key, shape[0] * shape[1])
+    if not all(type(x) in (int, float) for x in values):  # bools are ints too
+        raise ParseError(f"field {key!r} must be a flat list of numbers")
     try:
         weights = np.array(values, dtype=np.float64).reshape(shape)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"field {key!r} must be a flat list of numbers") from exc
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"field {key!r} holds a non-finite weight") from None
     if not np.isfinite(weights).all():
         raise ParseError(f"field {key!r} holds a non-finite weight")
     return weights

@@ -29,7 +29,7 @@ from itertools import count
 import numpy as np
 
 from .data import DatasetBundle
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .network import Network, NetworkConfig, init_network, serialize
 from .objective import PenaltyParams
 from .training import TrainParams, accuracy, retrain, train
@@ -50,7 +50,6 @@ TRIGGER_DEAD_HIDDEN = "dead-hidden"
 class PruneParams:
     """Thresholds and budgets for weight elimination and the growth loop."""
 
-    eta1: float = 0.35
     eta2: float = 0.10
     accuracy_drop_tolerance: float = 0.02
     retrain_max_epochs: int = 100
@@ -58,18 +57,14 @@ class PruneParams:
     max_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if not (self.eta1 > 0 and self.eta2 > 0):
-            raise ConfigurationError("eta1 and eta2 must be > 0")
-        if not self.eta1 + self.eta2 < 0.5:
-            raise ConfigurationError(
-                f"eta1 + eta2 must be < 0.5, got {self.eta1 + self.eta2}"
-            )
+        if not 0 < self.eta2 < 0.5:
+            raise ConfigurationError(f"eta2 must be in (0, 0.5), got {self.eta2}")
         if not 0.0 <= self.accuracy_drop_tolerance <= 1.0:
             raise ConfigurationError("accuracy_drop_tolerance must be in [0, 1]")
-        if self.retrain_max_epochs < 0 or self.max_restarts < 1:
-            raise ConfigurationError("retrain_max_epochs >= 0 and max_restarts >= 1 required")
-        if self.max_hidden is not None and self.max_hidden < 1:
-            raise ConfigurationError("max_hidden must be >= 1 when given")
+        check_int("retrain_max_epochs", self.retrain_max_epochs, 0)
+        check_int("max_restarts", self.max_restarts, 1)
+        if self.max_hidden is not None:
+            check_int("max_hidden", self.max_hidden, 1)
 
     @property
     def threshold(self) -> float:
@@ -308,12 +303,8 @@ def grow_and_prune(
         val_floor = max(0.0, baseline_val - params.accuracy_drop_tolerance)
         test_floor = max(0.0, full_test - params.accuracy_drop_tolerance)
 
-        net = None
-        trace = None
         accepted = False
-        grown_h = 0
         for h in range(1, max_hidden + 1):
-            grown_h = h
             config_h = replace(
                 base_config, n_hidden=h, seed=derived_seed(base_config.seed, restart, h)
             )
@@ -331,7 +322,7 @@ def grow_and_prune(
         converged = accepted and pruned_test >= test_floor
         report = GrowPruneReport(
             initial_architecture=f"{base_config.n_inputs}-{base_config.n_hidden}-{base_config.n_outputs}",
-            simplified_architecture=net.architecture(active_only=True),
+            simplified_architecture=net.architecture(),
             input_nodes_removed=base_config.n_inputs - net.n_active_inputs,
             hidden_nodes_removed=base_config.n_hidden - net.n_active_hidden,
             explicit_connections_removed=trace.n_removed_weights(),
@@ -342,7 +333,7 @@ def grow_and_prune(
             pruned_validation_accuracy=pruned_val,
             converged=converged,
             restarts_used=restart + 1,
-            grown_hidden_units=grown_h,
+            grown_hidden_units=h,
         )
         if converged:
             return net, trace, report

@@ -41,7 +41,7 @@ from itertools import count, islice
 import numpy as np
 
 from .data import Split
-from .errors import ConfigurationError, DatasetError, DivergenceError
+from .errors import ConfigurationError, DatasetError, DivergenceError, check_int
 from .network import Network, classify_batch
 from .objective import (
     Gradients,
@@ -60,15 +60,13 @@ class TrainParams:
 
     learning_rate: float = 0.1
     epochs: int = 0
-    shuffle_seed: int = 0  # reserved; full-batch updates never consume it
 
     def __post_init__(self) -> None:
         if not 0 < self.learning_rate < math.inf:
             raise ConfigurationError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
+        check_int("epochs", self.epochs, 0)
 
 
 def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> Iterator[int]:

@@ -14,7 +14,7 @@ from nnprune import (
     load_raw,
     prepare,
 )
-from nnprune.data import MIN_RECORDS, SPECS, split_counts
+from nnprune.data import MIN_RECORDS, MISSING_MARKER, SPECS, split_counts
 from nnprune.synth import write_all
 
 
@@ -266,7 +266,7 @@ def reference_prepare(raw, spec, split_seed):
     for i, (attrs, label) in enumerate(raw):
         labels.append(label)
         for j, f in enumerate(attrs):
-            if f == spec.missing_marker:
+            if f == MISSING_MARKER:
                 missing[i, j] = True
             else:
                 values[i, j] = float(f)

@@ -64,6 +64,8 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown config keys"):
             parse_config_text("dataset = cancer1\ndata_path = x\nbogus = 1\n")
+        with pytest.raises(ConfigurationError, match=r"unknown config keys: \['eta1'\]"):
+            parse_config_text("dataset = cancer1\ndata_path = x\neta1 = 0.35\n")
 
     def test_missing_required_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -207,7 +209,7 @@ class TestRunExperiment:
             net = deserialize(
                 (out / "networks" / f"pruned_seed{row.split_seed}.json").read_text()
             )
-            assert row.report.simplified_architecture == net.architecture(active_only=True)
+            assert row.report.simplified_architecture == net.architecture()
 
     def test_traces_parse(self, small_experiment):
         _, _, out = small_experiment
@@ -304,7 +306,7 @@ class TestCli:
             ("train", "--init-range", "inf"),
             ("train", "--split-seed", "-1"),
             ("train", "--seed", "-1"),
-            ("prune", "--eta1", "nan"),
+            ("prune", "--eta2", "nan"),
             ("prune", "--eta2", "inf"),
             ("prune", "--tolerance", "nan"),
             ("prune", "--lr", "nan"),
@@ -334,6 +336,16 @@ class TestCli:
             main([command, *required[command], flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}: invalid" in capsys.readouterr().err
+
+    def test_prune_has_no_eta1_flag(self, cancer_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "prune", "--dataset", "cancer1", "--data", str(cancer_file),
+                "--net", str(tmp_path / "n.json"), "--out", str(tmp_path / "p.json"),
+                "--eta1", "0.3",
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eta1 0.3" in capsys.readouterr().err
 
     def test_run_negative_split_seed_exit_1(self, cancer_file, tmp_path, capsys):
         conf = tmp_path / "exp.conf"

@@ -44,10 +44,22 @@ class TestConfig:
         cfg = NetworkConfig(9, 3, 2, init_range=1.0, seed=7)
         assert (cfg.n_inputs, cfg.n_hidden, cfg.n_outputs) == (9, 3, 2)
 
-    @pytest.mark.parametrize("n,h,o", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 3, 2)])
+    @pytest.mark.parametrize(
+        "n,h,o",
+        [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 3, 2), (9, 2.5, 2), (9.0, 3, 2), (9, 3, True)],
+    )
     def test_bad_sizes_rejected(self, n, h, o):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="n_inputs|n_hidden|n_outputs"):
             NetworkConfig(n, h, o)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            NetworkConfig(1, 1, 1, seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        cfg = NetworkConfig(np.int64(9), np.int32(3), np.uint8(2), seed=np.int64(7))
+        assert init_network(cfg).architecture() == "9-3-2"
 
     def test_zero_init_range_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -253,9 +265,26 @@ class TestSerialization:
             deserialize(json.dumps(doc))
 
     def test_non_numeric_weight_rejected(self):
+        base = json.loads(serialize(small_net(2, 2, 2)))
+        for key, values in [
+            ("w", ["abc", 0.5, 0.5, 0.5]),
+            ("w", ["0.5", True, 0.5, 0.5]),
+            ("v", [0.5, None, 0.5, 0.5]),
+            ("w", [[0.5], [0.5], [0.5], [0.5]]),
+            ("v", [0.5, 0.5, 0.5, {"x": 1}]),
+        ]:
+            with pytest.raises(ParseError, match=f"'{key}' must be a flat list of numbers"):
+                deserialize(json.dumps({**base, key: values}))
+
+    def test_integer_weights_accepted(self):
         doc = json.loads(serialize(small_net(2, 2, 2)))
-        doc["w"][0] = "abc"
-        with pytest.raises(ParseError, match="'w'"):
+        doc["w"] = [1, -2, 0, 3]
+        assert deserialize(json.dumps(doc)).w.tolist() == [[1.0, -2.0], [0.0, 3.0]]
+
+    def test_integer_weight_beyond_float_range_rejected(self):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        doc["v"][0] = 10**400
+        with pytest.raises(ParseError, match="'v' holds a non-finite weight"):
             deserialize(json.dumps(doc))
 
     @pytest.mark.parametrize(

@@ -87,13 +87,32 @@ class TestPruneParams:
         p = PruneParams()
         assert p.threshold == pytest.approx(0.4)
 
-    def test_eta_sum_constraint(self):
-        with pytest.raises(ConfigurationError):
-            PruneParams(eta1=0.3, eta2=0.2)
+    def test_eta2_below_half(self):
+        with pytest.raises(ConfigurationError, match="eta2"):
+            PruneParams(eta2=0.5)
+        assert PruneParams(eta2=0.49).threshold == pytest.approx(1.96)
 
     def test_eta_positive(self):
-        with pytest.raises(ConfigurationError):
-            PruneParams(eta1=0.0, eta2=0.1)
+        with pytest.raises(ConfigurationError, match="eta2"):
+            PruneParams(eta2=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("retrain_max_epochs", 2.5),
+            ("retrain_max_epochs", True),
+            ("max_restarts", 1.5),
+            ("max_restarts", 2.0),
+            ("max_hidden", 3.0),
+            ("max_hidden", False),
+            ("retrain_max_epochs", -1),
+            ("max_restarts", 0),
+            ("max_hidden", 0),
+        ],
+    )
+    def test_integer_fields_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PruneParams(**{field: value})
 
 
 def threshold_removals(net, params):
@@ -188,7 +207,7 @@ class TestRemovalBatch:
     @example(net=all_w_masked(), eta2=0.1, batch=0)   # v events only
     @example(net=all_w_masked(), eta2=0.01, batch=3)  # nothing left: []
     def test_matches_reference_formulas(self, net, eta2, batch):
-        params = PruneParams(eta1=0.35, eta2=eta2)
+        params = PruneParams(eta2=eta2)
         before = serialize(net)
         got = removal_batch(net, params, batch)
         assert got == reference_batch(net, params, batch)
@@ -207,7 +226,7 @@ class TestConditionCandidates:
         net = self.net_1out()
         net.v[0, 0] = 1.0
         net.w[0, 0], net.w[0, 1] = 0.3, 0.5
-        w_c, _ = threshold_removals(net, PruneParams(eta1=0.35, eta2=0.10))
+        w_c, _ = threshold_removals(net, PruneParams(eta2=0.10))
         assert (0, 0) in w_c
         assert (0, 1) not in w_c
 
@@ -215,10 +234,10 @@ class TestConditionCandidates:
         net = self.net_1out()
         net.w[:] = 1.0
         net.v[0, 0] = 0.39
-        _, v_c = threshold_removals(net, PruneParams(eta1=0.35, eta2=0.10))
+        _, v_c = threshold_removals(net, PruneParams(eta2=0.10))
         assert (0, 0) in v_c
         net.v[0, 0] = 0.41
-        _, v_c = threshold_removals(net, PruneParams(eta1=0.35, eta2=0.10))
+        _, v_c = threshold_removals(net, PruneParams(eta2=0.10))
         assert v_c == []
 
     def test_dead_fanout_makes_all_w_candidates(self):
@@ -250,7 +269,7 @@ class TestConditionCandidates:
 
 # threshold 4*eta2 = 0.04 lies below every unmasked weight and product in
 # these cases, so only the smallest-product rule applies
-FALLBACK = PruneParams(eta1=0.35, eta2=0.01)
+FALLBACK = PruneParams(eta2=0.01)
 
 
 def fallback_removal(net):

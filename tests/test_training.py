@@ -40,6 +40,9 @@ class TestTrainParams:
             TrainParams(learning_rate=0.0)
         with pytest.raises(ConfigurationError):
             TrainParams(learning_rate=0.1, epochs=-1)
+        for epochs in (2.5, 3.0, True, "3"):
+            with pytest.raises(ConfigurationError, match="epochs must be an integer"):
+                TrainParams(0.1, epochs)
 
     @pytest.mark.parametrize(
         "params,field,value",
