@@ -23,8 +23,10 @@ import numpy as np
 
 from . import synth
 from .data import SPECS, load_bundle
-from .errors import ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError
-from .harness import CONFIG_DEFAULTS, export_dot, finite_float, load_config, run_experiment
+from .errors import (
+    ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError, check_int,
+)
+from .harness import CONFIG_DEFAULTS, export_dot, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams, finite_diff_check, objective
 from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
@@ -33,30 +35,23 @@ from .training import TrainParams, accuracy, descend
 GRADCHECK_TOLERANCE = 1e-5
 
 
-def non_negative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise ValueError(f"{value!r} is negative")
-    return number
-
-
-def positive_float(value: str) -> float:
-    number = finite_float(value)
-    if not number > 0:
-        raise ValueError(f"{value!r} is not above 0")
-    return number
+def architecture(text: str) -> tuple[int, int, int]:
+    """Layer sizes spelled like ``9-3-2``; argparse names this function in
+    its message for a value that does not parse."""
+    n, h, o = (int(x) for x in text.split("-"))
+    return n, h, o
 
 
 def _add_data_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", required=True, choices=sorted(SPECS))
     parser.add_argument("--data", required=True, type=Path, help="benchmark data file")
-    parser.add_argument("--split-seed", type=non_negative_int, default=1)
+    parser.add_argument("--split-seed", type=int, default=1)
 
 
 def _add_penalty_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps1", type=finite_float, default=CONFIG_DEFAULTS["eps1"])
-    parser.add_argument("--eps2", type=finite_float, default=CONFIG_DEFAULTS["eps2"])
-    parser.add_argument("--beta", type=finite_float, default=CONFIG_DEFAULTS["beta"])
+    parser.add_argument("--eps1", type=float, default=CONFIG_DEFAULTS["eps1"])
+    parser.add_argument("--eps2", type=float, default=CONFIG_DEFAULTS["eps2"])
+    parser.add_argument("--beta", type=float, default=CONFIG_DEFAULTS["beta"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_penalty_args(p_train)
     p_train.add_argument("--hidden", type=int, default=CONFIG_DEFAULTS["n_hidden"])
     p_train.add_argument("--epochs", type=int, default=CONFIG_DEFAULTS["epochs"])
-    p_train.add_argument("--lr", type=positive_float, default=CONFIG_DEFAULTS["learning_rate"])
-    p_train.add_argument("--init-range", type=finite_float, default=CONFIG_DEFAULTS["init_range"])
+    p_train.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_train.add_argument("--init-range", type=float, default=CONFIG_DEFAULTS["init_range"])
     p_train.add_argument(
-        "--seed", type=non_negative_int, default=CONFIG_DEFAULTS["init_seed"],
+        "--seed", type=int, default=CONFIG_DEFAULTS["init_seed"],
         help="weight init seed",
     )
     p_train.add_argument("--out", required=True, type=Path, help="network JSON output")
@@ -94,14 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_args(p_prune)
     _add_penalty_args(p_prune)
     p_prune.add_argument("--net", required=True, type=Path)
-    p_prune.add_argument("--eta2", type=finite_float, default=CONFIG_DEFAULTS["eta2"])
+    p_prune.add_argument("--eta2", type=float, default=CONFIG_DEFAULTS["eta2"])
     p_prune.add_argument(
-        "--tolerance", type=finite_float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
+        "--tolerance", type=float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
     )
     p_prune.add_argument(
         "--retrain-epochs", type=int, default=CONFIG_DEFAULTS["retrain_max_epochs"]
     )
-    p_prune.add_argument("--lr", type=positive_float, default=CONFIG_DEFAULTS["learning_rate"])
+    p_prune.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
     p_prune.add_argument("--out", required=True, type=Path)
     p_prune.add_argument("--trace-out", type=Path, default=None, help="JSONL audit log")
 
@@ -117,15 +112,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dot.add_argument("--out", type=Path, default=None, help="default: stdout")
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--seed", type=non_negative_int, default=42)
-    p_grad.add_argument("--step", type=finite_float, default=1e-6)
-    p_grad.add_argument("--arch", default="9-3-2", help="architecture, e.g. 9-3-2")
-    p_grad.add_argument("--examples", type=non_negative_int, default=10)
+    p_grad.add_argument("--seed", type=int, default=42)
+    p_grad.add_argument("--step", type=float, default=1e-6)
+    p_grad.add_argument(
+        "--arch", type=architecture, default="9-3-2", help="architecture, e.g. 9-3-2"
+    )
+    p_grad.add_argument("--examples", type=int, default=10)
 
     p_synth = sub.add_parser("synth-data", help="write stand-in benchmark files")
     p_synth.add_argument("--out", required=True, type=Path)
-    p_synth.add_argument("--seed", type=non_negative_int, default=synth.DEFAULT_SEED)
+    p_synth.add_argument("--seed", type=int, default=synth.DEFAULT_SEED)
 
+    for subparser in sub.choices.values():
+        subparser.set_defaults(usage_error=subparser.error)
     return parser
 
 
@@ -141,7 +140,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_train(args) -> int:
     spec = SPECS[args.dataset]
-    bundle = load_bundle(args.data, spec, args.split_seed)
     config = NetworkConfig(
         n_inputs=spec.n_attributes,
         n_hidden=args.hidden,
@@ -151,6 +149,7 @@ def _cmd_train(args) -> int:
     )
     tparams = TrainParams(learning_rate=args.lr, epochs=args.epochs)
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
+    bundle = load_bundle(args.data, spec, args.split_seed)
     net = init_network(config)
     split = bundle.train
     rows = ["epoch,objective,train_accuracy\n"]
@@ -170,15 +169,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    spec = SPECS[args.dataset]
-    bundle = load_bundle(args.data, spec, args.split_seed)
-    net = deserialize(args.net.read_text(encoding="utf-8"))
     penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
     params = PruneParams(
         eta2=args.eta2,
         accuracy_drop_tolerance=args.tolerance,
         retrain_max_epochs=args.retrain_epochs,
     )
+    bundle = load_bundle(args.data, SPECS[args.dataset], args.split_seed)
+    net = deserialize(args.net.read_text(encoding="utf-8"))
     pruned, trace = eliminate_weights(net, bundle, args.lr, penalty, params)
     pruned = prune_dead_nodes(pruned, trace)
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
@@ -218,13 +216,10 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    try:
-        n, h, o = (int(x) for x in args.arch.split("-"))
-    except ValueError:
-        print(f"error: bad architecture {args.arch!r}, expected like '9-3-2'", file=sys.stderr)
-        return 2
-    rng = np.random.default_rng(args.seed)
+    check_int("examples", args.examples, 1)
+    n, h, o = args.arch
     net = init_network(NetworkConfig(n, h, o, seed=args.seed))
+    rng = np.random.default_rng(args.seed)
     inputs = rng.random((args.examples, n))
     classes = rng.integers(0, o, size=args.examples)
     targets = np.zeros((args.examples, o))
@@ -235,8 +230,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "train": _cmd_train,
@@ -257,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         ShapeError,
         DivergenceError,
     ) as exc:
+        if isinstance(exc, ConfigurationError) and args.command != "run":
+            # only `run` reads a config file, so elsewhere a flag gave the value
+            args.usage_error(str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

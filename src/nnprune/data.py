@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, ParseError
+from .errors import DatasetError, ParseError, check_int
 
 # the fewest records whose split_counts leave no split empty: (2, 1, 1)
 MIN_RECORDS = 4
@@ -199,6 +199,7 @@ def prepare(
     ``raw`` is the ``(values, class_indices)`` pair of :func:`load_raw`;
     NaN in ``values`` marks a missing attribute.
     """
+    check_int("split_seed", split_seed, 0)
     values, class_indices = np.asarray(raw[0], dtype=np.float64), np.asarray(raw[1])
     k = len(values)
     if k == 0:

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the value checks that raise one."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ConfigurationError(ValueError):
@@ -30,3 +30,17 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_float(name: str, value, low: float, high: float, closed: str = "()") -> None:
+    """Raise ConfigurationError naming ``name`` unless ``value`` is a real
+    number (not a bool, not NaN) between ``low`` and ``high``; ``closed``
+    holds the bracket of each end, e.g. ``"[)"`` for ``low <= value < high``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+    left, right = closed
+    if not (
+        (low <= value if left == "[" else low < value)
+        and (value <= high if right == "]" else value < high)
+    ):
+        raise ConfigurationError(f"{name} must be in {left}{low!r}, {high!r}{right}, got {value}")

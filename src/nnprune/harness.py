@@ -11,14 +11,13 @@ and as a human-readable table.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data import SPECS, DatasetSpec, load_bundle
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_int
 from .network import Network, NetworkConfig, init_network, serialize
 from .objective import PenaltyParams
 from .pruning import GrowPruneReport, PruneParams, PruneTrace, derived_seed, grow_and_prune
@@ -45,8 +44,8 @@ class ExperimentConfig:
             )
         if not self.split_seeds:
             raise ConfigurationError("at least one split seed is required")
-        if min(self.split_seeds) < 0:
-            raise ConfigurationError(f"split_seeds must be >= 0, got {self.split_seeds}")
+        for seed in self.split_seeds:
+            check_int("split_seeds", seed, 0)
         repeated = [s for i, s in enumerate(self.split_seeds) if s in self.split_seeds[:i]]
         if repeated:
             raise ConfigurationError(f"split seed {repeated[0]} is listed more than once")
@@ -67,13 +66,18 @@ CONFIG_DEFAULTS = {
     "epochs": 500,
     **asdict(PenaltyParams()),
     **asdict(PruneParams()),
-    "split_seeds": "1,2,3,4,5",
+    "split_seeds": (1, 2, 3, 4, 5),
     "output_dir": "out",
 }
 
 
 def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConfig:
-    """Parse flat ``key = value`` config text ('#' starts a comment)."""
+    """Parse flat ``key = value`` config text ('#' starts a comment).
+
+    A key left out takes its ``CONFIG_DEFAULTS`` value; a value that does
+    not parse raises ConfigurationError naming its key.  Ranges are checked
+    by the parameter classes the values go into.
+    """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,52 +87,24 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
             raise ConfigurationError(f"config line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
-    return config_from_mapping(values, base_dir=base_dir)
 
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    return parse_config_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
-
-
-def finite_float(value) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not finite")
-    return number
-
-
-def _optional_int(value) -> int | None:
-    if value is None or (isinstance(value, str) and value.lower() in ("", "none")):
-        return None
-    return int(value)
-
-
-def _seeds(value) -> tuple[int, ...]:
-    return tuple(int(s) for s in str(value).split(",") if s.strip())
-
-
-def config_from_mapping(values: dict, base_dir: Path | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a key-value mapping, applying defaults.
-
-    Values are spelled as in a config file (``split_seeds`` as ``"1,2,3"``).
-    A value that does not parse raises ConfigurationError naming its key.
-    """
-    known = set(CONFIG_DEFAULTS) | {"dataset", "data_path"}
-    unknown = set(values) - known
+    unknown = set(values) - set(CONFIG_DEFAULTS) - {"dataset", "data_path"}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
     if "dataset" not in values or "data_path" not in values:
         raise ConfigurationError("config must set 'dataset' and 'data_path'")
 
     def get(key, parse):
-        value = values.get(key, CONFIG_DEFAULTS[key])
+        if key not in values:
+            return CONFIG_DEFAULTS[key]
         try:
-            return parse(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"config key {key!r}: invalid value {value!r}") from None
+            return parse(values[key])
+        except ValueError:
+            raise ConfigurationError(
+                f"config key {key!r}: invalid value {values[key]!r}"
+            ) from None
 
-    dataset = str(values["dataset"])
+    dataset = values["dataset"]
     if dataset not in SPECS:
         raise ConfigurationError(f"unknown dataset {dataset!r}; choose from {sorted(SPECS)}")
     spec = SPECS[dataset]
@@ -141,33 +117,46 @@ def config_from_mapping(values: dict, base_dir: Path | None = None) -> Experimen
 
     return ExperimentConfig(
         dataset=dataset,
-        data_path=resolve(str(values["data_path"])),
-        output_dir=resolve(str(get("output_dir", str))),
+        data_path=resolve(values["data_path"]),
+        output_dir=resolve(get("output_dir", str)),
         split_seeds=get("split_seeds", _seeds),
         network=NetworkConfig(
             n_inputs=spec.n_attributes,
             n_hidden=get("n_hidden", int),
             n_outputs=spec.n_classes,
-            init_range=get("init_range", finite_float),
+            init_range=get("init_range", float),
             seed=get("init_seed", int),
         ),
         train=TrainParams(
-            learning_rate=get("learning_rate", finite_float),
+            learning_rate=get("learning_rate", float),
             epochs=get("epochs", int),
         ),
         penalty=PenaltyParams(
-            eps1=get("eps1", finite_float),
-            eps2=get("eps2", finite_float),
-            beta=get("beta", finite_float),
+            eps1=get("eps1", float),
+            eps2=get("eps2", float),
+            beta=get("beta", float),
         ),
         prune=PruneParams(
-            eta2=get("eta2", finite_float),
-            accuracy_drop_tolerance=get("accuracy_drop_tolerance", finite_float),
+            eta2=get("eta2", float),
+            accuracy_drop_tolerance=get("accuracy_drop_tolerance", float),
             retrain_max_epochs=get("retrain_max_epochs", int),
             max_hidden=get("max_hidden", _optional_int),
             max_restarts=get("max_restarts", int),
         ),
     )
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    path = Path(path)
+    return parse_config_text(path.read_text(encoding="utf-8"), base_dir=path.parent)
+
+
+def _optional_int(value: str) -> int | None:
+    return None if value.lower() in ("", "none") else int(value)
+
+
+def _seeds(value: str) -> tuple[int, ...]:
+    return tuple(int(s) for s in value.split(",") if s.strip())
 
 
 @dataclass(frozen=True)
@@ -208,22 +197,14 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         doc = {
-            "config": {
-                "dataset": self.config.dataset,
-                "data_path": str(self.config.data_path),
-                "output_dir": str(self.config.output_dir),
-                "split_seeds": list(self.config.split_seeds),
-                "network": asdict(self.config.network),
-                "train": asdict(self.config.train),
-                "penalty": asdict(self.config.penalty),
-                "prune": asdict(self.config.prune),
-            },
+            "config": asdict(self.config),
             "per_seed": [
                 {"split_seed": r.split_seed, **asdict(r.report)} for r in self.rows
             ],
             "aggregate": self.aggregate(),
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # default=str spells the config's paths
+        return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
 
     def to_text(self) -> str:
         lines = [

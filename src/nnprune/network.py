@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError, ShapeError, check_int
+from .errors import ParseError, ShapeError, check_float, check_int
 
 # init draws from uniform(-r, r), whose width 2r must stay finite
 MAX_INIT_RANGE = float(np.finfo(np.float64).max) / 2
@@ -33,10 +33,7 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         for name in ("n_inputs", "n_hidden", "n_outputs"):
             check_int(name, getattr(self, name), 1)
-        if not 0 < self.init_range <= MAX_INIT_RANGE:
-            raise ConfigurationError(
-                f"init_range must be in (0, {MAX_INIT_RANGE!r}], got {self.init_range}"
-            )
+        check_float("init_range", self.init_range, 0, MAX_INIT_RANGE, "(]")
         check_int("seed", self.seed, 0)
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError
+from .errors import ShapeError, check_float
 from .network import Network, forward_batch
 
 # Outputs are clamped to [LOG_CLAMP, 1 - LOG_CLAMP] before taking logs so the
@@ -62,12 +62,9 @@ class PenaltyParams:
     beta: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("eps1", "eps2"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
-        if not 0 < self.beta < math.inf:
-            raise ConfigurationError(f"beta must be finite and > 0, got {self.beta}")
+        check_float("eps1", self.eps1, 0, math.inf, "[)")
+        check_float("eps2", self.eps2, 0, math.inf, "[)")
+        check_float("beta", self.beta, 0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -276,8 +273,7 @@ def finite_diff_check(
     a large step (say 0.5) inflates truncation error and can push the
     reported error past any sensible tolerance.
     """
-    if not step > 0:
-        raise ConfigurationError(f"step must be > 0, got {step}")
+    check_float("step", step, 0, math.inf)
     analytic = gradients(net, inputs, targets, params)
     work = net.copy()
     worst = 0.0

@@ -23,13 +23,14 @@ restarting from fresh weights when generalization fails.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
 
 import numpy as np
 
 from .data import DatasetBundle
-from .errors import ConfigurationError, check_int
+from .errors import ParseError, check_float, check_int
 from .network import Network, NetworkConfig, init_network, serialize
 from .objective import PenaltyParams
 from .training import TrainParams, accuracy, retrain, train
@@ -57,10 +58,8 @@ class PruneParams:
     max_restarts: int = 3
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta2 < 0.5:
-            raise ConfigurationError(f"eta2 must be in (0, 0.5), got {self.eta2}")
-        if not 0.0 <= self.accuracy_drop_tolerance <= 1.0:
-            raise ConfigurationError("accuracy_drop_tolerance must be in [0, 1]")
+        check_float("eta2", self.eta2, 0, 0.5)
+        check_float("accuracy_drop_tolerance", self.accuracy_drop_tolerance, 0, 1, "[]")
         check_int("retrain_max_epochs", self.retrain_max_epochs, 0)
         check_int("max_restarts", self.max_restarts, 1)
         if self.max_hidden is not None:
@@ -123,16 +122,20 @@ class PruneTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "PruneTrace":
+        """Parse :meth:`to_jsonl` output; a malformed line raises ParseError
+        naming its 1-based line number."""
         trace = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
                 continue
-            doc = json.loads(line)
-            if doc.pop("type") == "snapshot":
-                trace.snapshots[int(doc["batch"])] = json.dumps(doc["network"], sort_keys=True)
-            else:
-                trace.events.append(RemovalEvent(**{**doc, "indices": tuple(doc["indices"])}))
+            try:
+                doc = json.loads(line)
+                if doc.pop("type") == "snapshot":
+                    trace.snapshots[int(doc["batch"])] = json.dumps(doc["network"], sort_keys=True)
+                else:
+                    trace.events.append(RemovalEvent(**{**doc, "indices": tuple(doc["indices"])}))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"trace line {lineno}: {type(exc).__name__}: {exc}") from None
         return trace
 
 
@@ -186,6 +189,7 @@ def eliminate_weights(
     rolled back exactly.  The returned network is the last one that met the
     floor.
     """
+    check_float("lr", lr, 0, math.inf)
     current = net.copy()
     if floor is None:
         baseline = accuracy(current, bundle.validation)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import check_int
+
 FILENAMES = {
     "cancer1": "breast-cancer-wisconsin.data",
     "glass": "glass.data",
@@ -182,6 +184,7 @@ def write_benchmark(name: str, path: str | Path, seed: int = DEFAULT_SEED) -> Pa
 
 def write_all(out_dir: str | Path, seed: int = DEFAULT_SEED) -> dict[str, Path]:
     """Write all three stand-in files into ``out_dir`` under their usual names."""
+    check_int("seed", seed, 0)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return {

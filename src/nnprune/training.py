@@ -41,7 +41,7 @@ from itertools import count, islice
 import numpy as np
 
 from .data import Split
-from .errors import ConfigurationError, DatasetError, DivergenceError, check_int
+from .errors import DatasetError, DivergenceError, check_float, check_int
 from .network import Network, classify_batch
 from .objective import (
     Gradients,
@@ -62,10 +62,7 @@ class TrainParams:
     epochs: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigurationError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
+        check_float("learning_rate", self.learning_rate, 0, math.inf)
         check_int("epochs", self.epochs, 0)
 
 
@@ -81,6 +78,7 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
     Raises DivergenceError naming the epoch if the objective becomes
     non-finite.  ``split`` must not be empty.
     """
+    check_float("lr", lr, 0, math.inf)
     step = lr / len(split)
     weights = net.pack()
     masked = net.masked_positions()
@@ -143,8 +141,9 @@ def retrain(
     Returns the (possibly unchanged) network copy and whether the floor was
     met.  A network already at or above the floor is returned immediately.
     """
-    if not 0.0 <= floor <= 1.0:
-        raise ConfigurationError(f"floor must be in [0, 1], got {floor}")
+    check_float("lr", lr, 0, math.inf)
+    check_float("floor", floor, 0, 1, "[]")
+    check_int("max_epochs", max_epochs, 0)
     net = net.copy()
     if accuracy(net, val_split) >= floor:
         return net, True

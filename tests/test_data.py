@@ -7,10 +7,12 @@ from nnprune import (
     CANCER1,
     DIABETES,
     GLASS,
+    ConfigurationError,
     DatasetError,
     DatasetSpec,
     ParseError,
     Split,
+    load_bundle,
     load_raw,
     prepare,
 )
@@ -144,6 +146,11 @@ class TestPrepare:
             assert np.all(split.targets.sum(axis=1) == 1.0)
             assert set(np.unique(split.targets)) <= {0.0, 1.0}
             assert np.array_equal(split.targets.argmax(axis=1), split.class_indices)
+
+    @pytest.mark.parametrize("split_seed", [-1, 1.5, True])
+    def test_bad_split_seed_rejected(self, cancer_file, split_seed):
+        with pytest.raises(ConfigurationError, match="split_seed must be"):
+            load_bundle(cancer_file, CANCER1, split_seed)
 
     def test_deterministic(self, cancer_file):
         raw = load_raw(cancer_file, CANCER1)

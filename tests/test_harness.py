@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,10 @@ from nnprune import (
     init_network,
     objective,
     run_experiment,
+    serialize,
     train,
 )
-from nnprune.cli import main
+from nnprune.cli import _build_parser, main
 from nnprune.harness import load_config, parse_config_text
 from nnprune.pruning import KIND_HIDDEN_NODE, KIND_INPUT_NODE, PruneTrace
 
@@ -93,7 +96,8 @@ class TestConfigParsing:
             "eps1 = abc",
             "max_hidden = x",
             "split_seeds = 1,a",
-            "eps2 = inf",
+            "epochs = 2.5",
+            "n_hidden = True",
         ],
     )
     def test_unparsable_value_names_key(self, line):
@@ -108,6 +112,7 @@ class TestConfigParsing:
             ("init_seed = -1", "seed must be >= 0"),
             ("init_range = 1e308", "init_range must be in"),
             ("split_seeds = 1,2,1", "split seed 1 is listed more than once"),
+            ("eps2 = inf", "eps2 must be in"),
         ],
     )
     def test_out_of_range_value_rejected(self, line, message):
@@ -217,6 +222,31 @@ class TestRunExperiment:
         assert trace.events
 
 
+# (command, flag, out-of-range value, what stderr says about it)
+FLAG_CASES = [
+    ("train", "--eps1", "nan", "eps1 must be in"),
+    ("train", "--eps2", "inf", "eps2 must be in"),
+    ("train", "--beta", "inf", "beta must be in"),
+    ("train", "--lr", "inf", "learning_rate must be in"),
+    ("train", "--init-range", "inf", "init_range must be in"),
+    ("train", "--split-seed", "-1", "split_seed must be >= 0"),
+    ("train", "--seed", "-1", "seed must be >= 0"),
+    ("prune", "--eta2", "nan", "eta2 must be in"),
+    ("prune", "--eta2", "inf", "eta2 must be in"),
+    ("prune", "--tolerance", "nan", "accuracy_drop_tolerance must be in"),
+    ("prune", "--lr", "nan", "lr must be in"),
+    ("gradcheck", "--step", "nan", "step must be in"),
+    ("gradcheck", "--seed", "-1", "seed must be >= 0"),
+    ("gradcheck", "--examples", "-1", "examples must be >= 1"),
+    ("synth-data", "--seed", "-1", "seed must be >= 0"),
+    ("train", "--lr", "0", "learning_rate must be in"),
+    ("prune", "--lr", "-1", "lr must be in"),
+    ("run", "--jobs", "0", "argument --jobs: invalid choice"),
+    ("run", "--jobs", "-3", "argument --jobs: invalid choice"),
+    ("run", "--jobs", "2", "argument --jobs: invalid choice"),
+]
+
+
 class TestCli:
     def test_synth_data(self, tmp_path, capsys):
         assert main(["synth-data", "--out", str(tmp_path / "d")]) == 0
@@ -297,37 +327,19 @@ class TestCli:
         assert not out.exists() and not csv.exists()
 
     @pytest.mark.parametrize(
-        "command,flag,value",
-        [
-            ("train", "--eps1", "nan"),
-            ("train", "--eps2", "inf"),
-            ("train", "--beta", "inf"),
-            ("train", "--lr", "inf"),
-            ("train", "--init-range", "inf"),
-            ("train", "--split-seed", "-1"),
-            ("train", "--seed", "-1"),
-            ("prune", "--eta2", "nan"),
-            ("prune", "--eta2", "inf"),
-            ("prune", "--tolerance", "nan"),
-            ("prune", "--lr", "nan"),
-            ("gradcheck", "--step", "nan"),
-            ("gradcheck", "--seed", "-1"),
-            ("gradcheck", "--examples", "-1"),
-            ("synth-data", "--seed", "-1"),
-            ("train", "--lr", "0"),
-            ("prune", "--lr", "-1"),
-            ("run", "--jobs", "0"),
-            ("run", "--jobs", "-3"),
-            ("run", "--jobs", "2"),
-        ],
+        "command,flag,value,message",
+        FLAG_CASES,
+        ids=["-".join(case[:3]) for case in FLAG_CASES],
     )
     def test_out_of_range_flag_is_usage_error(
-        self, command, flag, value, cancer_file, tmp_path, capsys
+        self, command, flag, value, message, cancer_file, tmp_path, capsys
     ):
+        net = tmp_path / "n.json"
+        net.write_text(serialize(init_network(NetworkConfig(9, 3, 2))), encoding="utf-8")
         data = ["--dataset", "cancer1", "--data", str(cancer_file)]
         required = {
-            "train": data + ["--out", str(tmp_path / "n.json")],
-            "prune": data + ["--net", str(tmp_path / "n.json"), "--out", str(tmp_path / "p.json")],
+            "train": data + ["--out", str(tmp_path / "t.json")],
+            "prune": data + ["--net", str(net), "--out", str(tmp_path / "p.json")],
             "gradcheck": [],
             "synth-data": ["--out", str(tmp_path / "d")],
             "run": ["--config", str(tmp_path / "exp.conf")],
@@ -335,7 +347,8 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main([command, *required[command], flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["n.json"]
 
     def test_prune_has_no_eta1_flag(self, cancer_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -458,4 +471,88 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_bad_arch_gradcheck(self, capsys):
-        assert main(["gradcheck", "--arch", "nonsense"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--arch", "nonsense"])
+        assert exc.value.code == 2
+        assert "argument --arch: invalid architecture value: 'nonsense'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arch,message",
+        [
+            ("9-x-2", "argument --arch: invalid architecture value: '9-x-2'"),
+            ("9-3", "argument --arch: invalid architecture value: '9-3'"),
+            ("9-3-2-1", "argument --arch: invalid architecture value: '9-3-2-1'"),
+            ("0-3-2", "error: n_inputs must be >= 1, got 0"),
+            ("9-3-0", "error: n_outputs must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_arch_names_the_problem(self, arch, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--arch", arch])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _numeric_flags():
+    """(command, flag, type) of every int and float option of the CLI."""
+    return [
+        (command, action.option_strings[-1], action.type)
+        for command, parser in _subcommands().items()
+        for action in parser._actions
+        if action.type in (int, float)
+    ]
+
+
+# Parameter each flag feeds where the name differs from the flag's.
+_PARAMETER = {
+    "--hidden": "n_hidden",
+    "--lr": "(learning_rate|lr)",
+    "--tolerance": "accuracy_drop_tolerance",
+    "--retrain-epochs": "retrain_max_epochs",
+}
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "command,flag,kind", _numeric_flags(), ids=lambda v: getattr(v, "__name__", v)
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, command, flag, kind, cancer_file, tmp_path, capsys
+    ):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        net = inputs / "n.json"
+        net.write_text(serialize(init_network(NetworkConfig(9, 3, 2))), encoding="utf-8")
+        conf = inputs / "exp.conf"
+        conf.write_text(
+            f"dataset = cancer1\ndata_path = {cancer_file}\noutput_dir = {tmp_path / 'out'}\n"
+            "split_seeds = 1\nepochs = 1\n"
+        )
+        given = {
+            "--dataset": "cancer1",
+            "--data": str(cancer_file),
+            "--net": str(net),
+            "--config": str(conf),
+            "--out": str(tmp_path / "out"),
+        }
+        required = [
+            arg
+            for action in _subcommands()[command]._actions
+            if action.required
+            for arg in (action.option_strings[-1], given[action.option_strings[-1]])
+        ]
+        value = "-1" if kind is int else "nan"
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        name = _PARAMETER.get(flag, flag.lstrip("-").replace("-", "_"))
+        assert re.search(rf"error: ({name} must be|argument {flag}: invalid)", err), err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before

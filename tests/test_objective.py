@@ -222,6 +222,13 @@ class TestGradients:
         with pytest.raises(ConfigurationError):
             finite_diff_check(net, x, t, PenaltyParams(), step=0.0)
 
+    @pytest.mark.parametrize("step", [-1e-6, math.inf, math.nan, "1e-6"])
+    def test_step_outside_range_named(self, step):
+        net = init_network(NetworkConfig(3, 2, 2, seed=9))
+        x, t = make_batch(3, 2, 4, seed=9)
+        with pytest.raises(ConfigurationError, match="step must be"):
+            finite_diff_check(net, x, t, PenaltyParams(), step=step)
+
     def test_batch_permutation_invariance(self):
         net = init_network(NetworkConfig(5, 3, 3, seed=13))
         x, t = make_batch(5, 3, 12, seed=13)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from nnprune import (
     ConfigurationError,
     DatasetBundle,
     NetworkConfig,
+    ParseError,
     PenaltyParams,
     PruneParams,
     PruneTrace,
@@ -331,6 +334,13 @@ class TestEliminateWeights:
         assert all(e.rolled_back for e in trace.events)
         assert trace.n_removed_weights() == 0
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan])
+    def test_bad_lr_rejected(self, lr):
+        bundle = halfplane_bundle(seed=1)
+        net = init_network(NetworkConfig(2, 1, 2, seed=1))
+        with pytest.raises(ConfigurationError, match="lr must be in"):
+            eliminate_weights(net, bundle, lr, PEN, PruneParams())
+
     def test_monotone_sparsity_and_trace_completeness(self, cancer_bundle):
         net = train(
             init_network(NetworkConfig(9, 3, 2, seed=5)),
@@ -455,6 +465,21 @@ class TestTraceSerialization:
         back = PruneTrace.from_jsonl(trace.to_jsonl())
         assert back.events == trace.events
         assert back.snapshots == trace.snapshots
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "not json",
+            '{"batch": 1}',
+            '{"type": "removal", "kind": "weight-w", "trigger": "smallest-product", "batch": 0}',
+            '{"type": "snapshot", "batch": "x", "network": {}}',
+            "[1, 2]",
+        ],
+    )
+    def test_malformed_line_names_line(self, bad):
+        good = RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_SMALLEST, 0).to_json()
+        with pytest.raises(ParseError, match=r"^trace line 3: "):
+            PruneTrace.from_jsonl(f"{good}\n\n{bad}\n{good}\n")
 
 
 class TestGrowAndPrune:

@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+from nnprune import ConfigurationError
+
 from nnprune.synth import (
     FILENAMES,
     write_all,
@@ -84,6 +86,11 @@ class TestWriteAll:
         for name, path in paths.items():
             assert path.name == FILENAMES[name]
             assert path.is_file()
+
+    def test_negative_seed_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            write_all(tmp_path / "data", seed=-1)
+        assert not (tmp_path / "data").exists()
 
     def test_unknown_benchmark(self, tmp_path):
         with pytest.raises(KeyError):

@@ -12,6 +12,7 @@ from nnprune import (
     DivergenceError,
     NetworkConfig,
     PenaltyParams,
+    PruneParams,
     Split,
     TrainParams,
     accuracy,
@@ -57,8 +58,33 @@ class TestTrainParams:
         with pytest.raises(ConfigurationError, match=field):
             params(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, "0.1", None])
+    @pytest.mark.parametrize(
+        "make,field",
+        [
+            (TrainParams, "learning_rate"),
+            (PenaltyParams, "eps1"),
+            (PenaltyParams, "eps2"),
+            (PenaltyParams, "beta"),
+            (PruneParams, "eta2"),
+            (PruneParams, "accuracy_drop_tolerance"),
+            (lambda **kw: NetworkConfig(1, 1, 1, **kw), "init_range"),
+        ],
+    )
+    def test_non_number_in_float_field_rejected(self, make, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
+            make(**{field: value})
+
 
 class TestTrain:
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_descend_rejects_bad_lr_before_any_update(self, lr):
+        net = init_network(NetworkConfig(4, 3, 2, seed=1))
+        before = net.copy()
+        with pytest.raises(ConfigurationError, match="lr must be in"):
+            next(descend(net, toy_split(), lr, PenaltyParams()))
+        assert np.array_equal(net.w, before.w) and np.array_equal(net.v, before.v)
+
     def test_zero_epochs_identity(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=1))
         split = toy_split()
@@ -406,6 +432,21 @@ class TestRetrain:
                 net, empty, toy_split(seed=15), 0.1, PenaltyParams(),
                 floor=1.0, max_epochs=5,
             )
+
+    @pytest.mark.parametrize("floor", [0.0, 1.0])  # met at once, and never met
+    @pytest.mark.parametrize("lr", [-1.0, math.nan])
+    def test_bad_lr_rejected(self, lr, floor):
+        net = init_network(NetworkConfig(4, 2, 2, seed=15))
+        split = toy_split(seed=15)
+        with pytest.raises(ConfigurationError, match="lr must be in"):
+            retrain(net, split, split, lr, PenaltyParams(), floor=floor, max_epochs=5)
+
+    @pytest.mark.parametrize("max_epochs", [-3, 2.5, True])
+    def test_bad_max_epochs_rejected(self, max_epochs):
+        net = init_network(NetworkConfig(4, 2, 2, seed=15))
+        split = toy_split(seed=15)
+        with pytest.raises(ConfigurationError, match="max_epochs must be"):
+            retrain(net, split, split, 0.1, PenaltyParams(), floor=1.0, max_epochs=max_epochs)
 
     def test_floor_validation(self):
         net = init_network(NetworkConfig(4, 2, 2, seed=15))
