@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .data import SPECS, load_bundle
+from .data import SPECS, Split, load_bundle
 from .errors import (
     ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError, check_int,
 )
@@ -155,7 +155,7 @@ def _cmd_train(args) -> int:
     rows = ["epoch,objective,train_accuracy\n"]
     for epoch in islice(descend(net, split, tparams.learning_rate, penalty), tparams.epochs):
         if args.trace is not None:
-            theta = objective(net, split.examples, split.targets, penalty)
+            theta = objective(net, split, penalty)
             rows.append(f"{epoch},{theta!r},{accuracy(net, split)!r}\n")
     args.out.write_text(serialize(net) + "\n", encoding="utf-8")
     if args.trace is not None:
@@ -220,11 +220,8 @@ def _cmd_gradcheck(args) -> int:
     n, h, o = args.arch
     net = init_network(NetworkConfig(n, h, o, seed=args.seed))
     rng = np.random.default_rng(args.seed)
-    inputs = rng.random((args.examples, n))
-    classes = rng.integers(0, o, size=args.examples)
-    targets = np.zeros((args.examples, o))
-    targets[np.arange(args.examples), classes] = 1.0
-    worst = finite_diff_check(net, inputs, targets, PenaltyParams(), step=args.step)
+    batch = Split(rng.random((args.examples, n)), rng.integers(0, o, size=args.examples), o)
+    worst = finite_diff_check(net, batch, PenaltyParams(), step=args.step)
     print(f"max relative error: {worst:.3e}")
     return 0 if worst < GRADCHECK_TOLERANCE else 1
 

@@ -1,6 +1,7 @@
 """Benchmark dataset ingestion: parsing, imputation, normalization, splits.
 
-Three comma-separated benchmark formats are supported:
+Three comma-separated benchmark formats are supported, each with the class
+label as the last field of a record:
 
 * ``cancer1``  - id, 9 integer attributes in 1..10 (``?`` marks missing),
   class label 2 (benign) or 4 (malignant);
@@ -16,13 +17,14 @@ partition sizes (Prechelt, 1994) of all three files: 350/175/174 for the
 for the 214 glass records.
 Imputation (attribute mean) and min-max normalization to [0,1] are fitted
 on the training split only; validation and test values are clamped into
-[0,1] with the training statistics.
+[0,1] with the training statistics.  Each :class:`Split` derives its
+one-hot training targets from its class indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,20 +44,14 @@ class DatasetSpec:
     name: str
     n_attributes: int
     n_classes: int
-    class_column: int                  # index into the raw comma-separated fields
     class_label_map: dict[str, int]    # label text -> class index
     id_column: int | None = None
-
-    @property
-    def n_columns(self) -> int:
-        return self.n_attributes + 1 + (1 if self.id_column is not None else 0)
 
 
 CANCER1 = DatasetSpec(
     name="cancer1",
     n_attributes=9,
     n_classes=2,
-    class_column=10,
     class_label_map={"2": 0, "4": 1},
     id_column=0,
 )
@@ -64,7 +60,6 @@ GLASS = DatasetSpec(
     name="glass",
     n_attributes=9,
     n_classes=6,
-    class_column=10,
     class_label_map={"1": 0, "2": 1, "3": 2, "5": 3, "6": 4, "7": 5},
     id_column=0,
 )
@@ -73,7 +68,6 @@ DIABETES = DatasetSpec(
     name="diabetes",
     n_attributes=8,
     n_classes=2,
-    class_column=8,
     class_label_map={"0": 0, "1": 1},
     id_column=None,
 )
@@ -83,37 +77,32 @@ SPECS = {s.name: s for s in (CANCER1, GLASS, DIABETES)}
 
 @dataclass
 class Split:
-    """Normalized examples with one-hot targets for one partition.
+    """Normalized examples and their class indices for one partition.
 
-    Construction checks that the examples are finite, that every target
-    row is one-hot with entries 0.0 and 1.0, and that its 1.0 sits at the
-    row's class index; training relies on these to bound the objective.
+    Construction checks that the examples are finite and that every class
+    index is an integer in ``[0, n_classes)``, then derives ``targets``, one
+    one-hot row of 0.0 and 1.0 per index; training relies on both.
     """
 
     examples: np.ndarray       # float64 [k, n], values in [0, 1]
-    targets: np.ndarray        # float64 [k, o], one-hot rows
-    class_indices: np.ndarray  # int64 [k]
+    class_indices: np.ndarray  # int64 [k], each in [0, n_classes)
+    n_classes: int
+    targets: np.ndarray = field(init=False, repr=False)  # float64 [k, n_classes], one-hot
 
     def __post_init__(self) -> None:
-        k = self.examples.shape[:1]
-        if (
-            self.examples.ndim != 2
-            or self.targets.ndim != 2
-            or self.targets.shape[:1] != k
-            or self.class_indices.shape != k
-        ):
+        if self.examples.ndim != 2 or self.class_indices.shape != self.examples.shape[:1]:
             raise DatasetError(
                 f"split shapes disagree: examples {self.examples.shape}, "
-                f"targets {self.targets.shape}, class indices {self.class_indices.shape}"
+                f"class indices {self.class_indices.shape}"
             )
         if not np.isfinite(self.examples).all():
             raise DatasetError("split examples must be finite")
         if not (
-            np.isin(self.targets, (0.0, 1.0)).all() and (self.targets.sum(axis=1) == 1.0).all()
+            np.issubdtype(self.class_indices.dtype, np.integer)
+            and ((self.class_indices >= 0) & (self.class_indices < self.n_classes)).all()
         ):
-            raise DatasetError("split targets must be one-hot rows of 0.0 and 1.0")
-        if len(self) and not np.array_equal(self.targets.argmax(axis=1), self.class_indices):
-            raise DatasetError("split targets disagree with the class indices")
+            raise DatasetError(f"class indices must be integers in [0, {self.n_classes})")
+        self.targets = np.eye(self.n_classes)[self.class_indices]
 
     def __len__(self) -> int:
         return self.examples.shape[0]
@@ -143,6 +132,7 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarra
     is rejected with DatasetError naming the file and the count.
     """
     path = Path(path)
+    n_columns = spec.n_attributes + 1 + (spec.id_column is not None)  # the label is last
     rows: list[list[float]] = []
     class_indices: list[int] = []
     with path.open("r", encoding="utf-8") as fh:
@@ -152,11 +142,11 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarra
                 continue
             where = f"{path.name} line {lineno}"
             fields = [f.strip() for f in line.split(",")]
-            if len(fields) != spec.n_columns:
-                raise ParseError(f"{where}: expected {spec.n_columns} fields, got {len(fields)}")
+            if len(fields) != n_columns:
+                raise ParseError(f"{where}: expected {n_columns} fields, got {len(fields)}")
             row = []
-            for i, value in enumerate(fields):
-                if i == spec.class_column or i == spec.id_column:
+            for i, value in enumerate(fields[:-1]):
+                if i == spec.id_column:
                     continue
                 if value == MISSING_MARKER:
                     row.append(math.nan)
@@ -168,7 +158,7 @@ def load_raw(path: str | Path, spec: DatasetSpec) -> tuple[np.ndarray, np.ndarra
                 if not math.isfinite(number):
                     raise ParseError(f"{where}: non-finite attribute {value!r}")
                 row.append(number)
-            label = fields[spec.class_column]
+            label = fields[-1]
             if label not in spec.class_label_map:
                 raise ParseError(f"{where}: class label {label!r} not in the label map")
             rows.append(row)
@@ -194,7 +184,7 @@ def prepare(
     spec: DatasetSpec,
     split_seed: int,
 ) -> DatasetBundle:
-    """Shuffle, partition, impute, normalize, and one-hot encode records.
+    """Shuffle, partition, impute and normalize records into three splits.
 
     ``raw`` is the ``(values, class_indices)`` pair of :func:`load_raw`;
     NaN in ``values`` marks a missing attribute.
@@ -211,11 +201,6 @@ def prepare(
         )
     if np.isinf(values).any():
         raise DatasetError("attribute values must be finite, or NaN where missing")
-    if not (
-        np.issubdtype(class_indices.dtype, np.integer)
-        and ((class_indices >= 0) & (class_indices < spec.n_classes)).all()
-    ):
-        raise DatasetError(f"class indices must be integers in [0, {spec.n_classes})")
 
     order = np.random.default_rng(split_seed).permutation(k)
     values, class_indices = values[order], class_indices[order]
@@ -236,18 +221,11 @@ def prepare(
         x = (x - lo) / span
     x[:, span == 0] = 0.0  # attribute constant on train: normalize to 0.0
     x = np.clip(x, 0.0, 1.0)
-    targets = np.eye(spec.n_classes)[class_indices]
-    splits = [
-        Split(examples=x[part], targets=targets[part], class_indices=class_indices[part])
+    splits = (
+        Split(x[part], class_indices[part], spec.n_classes)
         for part in (slice(n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, k))
-    ]
-    return DatasetBundle(
-        train=splits[0],
-        validation=splits[1],
-        test=splits[2],
-        normalization=(lo, hi),
-        imputation=means,
     )
+    return DatasetBundle(*splits, normalization=(lo, hi), imputation=means)
 
 
 def load_bundle(path: str | Path, spec: DatasetSpec, split_seed: int) -> DatasetBundle:

@@ -42,6 +42,12 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown dataset {self.dataset!r}; choose from {sorted(SPECS)}"
             )
+        net, spec = self.network, self.spec
+        if (net.n_inputs, net.n_outputs) != (spec.n_attributes, spec.n_classes):
+            raise ConfigurationError(
+                f"network {net.n_inputs}-{net.n_hidden}-{net.n_outputs} does not fit "
+                f"{spec.name}: it needs {spec.n_attributes} inputs and {spec.n_classes} outputs"
+            )
         if not self.split_seeds:
             raise ConfigurationError("at least one split seed is required")
         for seed in self.split_seeds:

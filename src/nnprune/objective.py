@@ -11,6 +11,11 @@ pulls small weights toward zero while leaving large weights nearly alone,
 which is what makes magnitude-based weight elimination effective after
 training.
 
+A batch is a :class:`~nnprune.data.Split`, which derives its one-hot
+targets from its class indices.  :func:`objective`, :func:`data_gradients`,
+:func:`gradients` and :func:`finite_diff_check` take one and raise
+ShapeError when its attribute or class count does not fit the network.
+
 The data gradient is taken from a :class:`ForwardPass` instead of a pass of
 its own: :func:`forward_pass` runs one, and the trainer keeps the pass of
 its last update for the next gradient.  :func:`objective` returns theta
@@ -19,17 +24,14 @@ alone.  A training epoch needs theta only to detect divergence, so it asks
 the weights without computing it, and falls back to :func:`objective` only
 when that proof fails.
 
-The trainer works on a packed network (:meth:`Network.pack`): every weight
-in one vector, w's entries and then v's.  So :class:`Gradients` holds one
-vector in that layout with w- and v-shaped views of it,
-:func:`data_gradients` can write into a :class:`Gradients` kept across
-epochs, and :func:`penalty_gradients` and :func:`theta_certainly_finite`
-take any array of weights, elementwise, so the trainer calls each once per
-epoch on the packed vector.  :func:`data_gradients` and
-:func:`penalty_gradients` return raw gradients (the trainer pins masked
-weights once after its update); :func:`gradients`, the full gradient,
-zeroes masked entries.  A central finite-difference checker serves as an
-independent oracle for the analytic gradients.
+The trainer works on a packed network (:meth:`Network.pack`), so
+:class:`Gradients` holds one vector in that layout, which
+:func:`data_gradients` can write into across epochs, and
+:func:`penalty_gradients` and :func:`theta_certainly_finite` take any
+array of weights, elementwise.  Both gradients leave masked entries raw
+(the trainer pins masked weights after its update); :func:`gradients`, the
+full gradient, zeroes them.  A central finite-difference checker serves as
+an independent oracle for the analytic gradients.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Split
 from .errors import ShapeError, check_float
 from .network import Network, forward_batch
 
@@ -96,16 +99,12 @@ class Gradients:
         return cls(flat, *net.views(flat))
 
 
-def _check_batch(net: Network, inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != net.n_inputs:
-        raise ShapeError(f"inputs shape {inputs.shape}, expected (k, {net.n_inputs})")
-    if targets.shape != (inputs.shape[0], net.n_outputs):
+def _check_batch(net: Network, batch: Split) -> None:
+    if (batch.examples.shape[1], batch.n_classes) != (net.n_inputs, net.n_outputs):
         raise ShapeError(
-            f"targets shape {targets.shape}, expected ({inputs.shape[0]}, {net.n_outputs})"
+            f"batch of {batch.examples.shape[1]} attributes and {batch.n_classes} classes "
+            f"does not fit a network of {net.n_inputs} inputs and {net.n_outputs} outputs"
         )
-    return inputs, targets
 
 
 def cross_entropy(preds: np.ndarray, targets: np.ndarray) -> float:
@@ -146,18 +145,13 @@ def forward_pass(net: Network, inputs: np.ndarray) -> ForwardPass:
     return ForwardPass(hidden=hidden, preds=preds)
 
 
-def objective(
-    net: Network,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    params: PenaltyParams,
-) -> float:
+def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
     """theta = cross-entropy over the batch + weight penalty."""
-    inputs, targets = _check_batch(net, inputs, targets)
-    if inputs.shape[0] == 0:
+    _check_batch(net, batch)
+    if len(batch) == 0:
         raise ShapeError("batch must be nonempty")
-    _, preds = forward_batch(net, inputs)
-    return cross_entropy(preds, targets) + penalty(net, params)
+    _, preds = forward_batch(net, batch.examples)
+    return cross_entropy(preds, batch.targets) + penalty(net, params)
 
 
 def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: PenaltyParams) -> bool:
@@ -165,10 +159,10 @@ def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: Penalty
 
     ``weights`` holds every weight of the network, in any shape (the
     trainer passes its packed vector).  ``at`` must be the forward pass of
-    that network on a batch whose targets are one-hot rows of 0.0 and 1.0
-    (every :class:`~nnprune.data.Split` is).  True means
-    ``objective(net, ...)`` is finite; False proves nothing.  The argument,
-    with S the sum of all squared weights and N the number of weights:
+    that network on a :class:`~nnprune.data.Split`, whose targets are
+    one-hot rows of 0.0 and 1.0 by construction.  True means ``objective``
+    is finite there; False proves nothing.  The argument, with S the sum of
+    all squared weights and N the number of weights:
 
     * no NaN in the outputs: every clamped log term is at most
       CROSS_ENTROPY_TERM_MAX, so the cross-entropy is at most that times
@@ -197,28 +191,27 @@ def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: Penalty
 
 def data_gradients(
     net: Network,
-    inputs: np.ndarray,
-    targets: np.ndarray,
+    batch: Split,
     at: ForwardPass,
     out: Gradients | None = None,
 ) -> Gradients:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
-    ``at`` must be the forward pass of ``net`` over ``inputs`` for its
-    current weights; it is differentiated, no pass is run here.  The
+    ``at`` must be the forward pass of ``net`` over ``batch.examples`` for
+    its current weights; it is differentiated, no pass is run here.  The
     gradient is written into ``out`` (``Gradients.like(net)``) when given,
     else into new storage, and returned.
     """
-    inputs, targets = _check_batch(net, inputs, targets)
-    if at.preds.shape != targets.shape:
+    _check_batch(net, batch)
+    if at.preds.shape != batch.targets.shape:
         raise ShapeError(
-            f"evaluation outputs {at.preds.shape} do not match targets {targets.shape}"
+            f"evaluation outputs {at.preds.shape} do not match targets {batch.targets.shape}"
         )
     grad = Gradients.like(net) if out is None else out
-    d_out = at.preds - targets                   # dF/d(pre-logistic), [k, o]
+    d_out = at.preds - batch.targets             # dF/d(pre-logistic), [k, o]
     np.matmul(d_out.T, at.hidden, out=grad.d_v)  # [o, h]
     d_hidden = (d_out @ net.v) * (1.0 - at.hidden ** 2)
-    np.matmul(d_hidden.T, inputs, out=grad.d_w)  # [h, n]
+    np.matmul(d_hidden.T, batch.examples, out=grad.d_w)  # [h, n]
     return grad
 
 
@@ -239,25 +232,17 @@ def penalty_gradients(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
         )
 
 
-def gradients(
-    net: Network,
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    params: PenaltyParams,
-) -> Gradients:
+def gradients(net: Network, batch: Split, params: PenaltyParams) -> Gradients:
     """Analytic gradient of the full objective, masked entries zeroed."""
-    grad = data_gradients(net, inputs, targets, forward_pass(net, inputs))
-    grad.d_w += penalty_gradients(net.w, params)
-    grad.d_v += penalty_gradients(net.v, params)
-    grad.d_w[~net.w_mask] = 0.0
-    grad.d_v[~net.v_mask] = 0.0
+    grad = data_gradients(net, batch, forward_pass(net, batch.examples))
+    grad.flat += penalty_gradients(np.concatenate((net.w.ravel(), net.v.ravel())), params)
+    grad.flat[net.masked_positions()] = 0.0
     return grad
 
 
 def finite_diff_check(
     net: Network,
-    inputs: np.ndarray,
-    targets: np.ndarray,
+    batch: Split,
     params: PenaltyParams,
     step: float = 1e-6,
 ) -> float:
@@ -274,7 +259,7 @@ def finite_diff_check(
     reported error past any sensible tolerance.
     """
     check_float("step", step, 0, math.inf)
-    analytic = gradients(net, inputs, targets, params)
+    analytic = gradients(net, batch, params)
     work = net.copy()
     worst = 0.0
     for matrix, mask, grad in (
@@ -285,9 +270,9 @@ def finite_diff_check(
             i, j = idx
             saved = matrix[i, j]
             matrix[i, j] = saved + step
-            plus = objective(work, inputs, targets, params)
+            plus = objective(work, batch, params)
             matrix[i, j] = saved - step
-            minus = objective(work, inputs, targets, params)
+            minus = objective(work, batch, params)
             matrix[i, j] = saved
             numeric = (plus - minus) / (2.0 * step)
             a = grad[i, j]

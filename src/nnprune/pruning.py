@@ -31,7 +31,7 @@ import numpy as np
 
 from .data import DatasetBundle
 from .errors import ParseError, check_float, check_int
-from .network import Network, NetworkConfig, init_network, serialize
+from .network import Network, NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams
 from .training import TrainParams, accuracy, retrain, train
 
@@ -88,6 +88,28 @@ class RemovalEvent:
     def to_json(self) -> str:
         return json.dumps({"type": "removal", **asdict(self)}, sort_keys=True)
 
+    @classmethod
+    def from_doc(cls, doc: dict) -> "RemovalEvent":
+        """The event of a parsed :meth:`to_json` line without its ``type``;
+        raises ValueError naming the first field of the wrong type."""
+        e = cls(**doc)
+        number = (int, float, type(None))  # type(), not isinstance: true loads as a bool
+        for name, ok in (
+            ("kind", e.kind in (KIND_WEIGHT_W, KIND_WEIGHT_V, KIND_INPUT_NODE, KIND_HIDDEN_NODE)),
+            ("indices", type(e.indices) is list and {type(i) for i in e.indices} <= {int}),
+            ("trigger", e.trigger in (TRIGGER_PRODUCT, TRIGGER_MAGNITUDE, TRIGGER_SMALLEST,
+                                      TRIGGER_DEAD_INPUT, TRIGGER_DEAD_HIDDEN)),
+            ("batch", type(e.batch) is int),
+            ("metric", type(e.metric) in number),
+            ("threshold", type(e.threshold) in number),
+            ("rolled_back", type(e.rolled_back) is bool),
+            ("accuracy_after_retrain", type(e.accuracy_after_retrain) in number),
+            ("implied_connections", type(e.implied_connections) is int),
+        ):
+            if not ok:
+                raise ValueError(f"bad {name} {getattr(e, name)!r}")
+        return replace(e, indices=tuple(e.indices))
+
 
 @dataclass
 class PruneTrace:
@@ -122,18 +144,26 @@ class PruneTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "PruneTrace":
-        """Parse :meth:`to_jsonl` output; a malformed line raises ParseError
-        naming its 1-based line number."""
+        """Parse :meth:`to_jsonl` output; a line that is not JSON, lacks a
+        field, holds one of another type than :meth:`to_jsonl` writes or a
+        network :func:`deserialize` rejects raises ParseError naming its
+        1-based line number."""
         trace = cls()
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 doc = json.loads(line)
-                if doc.pop("type") == "snapshot":
-                    trace.snapshots[int(doc["batch"])] = json.dumps(doc["network"], sort_keys=True)
+                kind = doc.pop("type")
+                if kind == "removal":
+                    trace.events.append(RemovalEvent.from_doc(doc))
+                elif kind != "snapshot":
+                    raise ValueError(f"unknown line type {kind!r}")
+                elif doc.keys() != {"batch", "network"} or type(doc["batch"]) is not int:
+                    raise ValueError(f"snapshot needs an integer batch and a network, got {doc!r}")
                 else:
-                    trace.events.append(RemovalEvent(**{**doc, "indices": tuple(doc["indices"])}))
+                    network = deserialize(json.dumps(doc["network"]))
+                    trace.snapshots[doc["batch"]] = serialize(network)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"trace line {lineno}: {type(exc).__name__}: {exc}") from None
         return trace

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import check_int
+from .errors import ConfigurationError, check_int
 
 FILENAMES = {
     "cancer1": "breast-cancer-wisconsin.data",
@@ -178,7 +178,8 @@ _WRITERS = {
 def write_benchmark(name: str, path: str | Path, seed: int = DEFAULT_SEED) -> Path:
     """Write the named stand-in benchmark file to ``path``."""
     if name not in _WRITERS:
-        raise KeyError(f"unknown benchmark {name!r}; choose from {sorted(_WRITERS)}")
+        raise ConfigurationError(f"unknown benchmark {name!r}; choose from {sorted(_WRITERS)}")
+    check_int("seed", seed, 0)
     return _WRITERS[name](path, seed=seed)
 
 

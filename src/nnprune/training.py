@@ -85,7 +85,7 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
     grad = Gradients.like(net)
     at = forward_pass(net, split.examples)
     for epoch in count(1):
-        data_gradients(net, split.examples, split.targets, at, out=grad)
+        data_gradients(net, split, at, out=grad)
         pen = penalty_gradients(weights, penalty)
         # overflow on diverged weights is caught right after by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
@@ -94,7 +94,7 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
             weights[masked] = 0.0
         at = forward_pass(net, split.examples)
         if not theta_certainly_finite(weights, at, penalty) and not np.isfinite(
-            objective(net, split.examples, split.targets, penalty)
+            objective(net, split, penalty)
         ):
             raise DivergenceError(f"objective became non-finite at epoch {epoch}")
         yield epoch

@@ -20,6 +20,7 @@ from nnprune import (
     DIABETES,
     NetworkConfig,
     PenaltyParams,
+    Split,
     deserialize,
     finite_diff_check,
     forward_batch,
@@ -100,16 +101,13 @@ def test_criterion_1_gradient_correctness():
         seed = int(rng.integers(1 << 31))
         net = init_network(NetworkConfig(n, h, o, init_range=1.5, seed=seed))
         k = int(rng.integers(4, 16))
-        x = rng.random((k, n))
-        classes = rng.integers(0, o, size=k)
-        t = np.zeros((k, o))
-        t[np.arange(k), classes] = 1.0
+        batch = Split(rng.random((k, n)), rng.integers(0, o, size=k), o)
         params = PenaltyParams(
             eps1=float(rng.uniform(0.0, 0.3)),
             eps2=float(rng.uniform(0.0, 1e-3)),
             beta=float(rng.uniform(1.0, 25.0)),
         )
-        worst = max(worst, finite_diff_check(net, x, t, params, step=1e-6))
+        worst = max(worst, finite_diff_check(net, batch, params, step=1e-6))
         count += 1
     elapsed = time.perf_counter() - start
     ok = worst < 1e-5 and count >= 20 and elapsed < 5.0

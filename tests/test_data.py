@@ -45,7 +45,6 @@ class TestLoadRaw:
             name="bad",
             n_attributes=1,
             n_classes=2,
-            class_column=1,
             class_label_map={"0": 0, "1": 1},
         )
         path = tmp_path / "bad.data"
@@ -173,7 +172,6 @@ class TestPrepare:
             name="identity",
             n_attributes=1,
             n_classes=k,
-            class_column=1,
             class_label_map={str(i): i for i in range(k)},
         )
         raw = ((np.arange(k) % 7.0)[:, None], np.arange(k))
@@ -214,7 +212,6 @@ class TestPrepare:
             name="const",
             n_attributes=2,
             n_classes=2,
-            class_column=2,
             class_label_map={"0": 0, "1": 1},
         )
         raw = (np.column_stack([np.arange(12.0), np.full(12, 7.0)]), np.arange(12) % 2)
@@ -240,7 +237,7 @@ class TestPrepare:
     )
     def test_malformed_raw_rejected(self, values, class_indices, match):
         spec = DatasetSpec(
-            name="two", n_attributes=1, n_classes=2, class_column=1,
+            name="two", n_attributes=1, n_classes=2,
             class_label_map={"0": 0, "1": 1},
         )
         with pytest.raises(DatasetError, match=match):
@@ -257,10 +254,8 @@ def reference_load_raw(path, spec):
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         fields = [f.strip() for f in line.strip().split(",")]
         if fields != [""]:
-            attrs = tuple(
-                f for i, f in enumerate(fields) if i != spec.class_column and i != spec.id_column
-            )
-            records.append((attrs, fields[spec.class_column]))
+            attrs = tuple(f for i, f in enumerate(fields[:-1]) if i != spec.id_column)
+            records.append((attrs, fields[-1]))
     return records
 
 
@@ -307,7 +302,6 @@ HAND_SPEC = DatasetSpec(
     name="hand",
     n_attributes=3,
     n_classes=3,
-    class_column=4,
     class_label_map={"a": 0, "b": 1, "c": 2},
     id_column=0,
 )
@@ -374,41 +368,73 @@ class TestDifferential:
 
 
 def split_parts():
-    """Examples, one-hot targets and class indices of a valid 3-row split."""
-    classes = np.array([0, 1, 1])
-    return np.full((3, 2), 0.5), np.eye(2)[classes], classes
+    """Examples and class indices of a valid 3-row, 2-class split."""
+    return np.full((3, 2), 0.5), np.array([0, 1, 1])
+
+
+def reference_one_hot(class_indices, n_classes):
+    """The former hand-built targets: zeros with a 1.0 at each class index."""
+    targets = np.zeros((len(class_indices), n_classes))
+    targets[np.arange(len(class_indices)), class_indices] = 1.0
+    return targets
 
 
 class TestSplitInvariants:
     def test_valid_and_empty_splits_accepted(self):
-        x, t, c = split_parts()
-        assert len(Split(examples=x, targets=t, class_indices=c)) == 3
-        empty = Split(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-        assert len(empty) == 0
+        x, c = split_parts()
+        assert len(Split(x, c, 2)) == 3
+        assert len(Split(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)) == 0
+
+    @pytest.mark.parametrize(
+        "class_indices,n_classes",
+        [
+            (np.random.default_rng(3).integers(0, 6, size=40), 6),
+            (np.random.default_rng(4).integers(0, 2, size=7), 2),
+            (np.zeros(5, dtype=np.int64), 1),
+            (np.zeros(0, dtype=np.int64), 3),
+        ],
+    )
+    def test_targets_are_the_one_hot_class_indices(self, class_indices, n_classes):
+        split = Split(np.zeros((len(class_indices), 2)), class_indices, n_classes)
+        expected = reference_one_hot(class_indices, n_classes)
+        assert split.targets.dtype == np.float64
+        assert np.array_equal(split.targets, expected)
+        assert split.targets.shape == expected.shape
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_examples_rejected(self, value):
-        x, t, c = split_parts()
+        x, c = split_parts()
         x[1, 0] = value
         with pytest.raises(DatasetError, match="finite"):
-            Split(examples=x, targets=t, class_indices=c)
+            Split(x, c, 2)
 
     @pytest.mark.parametrize(
-        "row", [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [2.0, -1.0], [np.nan, 1.0]]
+        "class_indices",
+        [
+            np.array([0.0, 1.0, 1.0]),
+            np.array([0, -1, 1]),
+            np.array([0, 2, 1]),
+            np.array([True, False, True]),
+            np.array(["0", "1", "1"]),
+        ],
     )
-    def test_non_one_hot_targets_rejected(self, row):
-        x, t, c = split_parts()
-        t[2] = row
-        with pytest.raises(DatasetError, match="one-hot"):
-            Split(examples=x, targets=t, class_indices=c)
-
-    def test_targets_disagreeing_with_class_indices_rejected(self):
-        x, t, c = split_parts()
-        c[0] = 1
-        with pytest.raises(DatasetError, match="class indices"):
-            Split(examples=x, targets=t, class_indices=c)
+    def test_bad_class_indices_rejected(self, class_indices):
+        x, _ = split_parts()
+        with pytest.raises(DatasetError, match=r"class indices must be integers in \[0, 2\)"):
+            Split(x, class_indices, 2)
 
     def test_mismatched_shapes_rejected(self):
-        x, t, c = split_parts()
+        x, c = split_parts()
         with pytest.raises(DatasetError, match="shapes"):
-            Split(examples=x, targets=t, class_indices=c[:2])
+            Split(x, c[:2], 2)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 1), ()])
+    def test_mis_shaped_class_indices_rejected(self, shape):
+        x, _ = split_parts()
+        with pytest.raises(DatasetError, match="shapes"):
+            Split(x, np.zeros(shape, dtype=np.int64), 2)
+
+    def test_targets_are_not_a_constructor_argument(self):
+        x, c = split_parts()
+        with pytest.raises(TypeError):
+            Split(x, c, 2, targets=np.eye(2)[c])

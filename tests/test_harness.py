@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,15 @@ class TestConfigParsing:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(ConfigurationError):
             parse_config_text("dataset = iris\ndata_path = x\n")
+
+    @pytest.mark.parametrize("network", [NetworkConfig(8, 3, 2), NetworkConfig(9, 3, 6)])
+    def test_network_that_does_not_fit_the_dataset_rejected(
+        self, network, cancer_file, tmp_path, shipped_config
+    ):
+        config = shipped_config("cancer1", cancer_file, tmp_path / "out")
+        with pytest.raises(ConfigurationError, match="does not fit cancer1: it needs 9 inputs"):
+            run_experiment(replace(config, network=network))
+        assert not (tmp_path / "out").exists()
 
     def test_load_config_resolves_relative_paths(self, tmp_path):
         conf = tmp_path / "exp.conf"
@@ -307,7 +317,7 @@ class TestCli:
         assert [int(row.split(",")[0]) for row in rows] == list(range(1, 21))
         saved = deserialize((tmp_path / "net.json").read_text())
         split = cancer_bundle.train
-        theta = objective(saved, split.examples, split.targets, PenaltyParams())
+        theta = objective(saved, split, PenaltyParams())
         assert rows[-1] == f"20,{theta!r},{accuracy(saved, split)!r}"
 
     def test_train_divergence_names_true_epoch(self, cancer_file, cancer_bundle, tmp_path, capsys):

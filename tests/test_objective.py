@@ -26,13 +26,9 @@ MINUS_TWO_LN_09 = 0.21072103131565256    # -(log .9 + log(1-.1))
 SINGLE_WEIGHT_PENALTY = 0.09091909090909091  # 0.1*(10/11) + 1e-5
 
 
-def make_batch(n, o, k, seed=0):
+def make_batch(n, o, k, seed=0) -> Split:
     rng = np.random.default_rng(seed)
-    x = rng.random((k, n))
-    classes = rng.integers(0, o, size=k)
-    t = np.zeros((k, o))
-    t[np.arange(k), classes] = 1.0
-    return x, t
+    return Split(rng.random((k, n)), rng.integers(0, o, size=k), o)
 
 
 class TestCrossEntropy:
@@ -53,7 +49,7 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_permutation_invariance(self):
-        preds, targets = make_batch(1, 3, 20, seed=3)
+        targets = make_batch(1, 3, 20, seed=3).targets
         preds = np.random.default_rng(4).random((20, 3))
         f1 = cross_entropy(preds, targets)
         perm = np.random.default_rng(5).permutation(20)
@@ -102,37 +98,59 @@ class TestPenalty:
 class TestObjective:
     def test_penalty_off_equals_cross_entropy(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
-        x, t = make_batch(3, 2, 10, seed=5)
+        batch = make_batch(3, 2, 10, seed=5)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         from nnprune import forward_batch
 
-        _, preds = forward_batch(net, x)
-        assert objective(net, x, t, off) == pytest.approx(cross_entropy(preds, t), rel=1e-15)
+        _, preds = forward_batch(net, batch.examples)
+        assert objective(net, batch, off) == pytest.approx(
+            cross_entropy(preds, batch.targets), rel=1e-15
+        )
 
     def test_zero_network_two_class(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
         net.w[:] = 0.0
         net.v[:] = 0.0
-        x, t = make_batch(3, 2, 1, seed=6)
-        assert objective(net, x, t, PenaltyParams()) == pytest.approx(TWO_LN_TWO, abs=1e-12)
+        batch = make_batch(3, 2, 1, seed=6)
+        assert objective(net, batch, PenaltyParams()) == pytest.approx(TWO_LN_TWO, abs=1e-12)
 
     def test_objective_at_least_cross_entropy(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
-        x, t = make_batch(3, 2, 10, seed=7)
+        batch = make_batch(3, 2, 10, seed=7)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        assert objective(net, x, t, PenaltyParams()) >= objective(net, x, t, off)
+        assert objective(net, batch, PenaltyParams()) >= objective(net, batch, off)
 
     def test_empty_batch_rejected(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        empty = Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(ShapeError):
-            objective(net, np.zeros((0, 3)), np.zeros((0, 2)), PenaltyParams())
+            objective(net, empty, PenaltyParams())
 
     def test_gradient_rejects_evaluation_of_another_batch(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
-        x, t = make_batch(3, 2, 10, seed=8)
-        at = forward_pass(net, x[:4])
+        batch = make_batch(3, 2, 10, seed=8)
+        at = forward_pass(net, batch.examples[:4])
         with pytest.raises(ShapeError):
-            data_gradients(net, x, t, at)
+            data_gradients(net, batch, at)
+
+
+BATCH_FUNCTIONS = {
+    "objective": lambda net, batch: objective(net, batch, PenaltyParams()),
+    "data_gradients": lambda net, batch: data_gradients(
+        net, batch, forward_pass(net, np.zeros((len(batch), net.n_inputs)))
+    ),
+    "gradients": lambda net, batch: gradients(net, batch, PenaltyParams()),
+    "finite_diff_check": lambda net, batch: finite_diff_check(net, batch, PenaltyParams()),
+}
+
+
+class TestBatchFit:
+    @pytest.mark.parametrize("function", sorted(BATCH_FUNCTIONS))
+    @pytest.mark.parametrize("n,o", [(4, 2), (3, 3)])
+    def test_batch_that_does_not_fit_the_network_rejected(self, function, n, o):
+        net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        with pytest.raises(ShapeError):
+            BATCH_FUNCTIONS[function](net, make_batch(n, o, 5))
 
 
 class TestGradients:
@@ -140,8 +158,8 @@ class TestGradients:
         net = init_network(NetworkConfig(4, 3, 2, seed=2))
         net.w[:] = 0.0
         net.v[:] = 0.0
-        x, t = make_batch(4, 2, 6, seed=2)
-        g = gradients(net, x, t, PenaltyParams())
+        batch = make_batch(4, 2, 6, seed=2)
+        g = gradients(net, batch, PenaltyParams())
         assert np.all(g.d_w == 0.0)
         assert np.all(g.d_v == 0.0)
 
@@ -150,8 +168,8 @@ class TestGradients:
         net.w_mask[1, 2] = False
         net.v_mask[0, 1] = False
         net.apply_masks()
-        x, t = make_batch(4, 2, 6, seed=2)
-        g = gradients(net, x, t, PenaltyParams())
+        batch = make_batch(4, 2, 6, seed=2)
+        g = gradients(net, batch, PenaltyParams())
         assert g.d_w[1, 2] == 0.0
         assert g.d_v[0, 1] == 0.0
 
@@ -159,10 +177,10 @@ class TestGradients:
         # masks are the trainer's to apply; the formula's value is kept
         net = init_network(NetworkConfig(4, 3, 2, seed=2))
         net.w[1, 2] = 0.0
-        x, t = make_batch(4, 2, 6, seed=2)
-        unmasked = data_gradients(net, x, t, forward_pass(net, x))
+        batch = make_batch(4, 2, 6, seed=2)
+        unmasked = data_gradients(net, batch, forward_pass(net, batch.examples))
         net.w_mask[1, 2] = False
-        raw = data_gradients(net, x, t, forward_pass(net, x))
+        raw = data_gradients(net, batch, forward_pass(net, batch.examples))
         assert raw.d_w[1, 2] != 0.0
         assert np.array_equal(raw.d_w, unmasked.d_w)
 
@@ -170,15 +188,14 @@ class TestGradients:
         net = init_network(NetworkConfig(1, 1, 1, seed=1))
         net.w[0, 0] = 0.7
         net.v[0, 0] = 0.0
-        x = np.array([[0.0]])   # zero input: data gradient vanishes for w
-        t = np.array([[1.0]])
-        g = gradients(net, x, t, PenaltyParams())
+        # zero input: data gradient vanishes for w
+        g = gradients(net, Split(np.array([[0.0]]), np.array([0]), 1), PenaltyParams())
         assert g.d_w[0, 0] > 0.0
 
     def test_matches_finite_differences(self):
         net = init_network(NetworkConfig(9, 3, 2, init_range=1.0, seed=42))
-        x, t = make_batch(9, 2, 10, seed=42)
-        err = finite_diff_check(net, x, t, PenaltyParams(), step=1e-6)
+        batch = make_batch(9, 2, 10, seed=42)
+        err = finite_diff_check(net, batch, PenaltyParams(), step=1e-6)
         assert err < 1e-5
 
     def test_gradcheck_across_architectures(self):
@@ -189,20 +206,20 @@ class TestGradients:
             for _ in range(2):
                 seed = int(rng.integers(1 << 31))
                 net = init_network(NetworkConfig(n, h, o, seed=seed))
-                x, t = make_batch(n, o, 7, seed=seed)
+                batch = make_batch(n, o, 7, seed=seed)
                 params = PenaltyParams(
                     eps1=float(rng.uniform(0, 0.3)),
                     eps2=float(rng.uniform(0, 1e-3)),
                     beta=float(rng.uniform(1, 20)),
                 )
-                assert finite_diff_check(net, x, t, params, step=1e-6) < 1e-5
+                assert finite_diff_check(net, batch, params, step=1e-6) < 1e-5
 
     def test_zero_network_finite_diff_error_zero(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=9))
         net.w[:] = 0.0
         net.v[:] = 0.0
-        x, t = make_batch(3, 2, 4, seed=9)
-        err = finite_diff_check(net, x, t, PenaltyParams(), step=1e-6)
+        batch = make_batch(3, 2, 4, seed=9)
+        err = finite_diff_check(net, batch, PenaltyParams(), step=1e-6)
         assert err == pytest.approx(0.0, abs=1e-9)
 
     def test_non_finite_comparison_fails_the_check(self):
@@ -210,31 +227,33 @@ class TestGradients:
         # central difference; the check must not report agreement
         net = init_network(NetworkConfig(3, 2, 2, seed=9))
         net.w[:] = 1e200
-        x, t = make_batch(3, 2, 4, seed=9)
+        batch = make_batch(3, 2, 4, seed=9)
         with np.errstate(all="ignore"):
-            err = finite_diff_check(net, x, t, PenaltyParams(), step=1e-6)
+            err = finite_diff_check(net, batch, PenaltyParams(), step=1e-6)
         assert math.isnan(err)
         assert not err < 1e-5
 
     def test_bad_step_rejected(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=9))
-        x, t = make_batch(3, 2, 4, seed=9)
+        batch = make_batch(3, 2, 4, seed=9)
         with pytest.raises(ConfigurationError):
-            finite_diff_check(net, x, t, PenaltyParams(), step=0.0)
+            finite_diff_check(net, batch, PenaltyParams(), step=0.0)
 
     @pytest.mark.parametrize("step", [-1e-6, math.inf, math.nan, "1e-6"])
     def test_step_outside_range_named(self, step):
         net = init_network(NetworkConfig(3, 2, 2, seed=9))
-        x, t = make_batch(3, 2, 4, seed=9)
+        batch = make_batch(3, 2, 4, seed=9)
         with pytest.raises(ConfigurationError, match="step must be"):
-            finite_diff_check(net, x, t, PenaltyParams(), step=step)
+            finite_diff_check(net, batch, PenaltyParams(), step=step)
 
     def test_batch_permutation_invariance(self):
         net = init_network(NetworkConfig(5, 3, 3, seed=13))
-        x, t = make_batch(5, 3, 12, seed=13)
-        g1 = gradients(net, x, t, PenaltyParams())
+        batch = make_batch(5, 3, 12, seed=13)
+        g1 = gradients(net, batch, PenaltyParams())
         perm = np.random.default_rng(14).permutation(12)
-        g2 = gradients(net, x[perm], t[perm], PenaltyParams())
+        g2 = gradients(
+            net, Split(batch.examples[perm], batch.class_indices[perm], 3), PenaltyParams()
+        )
         assert np.allclose(g1.d_w, g2.d_w, rtol=1e-12, atol=1e-12)
         assert np.allclose(g1.d_v, g2.d_v, rtol=1e-12, atol=1e-12)
 
@@ -288,20 +307,16 @@ class TestThetaCertificate:
         net.w[:] = np.reshape(weights[:8], (2, 4))
         net.v[:] = np.reshape(weights[8:], (2, 2))
         k = len(classes)
-        split = Split(
-            examples=np.reshape(inputs[: 4 * k], (k, 4)),
-            targets=np.eye(2)[classes],
-            class_indices=np.array(classes),
-        )
+        split = Split(np.reshape(inputs[: 4 * k], (k, 4)), np.array(classes), 2)
         params = PenaltyParams(eps1=eps1, eps2=eps2, beta=beta)
         with np.errstate(all="ignore"):  # overflow in the passes is the point
             at = forward_pass(net, split.examples)
             # the check the certificate replaces on the training path
-            finite = np.isfinite(objective(net, split.examples, split.targets, params))
+            finite = np.isfinite(objective(net, split, params))
         certified = theta_certainly_finite(net.pack(), at, params)  # warnings are errors here
         assert finite or not certified
 
     def test_holds_on_an_ordinary_network(self):
         net = init_network(NetworkConfig(9, 3, 2, seed=42))
-        x, _ = make_batch(9, 2, 10, seed=42)
-        assert theta_certainly_finite(net.pack(), forward_pass(net, x), PenaltyParams())
+        at = forward_pass(net, make_batch(9, 2, 10, seed=42).examples)
+        assert theta_certainly_finite(net.pack(), at, PenaltyParams())

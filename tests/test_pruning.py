@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -43,9 +44,7 @@ PEN = PenaltyParams()
 
 
 def make_split(x, classes, o=2) -> Split:
-    t = np.zeros((len(x), o))
-    t[np.arange(len(x)), classes] = 1.0
-    return Split(examples=np.asarray(x, float), targets=t, class_indices=np.asarray(classes))
+    return Split(np.asarray(x, float), np.asarray(classes), o)
 
 
 def halfplane_bundle(seed=0, margin=0.1) -> DatasetBundle:
@@ -480,6 +479,54 @@ class TestTraceSerialization:
         good = RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_SMALLEST, 0).to_json()
         with pytest.raises(ParseError, match=r"^trace line 3: "):
             PruneTrace.from_jsonl(f"{good}\n\n{bad}\n{good}\n")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("kind", 5),
+            ("kind", "weight-x"),
+            ("trigger", None),
+            ("trigger", KIND_WEIGHT_W),
+            ("batch", "x"),
+            ("batch", 1.0),
+            ("batch", True),
+            ("implied_connections", None),
+            ("indices", "01"),
+            ("indices", [0, 1.5]),
+            ("indices", [0, False]),
+            ("rolled_back", 0),
+            ("metric", "0.1"),
+            ("threshold", [0.4]),
+            ("accuracy_after_retrain", True),
+        ],
+    )
+    def test_event_field_of_wrong_type_rejected(self, field, value):
+        doc = json.loads(RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_SMALLEST, 0).to_json())
+        bad = json.dumps({**doc, field: value})
+        with pytest.raises(ParseError, match=rf"^trace line 2: ValueError: bad {field} "):
+            PruneTrace.from_jsonl(f"\n{bad}\n")
+
+    def test_numbers_and_nulls_accepted_where_written(self):
+        event = RemovalEvent(
+            KIND_INPUT_NODE, (2,), TRIGGER_DEAD_INPUT, 3, metric=1,
+            accuracy_after_retrain=0.5, implied_connections=4,
+        )
+        assert PruneTrace.from_jsonl(event.to_json()).events == [event]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            '{"type": "event", "batch": 0}',
+            '{"type": "snapshot", "batch": 0, "network": {"junk": 1}}',
+            '{"type": "snapshot", "batch": 0.0, "network": NETWORK}',
+            '{"type": "snapshot", "batch": 0}',
+            '{"type": "snapshot", "batch": 0, "network": NETWORK, "extra": 1}',
+        ],
+    )
+    def test_bad_snapshot_or_type_rejected(self, bad):
+        network = serialize(init_network(NetworkConfig(2, 2, 2, seed=11)))
+        with pytest.raises(ParseError, match=r"^trace line 1: "):
+            PruneTrace.from_jsonl(bad.replace("NETWORK", network))
 
 
 class TestGrowAndPrune:

@@ -93,5 +93,11 @@ class TestWriteAll:
         assert not (tmp_path / "data").exists()
 
     def test_unknown_benchmark(self, tmp_path):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="unknown benchmark 'iris'"):
             write_benchmark("iris", tmp_path / "x.data")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_bad_seed_rejected_before_writing(self, tmp_path, seed):
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            write_benchmark("glass", tmp_path / "x.data", seed=seed)
+        assert not (tmp_path / "x.data").exists()

@@ -30,9 +30,7 @@ def toy_split(n=4, o=2, k=30, seed=0) -> Split:
     rng = np.random.default_rng(seed)
     x = rng.random((k, n))
     classes = (x[:, 0] > x[:, 1]).astype(int)  # learnable through the origin
-    t = np.zeros((k, o))
-    t[np.arange(k), classes] = 1.0
-    return Split(examples=x, targets=t, class_indices=classes)
+    return Split(x, classes, o)
 
 
 class TestTrainParams:
@@ -103,18 +101,18 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, seed=2))
         split = toy_split(seed=2)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        before = objective(net, split.examples, split.targets, off)
+        before = objective(net, split, off)
         stepped = train(net, split, TrainParams(1e-4, 1), off)
-        after = objective(stepped, split.examples, split.targets, off)
+        after = objective(stepped, split, off)
         assert after <= before + 1e-9
 
     def test_objective_sequence_non_increasing_small_lr(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=3))
         split = toy_split(seed=3)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        values = [objective(net, split.examples, split.targets, off)]
+        values = [objective(net, split, off)]
         for _ in islice(descend(net, split, 1e-3, off), 40):
-            values.append(objective(net, split.examples, split.targets, off))
+            values.append(objective(net, split, off))
         diffs = np.diff(values)
         assert np.all(diffs <= 1e-9)
 
@@ -204,11 +202,7 @@ class TestTrain:
 
     def test_empty_split_rejected(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=8))
-        empty = Split(
-            examples=np.zeros((0, 4)),
-            targets=np.zeros((0, 2)),
-            class_indices=np.zeros(0, dtype=np.int64),
-        )
+        empty = Split(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(DatasetError):
             train(net, empty, TrainParams(0.1, 1), PenaltyParams())
         # checked before the lazy loop, so also when no epoch runs
@@ -225,11 +219,11 @@ def reference_train(net, split, lr, penalty, epochs):
     """
     net = net.copy()
     for epoch in range(1, epochs + 1):
-        g = gradients(net, split.examples, split.targets, penalty)
+        g = gradients(net, split, penalty)
         net.w -= lr / len(split) * g.d_w
         net.v -= lr / len(split) * g.d_v
         net.apply_masks()
-        if not np.isfinite(objective(net, split.examples, split.targets, penalty)):
+        if not np.isfinite(objective(net, split, penalty)):
             return net, epoch
     return net, None
 
@@ -368,11 +362,7 @@ class TestAccuracy:
 
     def test_empty_split_rejected(self):
         net = init_network(NetworkConfig(4, 2, 2, seed=11))
-        empty = Split(
-            examples=np.zeros((0, 4)),
-            targets=np.zeros((0, 2)),
-            class_indices=np.zeros(0, dtype=np.int64),
-        )
+        empty = Split(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(DatasetError):
             accuracy(net, empty)
 
@@ -391,9 +381,7 @@ class TestRetrain:
         rng = np.random.default_rng(13)
         x = rng.random((20, 3))
         classes = rng.integers(0, 2, size=20)  # pure noise labels
-        t = np.zeros((20, 2))
-        t[np.arange(20), classes] = 1.0
-        split = Split(examples=x, targets=t, class_indices=classes)
+        split = Split(x, classes, 2)
         net = init_network(NetworkConfig(3, 2, 2, seed=13))
         out, met = retrain(
             net, split, split, 0.1, PenaltyParams(), floor=1.0, max_epochs=25
@@ -422,11 +410,7 @@ class TestRetrain:
 
     def test_empty_training_split_rejected(self):
         net = init_network(NetworkConfig(4, 2, 2, seed=15))
-        empty = Split(
-            examples=np.zeros((0, 4)),
-            targets=np.zeros((0, 2)),
-            class_indices=np.zeros(0, dtype=np.int64),
-        )
+        empty = Split(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
         with pytest.raises(DatasetError):
             retrain(
                 net, empty, toy_split(seed=15), 0.1, PenaltyParams(),
