@@ -42,7 +42,6 @@ from .network import (
     serialize,
 )
 from .objective import (
-    Gradients,
     PenaltyParams,
     cross_entropy,
     finite_diff_check,
@@ -76,7 +75,6 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "ExperimentReport",
-    "Gradients",
     "GrowPruneReport",
     "Network",
     "NetworkConfig",

@@ -75,13 +75,16 @@ DIABETES = DatasetSpec(
 SPECS = {s.name: s for s in (CANCER1, GLASS, DIABETES)}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Split:
     """Normalized examples and their class indices for one partition.
 
-    Construction checks that the examples are finite and that every class
-    index is an integer in ``[0, n_classes)``, then derives ``targets``, one
-    one-hot row of 0.0 and 1.0 per index; training relies on both.
+    Construction copies both arrays, checks that the examples are finite
+    and that every class index is an integer in ``[0, n_classes)``, then
+    derives ``targets``, one one-hot row of 0.0 and 1.0 per index;
+    training relies on both.  The three arrays are read-only and no field
+    can be rebound, so the checks and the targets hold for the life of the
+    split.
     """
 
     examples: np.ndarray       # float64 [k, n], values in [0, 1]
@@ -90,19 +93,24 @@ class Split:
     targets: np.ndarray = field(init=False, repr=False)  # float64 [k, n_classes], one-hot
 
     def __post_init__(self) -> None:
-        if self.examples.ndim != 2 or self.class_indices.shape != self.examples.shape[:1]:
+        check_int("n_classes", self.n_classes, 1)
+        examples, class_indices = np.array(self.examples), np.array(self.class_indices)
+        if examples.ndim != 2 or class_indices.shape != examples.shape[:1]:
             raise DatasetError(
-                f"split shapes disagree: examples {self.examples.shape}, "
-                f"class indices {self.class_indices.shape}"
+                f"split shapes disagree: examples {examples.shape}, "
+                f"class indices {class_indices.shape}"
             )
-        if not np.isfinite(self.examples).all():
+        if not np.isfinite(examples).all():
             raise DatasetError("split examples must be finite")
         if not (
-            np.issubdtype(self.class_indices.dtype, np.integer)
-            and ((self.class_indices >= 0) & (self.class_indices < self.n_classes)).all()
+            np.issubdtype(class_indices.dtype, np.integer)
+            and ((class_indices >= 0) & (class_indices < self.n_classes)).all()
         ):
             raise DatasetError(f"class indices must be integers in [0, {self.n_classes})")
-        self.targets = np.eye(self.n_classes)[self.class_indices]
+        targets = np.eye(self.n_classes)[class_indices]
+        for array in (examples, class_indices, targets):
+            array.flags.writeable = False
+        vars(self).update(examples=examples, class_indices=class_indices, targets=targets)
 
     def __len__(self) -> int:
         return self.examples.shape[0]

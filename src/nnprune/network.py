@@ -5,12 +5,15 @@ logistic output layer, with no bias terms on either layer.  Every weight
 carries a boolean mask flag; a masked weight is pinned to exactly 0.0 and
 stays zero through training and pruning.  Node-level activity flags record
 inputs and hidden units whose connections have all been removed.
+
+The weights of a network live in one vector and its mask flags in another,
+in the same packed layout, so one elementwise operation covers every weight.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +40,15 @@ class NetworkConfig:
         check_int("seed", self.seed, 0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Network:
     """Weights, masks, and node activity flags of a 1-hidden-layer net.
 
     ``w[m, l]`` connects input l to hidden unit m; ``v[p, m]`` connects
-    hidden unit m to output p.  Invariants:
+    hidden unit m to output p.  Construction copies the arrays it is given
+    into ``weights`` and ``mask``, one vector each in the packed layout of
+    :meth:`views`; ``w``, ``v``, ``w_mask`` and ``v_mask`` are views of
+    them and, like every field, cannot be rebound.  Invariants:
 
     * mask false => weight exactly 0.0,
     * ``input_active[l]`` false => column l of ``w_mask`` all false,
@@ -56,6 +62,27 @@ class Network:
     v_mask: np.ndarray         # bool [o, h]
     input_active: np.ndarray   # bool [n]
     hidden_active: np.ndarray  # bool [h]
+    weights: np.ndarray = field(init=False, repr=False)  # float64 [h*n + o*h]
+    mask: np.ndarray = field(init=False, repr=False)     # bool [h*n + o*h]
+
+    def __post_init__(self) -> None:
+        h, n = self.w.shape
+        o, h2 = self.v.shape
+        if h2 != h:
+            raise ShapeError(f"v has {h2} hidden columns but w has {h} hidden rows")
+        if self.w_mask.shape != (h, n) or self.v_mask.shape != (o, h):
+            raise ShapeError("mask shapes do not match weight shapes")
+        if self.input_active.shape != (n,) or self.hidden_active.shape != (h,):
+            raise ShapeError("activity flag shapes do not match the architecture")
+        weights = np.concatenate((self.w, self.v), axis=None, dtype=np.float64)
+        mask = np.concatenate((self.w_mask, self.v_mask), axis=None, dtype=bool)
+        w, v = self.views(weights)
+        w_mask, v_mask = self.views(mask)
+        vars(self).update(  # the one place the frozen fields are set
+            weights=weights, mask=mask, w=w, v=v, w_mask=w_mask, v_mask=v_mask,
+            input_active=np.array(self.input_active, dtype=bool),
+            hidden_active=np.array(self.hidden_active, dtype=bool),
+        )
 
     @property
     def n_inputs(self) -> int:
@@ -83,16 +110,11 @@ class Network:
 
     def n_unmasked(self) -> int:
         """Number of connections still present (w and v together)."""
-        return int(self.w_mask.sum()) + int(self.v_mask.sum())
+        return int(self.mask.sum())
 
     def copy(self) -> "Network":
         return Network(
-            w=self.w.copy(),
-            v=self.v.copy(),
-            w_mask=self.w_mask.copy(),
-            v_mask=self.v_mask.copy(),
-            input_active=self.input_active.copy(),
-            hidden_active=self.hidden_active.copy(),
+            self.w, self.v, self.w_mask, self.v_mask, self.input_active, self.hidden_active
         )
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,38 +123,13 @@ class Network:
         split = self.w.size
         return flat[:split].reshape(self.w.shape), flat[split:].reshape(self.v.shape)
 
-    def pack(self) -> np.ndarray:
-        """Move ``w`` and ``v`` into one contiguous vector and return it.
-
-        Afterwards ``w`` and ``v`` are views of the vector (see
-        :meth:`views`), so a write through either is a write to it and one
-        elementwise operation on it covers every weight.  Values are
-        unchanged; :meth:`copy` gives independent arrays again.
-        """
-        flat = np.concatenate((self.w.ravel(), self.v.ravel()))
-        self.w, self.v = self.views(flat)
-        return flat
-
-    def masked_positions(self) -> np.ndarray:
-        """Indices of the masked weights in the packed layout."""
-        return np.flatnonzero(~np.concatenate((self.w_mask.ravel(), self.v_mask.ravel())))
-
     def apply_masks(self) -> None:
         """Pin masked-out weights back to exactly 0.0."""
-        self.w[~self.w_mask] = 0.0
-        self.v[~self.v_mask] = 0.0
+        self.weights[~self.mask] = 0.0
 
     def validate(self) -> None:
-        """Check shapes and the mask/activity invariants; raise on violation."""
-        h, n = self.w.shape
-        o, h2 = self.v.shape
-        if h2 != h:
-            raise ShapeError(f"v has {h2} hidden columns but w has {h} hidden rows")
-        if self.w_mask.shape != (h, n) or self.v_mask.shape != (o, h):
-            raise ShapeError("mask shapes do not match weight shapes")
-        if self.input_active.shape != (n,) or self.hidden_active.shape != (h,):
-            raise ShapeError("activity flag shapes do not match the architecture")
-        if np.any(self.w[~self.w_mask] != 0.0) or np.any(self.v[~self.v_mask] != 0.0):
+        """Check the mask/activity invariants; raise ParseError on violation."""
+        if np.any(self.weights[~self.mask] != 0.0):
             raise ParseError("masked-out weight has a nonzero value")
         dead_in = ~self.input_active
         if np.any(self.w_mask[:, dead_in]):

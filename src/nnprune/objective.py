@@ -14,7 +14,8 @@ training.
 A batch is a :class:`~nnprune.data.Split`, which derives its one-hot
 targets from its class indices.  :func:`objective`, :func:`data_gradients`,
 :func:`gradients` and :func:`finite_diff_check` take one and raise
-ShapeError when its attribute or class count does not fit the network.
+ShapeError when its attribute or class count does not fit the network
+(:func:`check_batch`, which :func:`~nnprune.training.accuracy` shares).
 
 The data gradient is taken from a :class:`ForwardPass` instead of a pass of
 its own: :func:`forward_pass` runs one, and the trainer keeps the pass of
@@ -24,9 +25,8 @@ alone.  A training epoch needs theta only to detect divergence, so it asks
 the weights without computing it, and falls back to :func:`objective` only
 when that proof fails.
 
-The trainer works on a packed network (:meth:`Network.pack`), so
-:class:`Gradients` holds one vector in that layout, which
-:func:`data_gradients` can write into across epochs, and
+A gradient is one vector in the packed layout of ``net.weights``, which
+:func:`data_gradients` can write into across epochs;
 :func:`penalty_gradients` and :func:`theta_certainly_finite` take any
 array of weights, elementwise.  Both gradients leave masked entries raw
 (the trainer pins masked weights after its update); :func:`gradients`, the
@@ -78,28 +78,9 @@ class ForwardPass:
     preds: np.ndarray   # [k, o] logistic outputs
 
 
-@dataclass
-class Gradients:
-    """Gradient wrt every weight, in the packed layout of a network.
-
-    ``flat`` holds the entries for w (row-major) and then those for v, as
-    :meth:`Network.pack` lays out the weights; ``d_w`` and ``d_v`` are
-    views of it.  :func:`data_gradients` leaves masked entries raw
-    (whatever the formula gives there); :func:`gradients` zeroes them.
-    """
-
-    flat: np.ndarray  # [h*n + o*h]
-    d_w: np.ndarray   # [h, n], a view of flat
-    d_v: np.ndarray   # [o, h], a view of flat
-
-    @classmethod
-    def like(cls, net: Network) -> "Gradients":
-        """Uninitialized storage for a gradient of ``net``."""
-        flat = np.empty(net.w.size + net.v.size)
-        return cls(flat, *net.views(flat))
-
-
-def _check_batch(net: Network, batch: Split) -> None:
+def check_batch(net: Network, batch: Split) -> None:
+    """Raise ShapeError unless ``batch`` has one attribute per input of
+    ``net`` and one class per output."""
     if (batch.examples.shape[1], batch.n_classes) != (net.n_inputs, net.n_outputs):
         raise ShapeError(
             f"batch of {batch.examples.shape[1]} attributes and {batch.n_classes} classes "
@@ -147,7 +128,7 @@ def forward_pass(net: Network, inputs: np.ndarray) -> ForwardPass:
 
 def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
     """theta = cross-entropy over the batch + weight penalty."""
-    _check_batch(net, batch)
+    check_batch(net, batch)
     if len(batch) == 0:
         raise ShapeError("batch must be nonempty")
     _, preds = forward_batch(net, batch.examples)
@@ -158,7 +139,7 @@ def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: Penalty
     """A cheap sufficient condition for a finite theta at ``at``.
 
     ``weights`` holds every weight of the network, in any shape (the
-    trainer passes its packed vector).  ``at`` must be the forward pass of
+    trainer passes ``net.weights``).  ``at`` must be the forward pass of
     that network on a :class:`~nnprune.data.Split`, whose targets are
     one-hot rows of 0.0 and 1.0 by construction.  True means ``objective``
     is finite there; False proves nothing.  The argument, with S the sum of
@@ -193,25 +174,26 @@ def data_gradients(
     net: Network,
     batch: Split,
     at: ForwardPass,
-    out: Gradients | None = None,
-) -> Gradients:
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
     ``at`` must be the forward pass of ``net`` over ``batch.examples`` for
     its current weights; it is differentiated, no pass is run here.  The
-    gradient is written into ``out`` (``Gradients.like(net)``) when given,
-    else into new storage, and returned.
+    gradient, in the layout of ``net.weights``, is written into ``out``
+    when given, else into new storage, and returned.
     """
-    _check_batch(net, batch)
+    check_batch(net, batch)
     if at.preds.shape != batch.targets.shape:
         raise ShapeError(
             f"evaluation outputs {at.preds.shape} do not match targets {batch.targets.shape}"
         )
-    grad = Gradients.like(net) if out is None else out
-    d_out = at.preds - batch.targets             # dF/d(pre-logistic), [k, o]
-    np.matmul(d_out.T, at.hidden, out=grad.d_v)  # [o, h]
+    grad = np.empty_like(net.weights) if out is None else out
+    d_w, d_v = net.views(grad)
+    d_out = at.preds - batch.targets        # dF/d(pre-logistic), [k, o]
+    np.matmul(d_out.T, at.hidden, out=d_v)  # [o, h]
     d_hidden = (d_out @ net.v) * (1.0 - at.hidden ** 2)
-    np.matmul(d_hidden.T, batch.examples, out=grad.d_w)  # [h, n]
+    np.matmul(d_hidden.T, batch.examples, out=d_w)  # [h, n]
     return grad
 
 
@@ -219,8 +201,8 @@ def penalty_gradients(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
     """Gradient of the penalty alone at ``weights``, masked entries raw.
 
     The penalty is a sum of one term per weight, so its gradient is
-    elementwise: ``weights`` may be ``net.w``, ``net.v`` or a packed
-    vector of both, and the result has its shape.  Masked weights are
+    elementwise: ``weights`` may be ``net.w``, ``net.v`` or
+    ``net.weights``, and the result has its shape.  Masked weights are
     exactly 0.0, so their raw entries are 0.0 as well.
     """
     # overflow on diverged weights is caught by the trainer's divergence check
@@ -232,11 +214,12 @@ def penalty_gradients(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
         )
 
 
-def gradients(net: Network, batch: Split, params: PenaltyParams) -> Gradients:
-    """Analytic gradient of the full objective, masked entries zeroed."""
+def gradients(net: Network, batch: Split, params: PenaltyParams) -> np.ndarray:
+    """Analytic gradient of the full objective in the layout of
+    ``net.weights``, masked entries zeroed."""
     grad = data_gradients(net, batch, forward_pass(net, batch.examples))
-    grad.flat += penalty_gradients(np.concatenate((net.w.ravel(), net.v.ravel())), params)
-    grad.flat[net.masked_positions()] = 0.0
+    grad += penalty_gradients(net.weights, params)
+    grad[~net.mask] = 0.0
     return grad
 
 
@@ -261,22 +244,18 @@ def finite_diff_check(
     check_float("step", step, 0, math.inf)
     analytic = gradients(net, batch, params)
     work = net.copy()
+    weights = work.weights
     worst = 0.0
-    for matrix, mask, grad in (
-        (work.w, work.w_mask, analytic.d_w),
-        (work.v, work.v_mask, analytic.d_v),
-    ):
-        for idx in np.argwhere(mask):
-            i, j = idx
-            saved = matrix[i, j]
-            matrix[i, j] = saved + step
-            plus = objective(work, batch, params)
-            matrix[i, j] = saved - step
-            minus = objective(work, batch, params)
-            matrix[i, j] = saved
-            numeric = (plus - minus) / (2.0 * step)
-            a = grad[i, j]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if math.isnan(rel) or rel > worst:  # a NaN result sticks
-                worst = rel
+    for i in np.flatnonzero(work.mask):
+        saved = weights[i]
+        weights[i] = saved + step
+        plus = objective(work, batch, params)
+        weights[i] = saved - step
+        minus = objective(work, batch, params)
+        weights[i] = saved
+        numeric = (plus - minus) / (2.0 * step)
+        a = analytic[i]
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        if math.isnan(rel) or rel > worst:  # a NaN result sticks
+            worst = rel
     return worst

@@ -10,17 +10,15 @@ regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
 loss and penalty).
 
-:func:`descend` is the one training loop.  When it starts it packs the
-network (:meth:`~nnprune.network.Network.pack`): every weight in one
-vector, of which ``net.w`` and ``net.v`` become views, and it reads the
-masks once, into the positions of the masked weights in that vector.  Each
-epoch then does each elementwise step once for all weights: it takes the
-data gradient (into storage kept across epochs) and the penalty gradient,
-both raw, makes the descent step, pins the masked weights back to 0.0 (the
-only place a step enforces masks; skipped when nothing is masked) and runs
-the forward pass of the updated network, which the next epoch
-differentiates.  So each epoch runs one forward pass, and the loop runs
-one more before its first epoch.  Theta itself is not computed: divergence
+:func:`descend` is the one training loop.  It steps the packed vector
+``net.weights`` and reads the masks once, into the positions of the
+masked weights in that vector.  Each epoch does each elementwise step once
+for all weights: it takes the data gradient (into storage kept across
+epochs) and the penalty gradient, both raw, makes the descent step, pins
+the masked weights back to 0.0 (the only place a step enforces masks;
+skipped when nothing is masked) and runs the forward pass of the updated
+network, which the next epoch differentiates.  So each epoch runs one
+forward pass, and the loop runs one more before its first epoch.  Theta itself is not computed: divergence
 is detected by :func:`~nnprune.objective.theta_certainly_finite`, a cheap
 proof from the new weights and outputs that theta is finite, and only when
 that proof fails is theta computed with
@@ -44,8 +42,8 @@ from .data import Split
 from .errors import DatasetError, DivergenceError, check_float, check_int
 from .network import Network, classify_batch
 from .objective import (
-    Gradients,
     PenaltyParams,
+    check_batch,
     data_gradients,
     forward_pass,
     objective,
@@ -69,27 +67,28 @@ class TrainParams:
 def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
-    Runs nothing until the first ``next``, which packs ``net`` (its ``w``
-    and ``v`` stay views of one vector from then on) and reads its masks;
-    the caller must not change the masks, or rebind ``w`` or ``v``, while
-    it takes epochs.  Each epoch differentiates the forward pass the
-    previous epoch left behind (the first runs one), applies the update
-    and the masks once, and runs one forward pass of the updated network.
-    Raises DivergenceError naming the epoch if the objective becomes
-    non-finite.  ``split`` must not be empty.
+    Runs nothing until the first ``next``, which reads the masks of
+    ``net``; the caller must not change them while it takes epochs.  Each
+    epoch differentiates the forward pass the previous epoch left behind
+    (the first runs one), applies the update and the masks once, and runs
+    one forward pass of the updated network.  Raises DivergenceError naming
+    the epoch if the objective becomes non-finite, and DatasetError, at the
+    first ``next``, if ``split`` is empty.
     """
     check_float("lr", lr, 0, math.inf)
+    if len(split) == 0:
+        raise DatasetError("cannot train on an empty split")
     step = lr / len(split)
-    weights = net.pack()
-    masked = net.masked_positions()
-    grad = Gradients.like(net)
+    weights = net.weights
+    masked = np.flatnonzero(~net.mask)
+    grad = np.empty_like(weights)
     at = forward_pass(net, split.examples)
     for epoch in count(1):
         data_gradients(net, split, at, out=grad)
         pen = penalty_gradients(weights, penalty)
         # overflow on diverged weights is caught right after by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            weights -= step * (grad.flat + pen)
+            weights -= step * (grad + pen)
         if masked.size:
             weights[masked] = 0.0
         at = forward_pass(net, split.examples)
@@ -101,7 +100,12 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
 
 
 def accuracy(net: Network, split: Split) -> float:
-    """Fraction of examples whose predicted class equals the target class."""
+    """Fraction of examples whose predicted class equals the target class.
+
+    Raises ShapeError if ``split`` does not fit ``net`` (see
+    :func:`~nnprune.objective.check_batch`).
+    """
+    check_batch(net, split)
     if len(split) == 0:
         raise DatasetError("cannot evaluate accuracy on an empty split")
     preds = classify_batch(net, split.examples)

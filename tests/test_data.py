@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -438,3 +439,28 @@ class TestSplitInvariants:
         x, c = split_parts()
         with pytest.raises(TypeError):
             Split(x, c, 2, targets=np.eye(2)[c])
+
+    def test_lists_accepted(self):
+        split = Split([[0.5, 0.5], [0.0, 1.0]], [1, 0], 2)
+        assert np.array_equal(split.targets, [[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("n_classes", [2.0, True, 0, -1, "2"])
+    def test_bad_class_count_rejected(self, n_classes):
+        x, c = split_parts()
+        with pytest.raises(ConfigurationError, match="n_classes must be"):
+            Split(x, np.zeros_like(c), n_classes)
+
+    @pytest.mark.parametrize("name", ["examples", "class_indices", "n_classes", "targets"])
+    def test_fields_cannot_be_rebound(self, name):
+        split = Split(*split_parts(), 2)
+        with pytest.raises(FrozenInstanceError):
+            setattr(split, name, getattr(split, name))
+
+    def test_arrays_are_read_only_copies(self):
+        x, c = split_parts()
+        split = Split(x, c, 2)
+        for array in (split.examples, split.class_indices, split.targets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        x[0, 0], c[0] = 1.0, 1  # the caller's arrays stay its own
+        assert split.examples[0, 0] == 0.5 and split.class_indices[0] == 0

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestForward:
         x = np.array([0.2, -0.4, 0.8, 0.5])
         _, a = forward_one(net, x)
         flipped = net.copy()
-        flipped.w = -flipped.w
+        flipped.w[...] = -flipped.w
         _, b = forward_one(flipped, -x)
         assert np.array_equal(a, b)
 
@@ -232,8 +233,8 @@ class TestSerialization:
     def test_round_trip_property(self, n, h, o, seed):
         net = init_network(NetworkConfig(n, h, o, init_range=3.0, seed=seed))
         rng = np.random.default_rng(seed)
-        net.w_mask &= rng.random(net.w.shape) > 0.3
-        net.v_mask &= rng.random(net.v.shape) > 0.3
+        net.w_mask[...] &= rng.random(net.w.shape) > 0.3
+        net.v_mask[...] &= rng.random(net.v.shape) > 0.3
         net.apply_masks()
         back = deserialize(serialize(net))
         assert np.array_equal(net.w, back.w)
@@ -323,26 +324,69 @@ class TestSerialization:
 
 
 class TestPackedLayout:
-    def test_pack_keeps_values_and_shares_storage(self):
+    def test_weights_and_mask_share_storage_with_the_matrices(self):
         net = small_net(3, 4, 2, seed=5)
-        before = net.copy()
-        flat = net.pack()
-        assert np.array_equal(flat, np.concatenate((before.w.ravel(), before.v.ravel())))
-        assert np.array_equal(net.w, before.w) and np.array_equal(net.v, before.v)
-        flat[:] = np.arange(flat.size)
+        assert np.array_equal(net.weights, np.concatenate((net.w.ravel(), net.v.ravel())))
+        assert net.weights.dtype == np.float64 and net.mask.dtype == bool
+        net.weights[:] = np.arange(net.weights.size)
         assert net.w[1, 0] == 3.0 and net.v[0, 0] == 12.0
+        net.mask[[3, 12]] = False
+        assert not net.w_mask[1, 0] and not net.v_mask[0, 0] and net.n_unmasked() == 18
         independent = net.copy()
-        flat[:] = 0.0
-        assert independent.w[1, 0] == 3.0
+        net.weights[:] = 0.0
+        net.mask[:] = True
+        assert independent.w[1, 0] == 3.0 and not independent.w_mask[1, 0]
 
     def test_masked_positions_index_the_packed_vector(self):
         net = small_net(3, 4, 2, seed=6)
         net.w_mask[1, 2] = False
         net.v_mask[1, 3] = False
         net.apply_masks()
-        positions = net.masked_positions()
+        positions = np.flatnonzero(~net.mask)
         assert positions.tolist() == [1 * 3 + 2, 12 + 1 * 4 + 3]
-        assert np.all(net.pack()[positions] == 0.0)
+        assert np.all(net.weights[positions] == 0.0)
+
+    def test_construction_copies_the_arrays_it_is_given(self):
+        rng = np.random.default_rng(8)
+        arrays = dict(
+            w=rng.random((4, 3)),
+            v=rng.random((2, 4)),
+            w_mask=np.ones((4, 3), dtype=bool),
+            v_mask=np.ones((2, 4), dtype=bool),
+            input_active=np.ones(3, dtype=bool),
+            hidden_active=np.ones(4, dtype=bool),
+        )
+        kept = {name: a.copy() for name, a in arrays.items()}
+        net = Network(**arrays)
+        for a in arrays.values():
+            a[...] = 0
+        for name, a in kept.items():
+            assert np.array_equal(getattr(net, name), a), name
+        net.weights[:] = 1.0
+        net.mask[:] = False
+        net.hidden_active[:] = False
+        assert not any(a.any() for a in arrays.values())
+
+    @pytest.mark.parametrize(
+        "name", ["w", "v", "w_mask", "v_mask", "weights", "mask", "input_active", "hidden_active"]
+    )
+    def test_fields_cannot_be_rebound(self, name):
+        net = small_net(3, 4, 2, seed=7)
+        with pytest.raises(FrozenInstanceError):
+            setattr(net, name, getattr(net, name).copy())
+
+    @pytest.mark.parametrize(
+        "field,shape",
+        [("v", (2, 3)), ("w_mask", (4, 2)), ("v_mask", (4, 2)), ("input_active", (4,)),
+         ("hidden_active", (3,))],
+    )
+    def test_mismatched_shapes_rejected(self, field, shape):
+        net = small_net(3, 4, 2, seed=7)
+        arrays = {name: getattr(net, name) for name in
+                  ("w", "v", "w_mask", "v_mask", "input_active", "hidden_active")}
+        arrays[field] = np.zeros(shape, dtype=arrays[field].dtype)
+        with pytest.raises(ShapeError):
+            Network(**arrays)
 
 
 class TestMaskInvariant:

@@ -11,14 +11,21 @@ from nnprune import (
     PenaltyParams,
     ShapeError,
     Split,
+    accuracy,
     cross_entropy,
     finite_diff_check,
+    forward_batch,
     gradients,
     init_network,
     objective,
     penalty,
 )
-from nnprune.objective import data_gradients, forward_pass, theta_certainly_finite
+from nnprune.objective import (
+    data_gradients,
+    forward_pass,
+    penalty_gradients,
+    theta_certainly_finite,
+)
 
 # hand evaluations, frozen
 TWO_LN_TWO = 1.3862943611198906          # -(log .5 + log .5)
@@ -75,8 +82,8 @@ class TestPenalty:
         net = init_network(NetworkConfig(4, 3, 2, seed=8))
         params = PenaltyParams()
         p1 = penalty(net, params)
-        net.w = -net.w
-        net.v = -net.v
+        net.w[...] = -net.w
+        net.v[...] = -net.v
         assert penalty(net, params) == pytest.approx(p1, rel=1e-15)
 
     def test_positive_iff_nonzero(self):
@@ -100,8 +107,6 @@ class TestObjective:
         net = init_network(NetworkConfig(3, 2, 2, seed=5))
         batch = make_batch(3, 2, 10, seed=5)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
-        from nnprune import forward_batch
-
         _, preds = forward_batch(net, batch.examples)
         assert objective(net, batch, off) == pytest.approx(
             cross_entropy(preds, batch.targets), rel=1e-15
@@ -141,6 +146,7 @@ BATCH_FUNCTIONS = {
     ),
     "gradients": lambda net, batch: gradients(net, batch, PenaltyParams()),
     "finite_diff_check": lambda net, batch: finite_diff_check(net, batch, PenaltyParams()),
+    "accuracy": accuracy,
 }
 
 
@@ -159,9 +165,7 @@ class TestGradients:
         net.w[:] = 0.0
         net.v[:] = 0.0
         batch = make_batch(4, 2, 6, seed=2)
-        g = gradients(net, batch, PenaltyParams())
-        assert np.all(g.d_w == 0.0)
-        assert np.all(g.d_v == 0.0)
+        assert np.all(gradients(net, batch, PenaltyParams()) == 0.0)
 
     def test_masked_entries_zero(self):
         net = init_network(NetworkConfig(4, 3, 2, seed=2))
@@ -169,9 +173,9 @@ class TestGradients:
         net.v_mask[0, 1] = False
         net.apply_masks()
         batch = make_batch(4, 2, 6, seed=2)
-        g = gradients(net, batch, PenaltyParams())
-        assert g.d_w[1, 2] == 0.0
-        assert g.d_v[0, 1] == 0.0
+        d_w, d_v = net.views(gradients(net, batch, PenaltyParams()))
+        assert d_w[1, 2] == 0.0
+        assert d_v[0, 1] == 0.0
 
     def test_data_gradient_is_raw_at_masked_entries(self):
         # masks are the trainer's to apply; the formula's value is kept
@@ -181,8 +185,8 @@ class TestGradients:
         unmasked = data_gradients(net, batch, forward_pass(net, batch.examples))
         net.w_mask[1, 2] = False
         raw = data_gradients(net, batch, forward_pass(net, batch.examples))
-        assert raw.d_w[1, 2] != 0.0
-        assert np.array_equal(raw.d_w, unmasked.d_w)
+        assert net.views(raw)[0][1, 2] != 0.0
+        assert np.array_equal(raw, unmasked)
 
     def test_penalty_only_gradient_sign(self):
         net = init_network(NetworkConfig(1, 1, 1, seed=1))
@@ -190,7 +194,24 @@ class TestGradients:
         net.v[0, 0] = 0.0
         # zero input: data gradient vanishes for w
         g = gradients(net, Split(np.array([[0.0]]), np.array([0]), 1), PenaltyParams())
-        assert g.d_w[0, 0] > 0.0
+        assert net.views(g)[0][0, 0] > 0.0
+
+    def test_full_gradient_is_the_per_matrix_gradients_packed(self):
+        net = init_network(NetworkConfig(5, 3, 3, seed=15))
+        net.w_mask[1, 2] = net.v_mask[0, 1] = False
+        net.apply_masks()
+        batch = make_batch(5, 3, 9, seed=15)
+        params = PenaltyParams()
+        # the reference: each matrix's gradient on its own, then concatenated
+        hidden, preds = forward_batch(net, batch.examples)
+        d_out = preds - batch.targets
+        d_hidden = (d_out @ net.v) * (1.0 - hidden ** 2)
+        d_w = d_hidden.T @ batch.examples + penalty_gradients(net.w, params)
+        d_v = d_out.T @ hidden + penalty_gradients(net.v, params)
+        d_w[~net.w_mask] = 0.0
+        d_v[~net.v_mask] = 0.0
+        expected = np.concatenate((d_w.ravel(), d_v.ravel()))
+        assert np.array_equal(gradients(net, batch, params), expected)
 
     def test_matches_finite_differences(self):
         net = init_network(NetworkConfig(9, 3, 2, init_range=1.0, seed=42))
@@ -254,8 +275,7 @@ class TestGradients:
         g2 = gradients(
             net, Split(batch.examples[perm], batch.class_indices[perm], 3), PenaltyParams()
         )
-        assert np.allclose(g1.d_w, g2.d_w, rtol=1e-12, atol=1e-12)
-        assert np.allclose(g1.d_v, g2.d_v, rtol=1e-12, atol=1e-12)
+        assert np.allclose(g1, g2, rtol=1e-12, atol=1e-12)
 
 
 def signed_decades(lo, hi):
@@ -313,10 +333,10 @@ class TestThetaCertificate:
             at = forward_pass(net, split.examples)
             # the check the certificate replaces on the training path
             finite = np.isfinite(objective(net, split, params))
-        certified = theta_certainly_finite(net.pack(), at, params)  # warnings are errors here
+        certified = theta_certainly_finite(net.weights, at, params)  # warnings are errors here
         assert finite or not certified
 
     def test_holds_on_an_ordinary_network(self):
         net = init_network(NetworkConfig(9, 3, 2, seed=42))
         at = forward_pass(net, make_batch(9, 2, 10, seed=42).examples)
-        assert theta_certainly_finite(net.pack(), at, PenaltyParams())
+        assert theta_certainly_finite(net.weights, at, PenaltyParams())

@@ -1,10 +1,14 @@
-"""The README's Library examples run as written against stand-in data."""
+"""The README's Library examples run as written against stand-in data, and
+the package names it mentions exist."""
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import re
 from pathlib import Path
 
+import nnprune
 from nnprune.synth import write_all
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,3 +24,38 @@ def test_library_examples_run(tmp_path, monkeypatch, capsys):
         exec(compile(block, str(README), "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 + 5  # two results, then epochs 100..500 with theta
+
+
+def resolve(name: str) -> object:
+    """The object a dotted name such as ``nnprune.harness.CONFIG_DEFAULTS``
+    or ``Network.weights`` (an export of the package, then attributes)
+    refers to; raises if there is none.  A dataclass field resolves to its
+    ``dataclasses.Field``."""
+    parts = name.split(".")
+    obj = nnprune
+    if parts[0] == "nnprune":
+        # import the longest module prefix first: ``nnprune.objective`` is
+        # also the name of a function the package exports
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            parts = parts[cut:]
+            break
+    for attr in parts:
+        fields = dataclasses.fields(obj) if dataclasses.is_dataclass(obj) else ()
+        obj = next((f for f in fields if f.name == attr), None) or getattr(obj, attr)
+    return obj
+
+
+def test_dotted_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    names = {
+        name
+        for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)
+        if name.split(".")[0] in ("nnprune", *nnprune.__all__)
+    }
+    assert {"nnprune.objective.theta_certainly_finite", "Network.weights"} <= names
+    for name in sorted(names):
+        resolve(name)

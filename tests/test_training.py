@@ -208,6 +208,8 @@ class TestTrain:
         # checked before the lazy loop, so also when no epoch runs
         with pytest.raises(DatasetError):
             train(net, empty, TrainParams(0.1, 0), PenaltyParams())
+        with pytest.raises(DatasetError, match="empty split"):
+            next(descend(net, empty, 0.1, PenaltyParams()))
 
 
 def reference_train(net, split, lr, penalty, epochs):
@@ -219,9 +221,9 @@ def reference_train(net, split, lr, penalty, epochs):
     """
     net = net.copy()
     for epoch in range(1, epochs + 1):
-        g = gradients(net, split, penalty)
-        net.w -= lr / len(split) * g.d_w
-        net.v -= lr / len(split) * g.d_v
+        d_w, d_v = net.views(gradients(net, split, penalty))
+        net.w[...] -= lr / len(split) * d_w
+        net.v[...] -= lr / len(split) * d_v
         net.apply_masks()
         if not np.isfinite(objective(net, split, penalty)):
             return net, epoch
@@ -260,6 +262,17 @@ class TestPackedEpochs:
         assert diverged is None
         assert np.array_equal(stepped.w, expected.w) and np.array_equal(stepped.v, expected.v)
         stepped.validate()
+
+    def test_references_taken_before_descend_see_the_trained_weights(self):
+        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        split = toy_split(seed=6)
+        w, v, weights = net.w, net.v, net.weights
+        before = net.copy()
+        for _ in islice(descend(net, split, 0.1, PenaltyParams()), 5):
+            pass
+        assert net.w is w and net.v is v and net.weights is weights
+        assert not np.array_equal(w, before.w)
+        assert np.array_equal(w, train(before, split, TrainParams(0.1, 5), PenaltyParams()).w)
 
 
 class TestEpochContract:
