@@ -79,12 +79,12 @@ SPECS = {s.name: s for s in (CANCER1, GLASS, DIABETES)}
 class Split:
     """Normalized examples and their class indices for one partition.
 
-    Construction copies both arrays, checks that the examples are finite
-    and that every class index is an integer in ``[0, n_classes)``, then
-    derives ``targets``, one one-hot row of 0.0 and 1.0 per index;
-    training relies on both.  The three arrays are read-only and no field
-    can be rebound, so the checks and the targets hold for the life of the
-    split.
+    Construction copies both arrays, checks that there is at least one
+    example, that the examples are finite and that every class index is an
+    integer in ``[0, n_classes)``, then derives ``targets``, one one-hot
+    row of 0.0 and 1.0 per index; training relies on all three.  The three
+    arrays are read-only and no field can be rebound, so the checks and the
+    targets hold for the life of the split.
     """
 
     examples: np.ndarray       # float64 [k, n], values in [0, 1]
@@ -100,6 +100,8 @@ class Split:
                 f"split shapes disagree: examples {examples.shape}, "
                 f"class indices {class_indices.shape}"
             )
+        if len(examples) == 0:
+            raise DatasetError("a split needs at least one example")
         if not np.isfinite(examples).all():
             raise DatasetError("split examples must be finite")
         if not (
@@ -195,13 +197,14 @@ def prepare(
     """Shuffle, partition, impute and normalize records into three splits.
 
     ``raw`` is the ``(values, class_indices)`` pair of :func:`load_raw`;
-    NaN in ``values`` marks a missing attribute.
+    NaN in ``values`` marks a missing attribute.  Fewer than MIN_RECORDS
+    records, which would leave a split empty, raise DatasetError.
     """
     check_int("split_seed", split_seed, 0)
     values, class_indices = np.asarray(raw[0], dtype=np.float64), np.asarray(raw[1])
     k = len(values)
-    if k == 0:
-        raise DatasetError("no records to prepare")
+    if k < MIN_RECORDS:
+        raise DatasetError(f"too few records ({k}); a 50/25/25 split needs at least {MIN_RECORDS}")
     if values.shape != (k, spec.n_attributes) or class_indices.shape != (k,):
         raise DatasetError(
             f"expected values [k, {spec.n_attributes}] and class indices [k], got "

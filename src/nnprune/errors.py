@@ -16,7 +16,8 @@ class ParseError(ValueError):
 
 
 class DatasetError(ValueError):
-    """Invalid dataset contents: empty splits, unmapped class labels, bad indices."""
+    """Invalid dataset contents: too few records for three non-empty splits,
+    a split with no examples, unmapped class labels, bad class indices."""
 
 
 class DivergenceError(RuntimeError):

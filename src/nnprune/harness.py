@@ -165,20 +165,12 @@ def _seeds(value: str) -> tuple[int, ...]:
     return tuple(int(s) for s in value.split(",") if s.strip())
 
 
-@dataclass(frozen=True)
-class SeedResult:
-    """One split seed's row of the experiment report."""
-
-    split_seed: int
-    report: GrowPruneReport
-
-
 @dataclass
 class ExperimentReport:
     """All per-seed rows plus their aggregates, ready to serialize."""
 
     config: ExperimentConfig
-    rows: list[SeedResult]
+    rows: dict[int, GrowPruneReport]  # by split seed, in seed order
 
     _AGGREGATED = (
         "full_test_accuracy",
@@ -194,10 +186,10 @@ class ExperimentReport:
             return {}
         agg: dict = {}
         for name in self._AGGREGATED:
-            values = np.array([getattr(r.report, name) for r in self.rows], dtype=np.float64)
+            values = np.array([getattr(r, name) for r in self.rows.values()], dtype=np.float64)
             agg[name] = {"mean": float(values.mean()), "stddev": float(values.std())}
         agg["converged_fraction"] = float(
-            np.mean([1.0 if r.report.converged else 0.0 for r in self.rows])
+            np.mean([1.0 if r.converged else 0.0 for r in self.rows.values()])
         )
         return agg
 
@@ -205,7 +197,7 @@ class ExperimentReport:
         doc = {
             "config": asdict(self.config),
             "per_seed": [
-                {"split_seed": r.split_seed, **asdict(r.report)} for r in self.rows
+                {"split_seed": seed, **asdict(r)} for seed, r in self.rows.items()
             ],
             "aggregate": self.aggregate(),
         }
@@ -221,10 +213,9 @@ class ExperimentReport:
             "",
             "seed  full_test  pruned_test  simplified  in_rm  hid_rm  conn_rm  converged",
         ]
-        for r in self.rows:
-            rep = r.report
+        for seed, rep in self.rows.items():
             lines.append(
-                f"{r.split_seed:>4}  {rep.full_test_accuracy:>9.5f}  "
+                f"{seed:>4}  {rep.full_test_accuracy:>9.5f}  "
                 f"{rep.pruned_test_accuracy:>11.5f}  {rep.simplified_architecture:>10}  "
                 f"{rep.input_nodes_removed:>5}  {rep.hidden_nodes_removed:>6}  "
                 f"{rep.explicit_connections_removed:>7}  {str(rep.converged):>9}"
@@ -247,7 +238,7 @@ class ExperimentReport:
 
 def _run_seed(
     config: ExperimentConfig, split_seed: int
-) -> tuple[SeedResult, Network, Network, PruneTrace]:
+) -> tuple[GrowPruneReport, Network, Network, PruneTrace]:
     bundle = load_bundle(config.data_path, config.spec, split_seed)
     base = replace(config.network, seed=derived_seed(config.network.seed, split_seed))
     pruned, trace, report = grow_and_prune(
@@ -257,7 +248,7 @@ def _run_seed(
     # result; training is deterministic, so this is the exact same network
     full_config = replace(base, seed=derived_seed(base.seed, report.restarts_used - 1, 0))
     full_net = train(init_network(full_config), bundle.train, config.train, config.penalty)
-    return SeedResult(split_seed=split_seed, report=report), full_net, pruned, trace
+    return report, full_net, pruned, trace
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -270,7 +261,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     (out / "networks").mkdir(parents=True, exist_ok=True)
     (out / "traces").mkdir(parents=True, exist_ok=True)
 
-    rows: list[SeedResult] = []
+    rows: dict[int, GrowPruneReport] = {}
     try:
         for seed in config.split_seeds:
             result, full_net, pruned_net, trace = _run_seed(config, seed)
@@ -283,11 +274,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             (out / "traces" / f"seed{seed}.jsonl").write_text(
                 trace.to_jsonl(), encoding="utf-8"
             )
-            rows.append(result)
+            rows[seed] = result
     finally:
         # persist whatever completed, even when a later seed failed
-        rows.sort(key=lambda r: r.split_seed)
-        report = ExperimentReport(config=config, rows=rows)
+        report = ExperimentReport(config=config, rows=dict(sorted(rows.items())))
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
         (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     return report

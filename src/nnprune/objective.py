@@ -11,11 +11,12 @@ pulls small weights toward zero while leaving large weights nearly alone,
 which is what makes magnitude-based weight elimination effective after
 training.
 
-A batch is a :class:`~nnprune.data.Split`, which derives its one-hot
-targets from its class indices.  :func:`objective`, :func:`data_gradients`,
-:func:`gradients` and :func:`finite_diff_check` take one and raise
-ShapeError when its attribute or class count does not fit the network
-(:func:`check_batch`, which :func:`~nnprune.training.accuracy` shares).
+A batch is a :class:`~nnprune.data.Split`, which holds at least one
+example and derives its one-hot targets from its class indices.
+:func:`objective`, :func:`data_gradients`, :func:`gradients` and
+:func:`finite_diff_check` take one and raise ShapeError when its attribute
+or class count does not fit the network (:func:`check_batch`, which
+:func:`~nnprune.training.accuracy` shares).
 
 The data gradient is taken from a :class:`ForwardPass` instead of a pass of
 its own: :func:`forward_pass` runs one, and the trainer keeps the pass of
@@ -129,8 +130,6 @@ def forward_pass(net: Network, inputs: np.ndarray) -> ForwardPass:
 def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
     """theta = cross-entropy over the batch + weight penalty."""
     check_batch(net, batch)
-    if len(batch) == 0:
-        raise ShapeError("batch must be nonempty")
     _, preds = forward_batch(net, batch.examples)
     return cross_entropy(preds, batch.targets) + penalty(net, params)
 

@@ -224,6 +224,8 @@ def eliminate_weights(
     if floor is None:
         baseline = accuracy(current, bundle.validation)
         floor = max(0.0, baseline - params.accuracy_drop_tolerance)
+    else:
+        check_float("floor", floor, 0, 1, "[]")
     trace = PruneTrace()
     for batch_id in count():
         batch = removal_batch(current, params, batch_id)

@@ -39,7 +39,7 @@ from itertools import count, islice
 import numpy as np
 
 from .data import Split
-from .errors import DatasetError, DivergenceError, check_float, check_int
+from .errors import DivergenceError, check_float, check_int
 from .network import Network, classify_batch
 from .objective import (
     PenaltyParams,
@@ -72,12 +72,9 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
     epoch differentiates the forward pass the previous epoch left behind
     (the first runs one), applies the update and the masks once, and runs
     one forward pass of the updated network.  Raises DivergenceError naming
-    the epoch if the objective becomes non-finite, and DatasetError, at the
-    first ``next``, if ``split`` is empty.
+    the epoch if the objective becomes non-finite.
     """
     check_float("lr", lr, 0, math.inf)
-    if len(split) == 0:
-        raise DatasetError("cannot train on an empty split")
     step = lr / len(split)
     weights = net.weights
     masked = np.flatnonzero(~net.mask)
@@ -102,12 +99,11 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
 def accuracy(net: Network, split: Split) -> float:
     """Fraction of examples whose predicted class equals the target class.
 
-    Raises ShapeError if ``split`` does not fit ``net`` (see
+    Defined for every split, which holds at least one example.  Raises
+    ShapeError if ``split`` does not fit ``net`` (see
     :func:`~nnprune.objective.check_batch`).
     """
     check_batch(net, split)
-    if len(split) == 0:
-        raise DatasetError("cannot evaluate accuracy on an empty split")
     preds = classify_batch(net, split.examples)
     return float(np.mean(preds == split.class_indices))
 
@@ -123,8 +119,6 @@ def train(
     Deterministic given its inputs.  Raises DivergenceError naming the
     epoch if the objective becomes non-finite.
     """
-    if len(split) == 0:
-        raise DatasetError("cannot train on an empty split")
     net = net.copy()
     for _ in islice(descend(net, split, tparams.learning_rate, penalty), tparams.epochs):
         pass
@@ -151,8 +145,6 @@ def retrain(
     net = net.copy()
     if accuracy(net, val_split) >= floor:
         return net, True
-    if len(train_split) == 0:
-        raise DatasetError("cannot train on an empty split")
     for _ in islice(descend(net, train_split, lr, penalty), max_epochs):
         if accuracy(net, val_split) >= floor:
             return net, True

@@ -165,10 +165,8 @@ def _accuracy_summary(run, name):
 
 def test_criterion_3_cancer_reproduction(cancer_run):
     full, pruned = _accuracy_summary(cancer_run, "cancer1")
-    rows = cancer_run["report"].rows
-    small_enough = [
-        r.report.simplified_architecture.split("-") for r in rows
-    ]
+    rows = cancer_run["report"].rows.values()
+    small_enough = [r.simplified_architecture.split("-") for r in rows]
     structure_ok = (
         sum(int(a[1]) <= 2 and int(a[0]) <= 6 for a in small_enough) > len(rows) / 2
     )
@@ -180,7 +178,7 @@ def test_criterion_3_cancer_reproduction(cancer_run):
         "criterion 3: cancer reproduction",
         ok,
         f"full {full*100:.3f}% (97.143 +/- 2.5), pruned {pruned*100:.3f}% "
-        f"(96.644 +/- 3.0), architectures {[r.report.simplified_architecture for r in rows]}, "
+        f"(96.644 +/- 3.0), architectures {[r.simplified_architecture for r in rows]}, "
         f"{cancer_run['elapsed']:.1f}s (< 60s), data={cancer_run['source']}",
     )
     assert full_ok and pruned_ok and structure_ok and time_ok
@@ -188,9 +186,9 @@ def test_criterion_3_cancer_reproduction(cancer_run):
 
 def test_criterion_4_diabetes_reproduction(diabetes_run):
     full, pruned = _accuracy_summary(diabetes_run, "diabetes")
-    rows = diabetes_run["report"].rows
+    rows = diabetes_run["report"].rows.values()
     hidden_removed_majority = (
-        sum(r.report.hidden_nodes_removed >= 1 for r in rows) > len(rows) / 2
+        sum(r.hidden_nodes_removed >= 1 for r in rows) > len(rows) / 2
     )
     full_ok = in_band(full, "diabetes", "full")
     pruned_ok = in_band(pruned, "diabetes", "pruned")
@@ -200,7 +198,7 @@ def test_criterion_4_diabetes_reproduction(diabetes_run):
         "criterion 4: diabetes reproduction",
         ok,
         f"full {full*100:.3f}% (77.344 +/- 3.0), pruned {pruned*100:.3f}% "
-        f"(75.260 +/- 3.5), hidden removed {[r.report.hidden_nodes_removed for r in rows]}, "
+        f"(75.260 +/- 3.5), hidden removed {[r.hidden_nodes_removed for r in rows]}, "
         f"{diabetes_run['elapsed']:.1f}s (< 120s), data={diabetes_run['source']}",
     )
     assert full_ok and pruned_ok and hidden_removed_majority and time_ok
@@ -268,13 +266,13 @@ def test_criterion_6_pruning_soundness(cancer_run, diabetes_run, glass_run):
     converged_rows = 0
     for run in (cancer_run, diabetes_run, glass_run):
         tol = run["config"].prune.accuracy_drop_tolerance
-        for row in run["report"].rows:
-            if not row.report.converged:
+        for row in run["report"].rows.values():
+            if not row.converged:
                 continue
             converged_rows += 1
             floor_ok &= (
-                row.report.pruned_validation_accuracy
-                >= row.report.full_validation_accuracy - tol - 1e-12
+                row.pruned_validation_accuracy
+                >= row.full_validation_accuracy - tol - 1e-12
             )
 
     # (c) dead-node removal never changes forward outputs (bit-identical

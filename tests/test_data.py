@@ -221,8 +221,14 @@ class TestPrepare:
             assert np.all(split.examples[:, 1] == 0.0)
 
     def test_empty_raw_rejected(self):
-        with pytest.raises(DatasetError):
+        with pytest.raises(DatasetError, match=r"too few records \(0\)"):
             prepare((np.zeros((0, 9)), np.zeros(0, dtype=np.int64)), CANCER1, split_seed=1)
+
+    @pytest.mark.parametrize("records", range(1, MIN_RECORDS))
+    def test_too_few_records_rejected(self, records):
+        raw = (np.ones((records, 8)), np.arange(records) % 2)
+        with pytest.raises(DatasetError, match=rf"too few records \({records}\); .* at least 4$"):
+            prepare(raw, DIABETES, split_seed=1)
 
     @pytest.mark.parametrize(
         "values,class_indices,match",
@@ -381,10 +387,16 @@ def reference_one_hot(class_indices, n_classes):
 
 
 class TestSplitInvariants:
-    def test_valid_and_empty_splits_accepted(self):
+    def test_valid_splits_accepted(self):
         x, c = split_parts()
         assert len(Split(x, c, 2)) == 3
-        assert len(Split(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), 2)) == 0
+        assert len(Split(x[:1], c[:1], 2)) == 1
+
+    @pytest.mark.parametrize("n_attributes", [0, 2])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_empty_split_rejected(self, n_attributes, n_classes):
+        with pytest.raises(DatasetError, match="a split needs at least one example"):
+            Split(np.zeros((0, n_attributes)), np.zeros(0, dtype=np.int64), n_classes)
 
     @pytest.mark.parametrize(
         "class_indices,n_classes",
@@ -392,7 +404,6 @@ class TestSplitInvariants:
             (np.random.default_rng(3).integers(0, 6, size=40), 6),
             (np.random.default_rng(4).integers(0, 2, size=7), 2),
             (np.zeros(5, dtype=np.int64), 1),
-            (np.zeros(0, dtype=np.int64), 3),
         ],
     )
     def test_targets_are_the_one_hot_class_indices(self, class_indices, n_classes):

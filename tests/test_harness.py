@@ -220,11 +220,10 @@ class TestRunExperiment:
 
     def test_architecture_strings_match_networks(self, small_experiment):
         _, report, out = small_experiment
-        for row in report.rows:
-            net = deserialize(
-                (out / "networks" / f"pruned_seed{row.split_seed}.json").read_text()
-            )
-            assert row.report.simplified_architecture == net.architecture()
+        assert list(report.rows) == [1, 2]
+        for seed, row in report.rows.items():
+            net = deserialize((out / "networks" / f"pruned_seed{seed}.json").read_text())
+            assert row.simplified_architecture == net.architecture()
 
     def test_traces_parse(self, small_experiment):
         _, _, out = small_experiment

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nnprune import (
     ConfigurationError,
+    DatasetError,
     NetworkConfig,
     PenaltyParams,
     ShapeError,
@@ -126,10 +127,9 @@ class TestObjective:
         assert objective(net, batch, PenaltyParams()) >= objective(net, batch, off)
 
     def test_empty_batch_rejected(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=5))
-        empty = Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
-        with pytest.raises(ShapeError):
-            objective(net, empty, PenaltyParams())
+        # an empty batch cannot be built, so objective never sees one
+        with pytest.raises(DatasetError, match="at least one example"):
+            Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
 
     def test_gradient_rejects_evaluation_of_another_batch(self):
         net = init_network(NetworkConfig(3, 2, 2, seed=5))

@@ -340,6 +340,19 @@ class TestEliminateWeights:
         with pytest.raises(ConfigurationError, match="lr must be in"):
             eliminate_weights(net, bundle, lr, PEN, PruneParams())
 
+    @pytest.mark.parametrize("removable", [True, False])
+    @pytest.mark.parametrize("floor", [math.nan, 1.5, -1.0])
+    def test_bad_floor_rejected(self, floor, removable):
+        bundle = halfplane_bundle(seed=1)
+        net = init_network(NetworkConfig(2, 1, 2, seed=1))
+        if not removable:  # every w masked and every v too large to remove
+            net.w_mask[:] = False
+            net.apply_masks()
+            net.v[:] = 5.0
+        assert bool(removal_batch(net, PruneParams(), 0)) == removable
+        with pytest.raises(ConfigurationError, match="floor must be in"):
+            eliminate_weights(net, bundle, 0.1, PEN, PruneParams(), floor=floor)
+
     def test_monotone_sparsity_and_trace_completeness(self, cancer_bundle):
         net = train(
             init_network(NetworkConfig(9, 3, 2, seed=5)),

@@ -1,17 +1,37 @@
-"""The README's Library examples run as written against stand-in data, and
-the package names it mentions exist."""
+"""The README's CLI and Library examples run as written against stand-in
+data, and the package names it mentions exist."""
 
 from __future__ import annotations
 
 import dataclasses
 import importlib
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import nnprune
+from nnprune.cli import main
 from nnprune.synth import write_all
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def test_cli_examples_run(tmp_path, monkeypatch):
+    cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = re.search(r"^```bash\n(.*?)^```", cli_section, re.M | re.S).group(1)
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line]
+    assert [argv[:2] for argv in commands] == [
+        ["nnprune", name]
+        for name in ("synth-data", "run", "train", "prune", "eval", "export-dot", "gradcheck")
+    ]
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:  # later commands read what earlier ones wrote
+        assert main(argv[1:]) == 0, shlex.join(argv)
+    assert (tmp_path / "out" / "cancer1" / "report.json").is_file()
 
 
 def test_library_examples_run(tmp_path, monkeypatch, capsys):
