@@ -9,6 +9,12 @@ Subcommands:
 * ``export-dot``  - DOT rendering of a saved network
 * ``gradcheck``   - finite-difference verification of the gradients
 * ``synth-data``  - write the stand-in benchmark files
+
+``train``, ``prune`` and ``eval`` read their dataset, data file and settings
+from the same experiment config file as ``run`` (``--config``) and pick the
+split with ``--split-seed``.  ``main`` loads the config before it dispatches,
+so an error in the file exits 1 with ``error: ...``; a ``ConfigurationError``
+raised after that came from a flag and is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -22,15 +28,15 @@ from pathlib import Path
 import numpy as np
 
 from . import synth
-from .data import SPECS, Split, load_bundle
+from .data import Split, load_bundle
 from .errors import (
     ConfigurationError, DatasetError, DivergenceError, ParseError, ShapeError, check_int,
 )
-from .harness import CONFIG_DEFAULTS, export_dot, load_config, run_experiment
+from .harness import export_dot, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams, finite_diff_check, objective
-from .pruning import PruneParams, eliminate_weights, prune_dead_nodes
-from .training import TrainParams, accuracy, descend
+from .pruning import eliminate_weights, prune_dead_nodes
+from .training import accuracy, descend
 
 GRADCHECK_TOLERANCE = 1e-5
 
@@ -42,16 +48,9 @@ def architecture(text: str) -> tuple[int, int, int]:
     return n, h, o
 
 
-def _add_data_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--dataset", required=True, choices=sorted(SPECS))
-    parser.add_argument("--data", required=True, type=Path, help="benchmark data file")
+def _add_config_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, type=Path, help="experiment config file")
     parser.add_argument("--split-seed", type=int, default=1)
-
-
-def _add_penalty_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps1", type=float, default=CONFIG_DEFAULTS["eps1"])
-    parser.add_argument("--eps2", type=float, default=CONFIG_DEFAULTS["eps2"])
-    parser.add_argument("--beta", type=float, default=CONFIG_DEFAULTS["beta"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,16 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", type=Path, default=None, help="override output_dir")
 
     p_train = sub.add_parser("train", help="train a fresh network on one split")
-    _add_data_args(p_train)
-    _add_penalty_args(p_train)
-    p_train.add_argument("--hidden", type=int, default=CONFIG_DEFAULTS["n_hidden"])
-    p_train.add_argument("--epochs", type=int, default=CONFIG_DEFAULTS["epochs"])
-    p_train.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
-    p_train.add_argument("--init-range", type=float, default=CONFIG_DEFAULTS["init_range"])
-    p_train.add_argument(
-        "--seed", type=int, default=CONFIG_DEFAULTS["init_seed"],
-        help="weight init seed",
-    )
+    _add_config_args(p_train)
     p_train.add_argument("--out", required=True, type=Path, help="network JSON output")
     p_train.add_argument(
         "--trace", type=Path, default=None,
@@ -86,22 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_prune = sub.add_parser("prune", help="simplify a trained network")
-    _add_data_args(p_prune)
-    _add_penalty_args(p_prune)
+    _add_config_args(p_prune)
     p_prune.add_argument("--net", required=True, type=Path)
-    p_prune.add_argument("--eta2", type=float, default=CONFIG_DEFAULTS["eta2"])
-    p_prune.add_argument(
-        "--tolerance", type=float, default=CONFIG_DEFAULTS["accuracy_drop_tolerance"]
-    )
-    p_prune.add_argument(
-        "--retrain-epochs", type=int, default=CONFIG_DEFAULTS["retrain_max_epochs"]
-    )
-    p_prune.add_argument("--lr", type=float, default=CONFIG_DEFAULTS["learning_rate"])
     p_prune.add_argument("--out", required=True, type=Path)
     p_prune.add_argument("--trace-out", type=Path, default=None, help="JSONL audit log")
 
     p_eval = sub.add_parser("eval", help="accuracy of a saved network")
-    _add_data_args(p_eval)
+    _add_config_args(p_eval)
     p_eval.add_argument("--net", required=True, type=Path)
     p_eval.add_argument(
         "--split", choices=("train", "validation", "test"), default="test"
@@ -129,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
+    config = args.config
     if args.out is not None:
         config = replace(config, output_dir=args.out)
     report = run_experiment(config)
@@ -139,21 +120,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    spec = SPECS[args.dataset]
-    config = NetworkConfig(
-        n_inputs=spec.n_attributes,
-        n_hidden=args.hidden,
-        n_outputs=spec.n_classes,
-        init_range=args.init_range,
-        seed=args.seed,
-    )
-    tparams = TrainParams(learning_rate=args.lr, epochs=args.epochs)
-    penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
-    bundle = load_bundle(args.data, spec, args.split_seed)
-    net = init_network(config)
-    split = bundle.train
+    config = args.config
+    bundle = load_bundle(config.data_path, config.spec, args.split_seed)
+    net = init_network(config.network)
+    split, penalty = bundle.train, config.penalty
     rows = ["epoch,objective,train_accuracy\n"]
-    for epoch in islice(descend(net, split, tparams.learning_rate, penalty), tparams.epochs):
+    steps = descend(net, split, config.train.learning_rate, penalty)
+    for epoch in islice(steps, config.train.epochs):
         if args.trace is not None:
             theta = objective(net, split, penalty)
             rows.append(f"{epoch},{theta!r},{accuracy(net, split)!r}\n")
@@ -161,7 +134,7 @@ def _cmd_train(args) -> int:
     if args.trace is not None:
         args.trace.write_text("".join(rows), encoding="utf-8")
     print(
-        f"trained {config.n_inputs}-{config.n_hidden}-{config.n_outputs}: "
+        f"trained {net.architecture()}: "
         f"train acc {accuracy(net, split):.5f}, "
         f"validation acc {accuracy(net, bundle.validation):.5f}"
     )
@@ -169,15 +142,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    penalty = PenaltyParams(eps1=args.eps1, eps2=args.eps2, beta=args.beta)
-    params = PruneParams(
-        eta2=args.eta2,
-        accuracy_drop_tolerance=args.tolerance,
-        retrain_max_epochs=args.retrain_epochs,
-    )
-    bundle = load_bundle(args.data, SPECS[args.dataset], args.split_seed)
+    config = args.config
+    bundle = load_bundle(config.data_path, config.spec, args.split_seed)
     net = deserialize(args.net.read_text(encoding="utf-8"))
-    pruned, trace = eliminate_weights(net, bundle, args.lr, penalty, params)
+    pruned, trace = eliminate_weights(
+        net, bundle, config.train.learning_rate, config.penalty, config.prune
+    )
     pruned = prune_dead_nodes(pruned, trace)
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
     if args.trace_out is not None:
@@ -191,8 +161,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    spec = SPECS[args.dataset]
-    bundle = load_bundle(args.data, spec, args.split_seed)
+    bundle = load_bundle(args.config.data_path, args.config.spec, args.split_seed)
     net = deserialize(args.net.read_text(encoding="utf-8"))
     split = getattr(bundle, args.split)
     print(f"{args.split} accuracy: {accuracy(net, split):.5f}")
@@ -238,7 +207,13 @@ def main(argv: list[str] | None = None) -> int:
         "synth-data": _cmd_synth_data,
     }
     try:
-        return handlers[args.command](args)
+        if "config" in args:
+            args.config = load_config(args.config)
+        try:
+            return handlers[args.command](args)
+        except ConfigurationError as exc:
+            # the config file was checked as it loaded, so a flag gave the value
+            args.usage_error(str(exc))
     except (
         OSError,
         UnicodeDecodeError,
@@ -248,9 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         ShapeError,
         DivergenceError,
     ) as exc:
-        if isinstance(exc, ConfigurationError) and args.command != "run":
-            # only `run` reads a config file, so elsewhere a flag gave the value
-            args.usage_error(str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -202,14 +202,14 @@ def prepare(
     """
     check_int("split_seed", split_seed, 0)
     values, class_indices = np.asarray(raw[0], dtype=np.float64), np.asarray(raw[1])
-    k = len(values)
-    if k < MIN_RECORDS:
-        raise DatasetError(f"too few records ({k}); a 50/25/25 split needs at least {MIN_RECORDS}")
-    if values.shape != (k, spec.n_attributes) or class_indices.shape != (k,):
+    if values.shape[1:] != (spec.n_attributes,) or class_indices.shape != values.shape[:1]:
         raise DatasetError(
             f"expected values [k, {spec.n_attributes}] and class indices [k], got "
             f"{values.shape} and {class_indices.shape}"
         )
+    k = len(values)
+    if k < MIN_RECORDS:
+        raise DatasetError(f"too few records ({k}); a 50/25/25 split needs at least {MIN_RECORDS}")
     if np.isinf(values).any():
         raise DatasetError("attribute values must be finite, or NaN where missing")
 

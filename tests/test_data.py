@@ -240,6 +240,8 @@ class TestPrepare:
             (np.ones(4), [0, 1, 1, 0], "expected values"),
             (np.ones((4, 1)), [0, 1, 1], "expected values"),
             (np.array([[1.0], [np.inf], [2.0], [3.0]]), [0, 1, 1, 0], "finite"),
+            (np.ones(2), [0, 1], "expected values"),
+            (np.float64(1.0), np.int64(0), "expected values"),
         ],
     )
     def test_malformed_raw_rejected(self, values, class_indices, match):

@@ -8,11 +8,11 @@ Each ``configs/<name>.conf`` runs on the default-seed stand-in files from
 directory, so the path strings inside the report do not depend on where the
 test runs.
 
-The CLI case trains cancer1 (split seed 1) for 200 epochs with ``nnprune
-train`` and simplifies it with ``nnprune prune --trace-out``; the pruned
-network and the audit log must equal ``tests/golden/prune/``.  It covers the
-entry-accuracy floor of ``eliminate_weights`` and the CLI's dead-node step,
-which the experiment runs never reach.
+The CLI case runs ``nnprune train`` and ``nnprune prune --trace-out`` on
+split seed 1 with ``configs/cancer1.conf``, its ``epochs`` line set to 200;
+the pruned network and the audit log must equal ``tests/golden/prune/``.
+It covers the entry-accuracy floor of ``eliminate_weights`` and the CLI's
+dead-node step, which the experiment runs never reach.
 
 A golden file changes only with a declared change of behaviour.  To rewrite
 them from the current code:
@@ -60,11 +60,17 @@ def run_config(name: str, workdir: Path) -> Path:
 def run_prune(workdir: Path) -> Path:
     """Train and prune a cancer1 network with the CLI under ``workdir``;
     returns the output directory."""
-    data = write_all(workdir / "data")["cancer1"]
+    write_all(workdir / "data")
+    # configs/cancer1.conf finds its data at ../data, relative to itself
+    conf = workdir / "configs" / "cancer1.conf"
+    conf.parent.mkdir()
+    text = (_REPO / "configs" / "cancer1.conf").read_text(encoding="utf-8")
+    assert "\nepochs = 500\n" in text
+    conf.write_text(text.replace("\nepochs = 500\n", "\nepochs = 200\n"), encoding="utf-8")
     out = workdir / "out" / "prune"
     out.mkdir(parents=True)
-    split = ["--dataset", "cancer1", "--data", str(data), "--split-seed", "1"]
-    assert main(["train", *split, "--epochs", "200", "--out", str(out / "net.json")]) == 0
+    split = ["--config", str(conf), "--split-seed", "1"]
+    assert main(["train", *split, "--out", str(out / "net.json")]) == 0
     assert main([
         "prune", *split, "--net", str(out / "net.json"),
         "--out", str(out / "pruned.json"), "--trace-out", str(out / "prune.jsonl"),

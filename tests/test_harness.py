@@ -231,28 +231,77 @@ class TestRunExperiment:
         assert trace.events
 
 
+CANCER1_CONF = Path(__file__).resolve().parent.parent / "configs" / "cancer1.conf"
+
+
+def cancer_config(path: Path, data_file: Path, **values) -> Path:
+    """Write ``configs/cancer1.conf`` to ``path`` with ``data_path`` and each
+    of ``values`` set.  A key's line is replaced, or added when the file
+    has none, so no key is set twice."""
+    text = CANCER1_CONF.read_text(encoding="utf-8")
+    for key, value in {"data_path": data_file, **values}.items():
+        text, found = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        if not found:
+            text += f"{key} = {value}\n"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 # (command, flag, out-of-range value, what stderr says about it)
 FLAG_CASES = [
-    ("train", "--eps1", "nan", "eps1 must be in"),
-    ("train", "--eps2", "inf", "eps2 must be in"),
-    ("train", "--beta", "inf", "beta must be in"),
-    ("train", "--lr", "inf", "learning_rate must be in"),
-    ("train", "--init-range", "inf", "init_range must be in"),
     ("train", "--split-seed", "-1", "split_seed must be >= 0"),
-    ("train", "--seed", "-1", "seed must be >= 0"),
-    ("prune", "--eta2", "nan", "eta2 must be in"),
-    ("prune", "--eta2", "inf", "eta2 must be in"),
-    ("prune", "--tolerance", "nan", "accuracy_drop_tolerance must be in"),
-    ("prune", "--lr", "nan", "lr must be in"),
     ("gradcheck", "--step", "nan", "step must be in"),
     ("gradcheck", "--seed", "-1", "seed must be >= 0"),
     ("gradcheck", "--examples", "-1", "examples must be >= 1"),
     ("synth-data", "--seed", "-1", "seed must be >= 0"),
-    ("train", "--lr", "0", "learning_rate must be in"),
-    ("prune", "--lr", "-1", "lr must be in"),
     ("run", "--jobs", "0", "argument --jobs: invalid choice"),
     ("run", "--jobs", "-3", "argument --jobs: invalid choice"),
     ("run", "--jobs", "2", "argument --jobs: invalid choice"),
+]
+# Knob flags `train` and `prune` took before they read the config: an old
+# out-of-range command line is still a usage error, as the flag is unknown.
+# The range itself is checked through the config (CONFIG_CASES).
+FLAG_CASES += [
+    (command, flag, value, f"unrecognized arguments: {flag} {value}")
+    for command, flag, value in [
+        ("train", "--eps1", "nan"),
+        ("train", "--eps2", "inf"),
+        ("train", "--beta", "inf"),
+        ("train", "--lr", "inf"),
+        ("train", "--lr", "0"),
+        ("train", "--init-range", "inf"),
+        ("train", "--seed", "-1"),
+        ("prune", "--eta2", "nan"),
+        ("prune", "--eta2", "inf"),
+        ("prune", "--tolerance", "nan"),
+        ("prune", "--lr", "nan"),
+        ("prune", "--lr", "-1"),
+    ]
+]
+
+# (config key, out-of-range value, the parameter its error names)
+CONFIG_CASES = [
+    ("eps1", "nan", "eps1"),
+    ("eps2", "-1", "eps2"),
+    ("beta", "inf", "beta"),
+    ("learning_rate", "0", "learning_rate"),
+    ("init_range", "inf", "init_range"),
+    ("init_seed", "-1", "seed"),  # NetworkConfig.seed
+    ("n_hidden", "0", "n_hidden"),
+    ("epochs", "-1", "epochs"),
+    ("eta2", "0.5", "eta2"),
+    ("accuracy_drop_tolerance", "nan", "accuracy_drop_tolerance"),
+    ("retrain_max_epochs", "-1", "retrain_max_epochs"),
+]
+
+# (command, flag that went when these commands began reading the config, a value)
+REMOVED_FLAGS = [
+    ("prune", "--eta1", "0.3"),
+    ("train", "--lr", "0.1"),
+    ("train", "--dataset", "cancer1"),
+    ("prune", "--eta2", "0.1"),
+    ("prune", "--tolerance", "0.02"),
+    ("eval", "--data", "x.data"),
 ]
 
 
@@ -262,13 +311,11 @@ class TestCli:
         assert (tmp_path / "d" / "breast-cancer-wisconsin.data").is_file()
 
     def test_train_eval_dot_prune_cycle(self, cancer_file, tmp_path, capsys):
+        conf = str(cancer_config(tmp_path / "exp.conf", cancer_file, epochs=200))
         net_path = tmp_path / "net.json"
         trace_csv = tmp_path / "trace.csv"
         rc = main(
-            [
-                "train", "--dataset", "cancer1", "--data", str(cancer_file),
-                "--epochs", "200", "--out", str(net_path), "--trace", str(trace_csv),
-            ]
+            ["train", "--config", conf, "--out", str(net_path), "--trace", str(trace_csv)]
         )
         assert rc == 0
         assert net_path.is_file()
@@ -276,9 +323,7 @@ class TestCli:
         assert lines[0] == "epoch,objective,train_accuracy"
         assert len(lines) == 201
 
-        rc = main(
-            ["eval", "--dataset", "cancer1", "--data", str(cancer_file), "--net", str(net_path)]
-        )
+        rc = main(["eval", "--config", conf, "--net", str(net_path)])
         assert rc == 0
         assert "test accuracy" in capsys.readouterr().out
 
@@ -289,8 +334,7 @@ class TestCli:
         pruned_path = tmp_path / "pruned.json"
         rc = main(
             [
-                "prune", "--dataset", "cancer1", "--data", str(cancer_file),
-                "--net", str(net_path), "--out", str(pruned_path),
+                "prune", "--config", conf, "--net", str(net_path), "--out", str(pruned_path),
                 "--trace-out", str(tmp_path / "t.jsonl"),
             ]
         )
@@ -306,7 +350,8 @@ class TestCli:
         assert set(inactive) <= logged
 
     def test_train_trace_rows_match_saved_network(self, cancer_file, cancer_bundle, tmp_path):
-        argv = ["train", "--dataset", "cancer1", "--data", str(cancer_file), "--epochs", "20"]
+        conf = cancer_config(tmp_path / "exp.conf", cancer_file, epochs=20)
+        argv = ["train", "--config", str(conf)]
         assert main(argv + ["--out", str(tmp_path / "plain.json")]) == 0
         traced = ["--out", str(tmp_path / "net.json"), "--trace", str(tmp_path / "t.csv")]
         assert main(argv + traced) == 0
@@ -320,17 +365,13 @@ class TestCli:
         assert rows[-1] == f"20,{theta!r},{accuracy(saved, split)!r}"
 
     def test_train_divergence_names_true_epoch(self, cancer_file, cancer_bundle, tmp_path, capsys):
-        net = init_network(NetworkConfig(9, 3, 2, seed=1))  # the CLI defaults
+        net = init_network(NetworkConfig(9, 3, 2, seed=1))  # the network cancer1.conf sets
         with pytest.raises(DivergenceError) as library:
             train(net, cancer_bundle.train, TrainParams(1e30, 30), PenaltyParams())
         assert int(str(library.value).rsplit(" ", 1)[1]) > 1
+        conf = cancer_config(tmp_path / "exp.conf", cancer_file, epochs=30, learning_rate=1e30)
         out, csv = tmp_path / "net.json", tmp_path / "t.csv"
-        rc = main(
-            [
-                "train", "--dataset", "cancer1", "--data", str(cancer_file), "--epochs", "30",
-                "--lr", "1e30", "--out", str(out), "--trace", str(csv),
-            ]
-        )
+        rc = main(["train", "--config", str(conf), "--out", str(out), "--trace", str(csv)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {library.value}\n"
         assert not out.exists() and not csv.exists()
@@ -343,31 +384,57 @@ class TestCli:
     def test_out_of_range_flag_is_usage_error(
         self, command, flag, value, message, cancer_file, tmp_path, capsys
     ):
-        net = tmp_path / "n.json"
-        net.write_text(serialize(init_network(NetworkConfig(9, 3, 2))), encoding="utf-8")
-        data = ["--dataset", "cancer1", "--data", str(cancer_file)]
+        conf = cancer_config(tmp_path / "exp.conf", cancer_file)
         required = {
-            "train": data + ["--out", str(tmp_path / "t.json")],
-            "prune": data + ["--net", str(net), "--out", str(tmp_path / "p.json")],
+            "train": ["--config", str(conf), "--out", str(tmp_path / "t.json")],
+            "prune": ["--config", str(conf), "--net", str(tmp_path / "n.json"),
+                      "--out", str(tmp_path / "p.json")],
             "gradcheck": [],
             "synth-data": ["--out", str(tmp_path / "d")],
-            "run": ["--config", str(tmp_path / "exp.conf")],
+            "run": ["--config", str(conf)],
         }
         with pytest.raises(SystemExit) as exc:
             main([command, *required[command], flag, value])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["n.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
-    def test_prune_has_no_eta1_flag(self, cancer_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "prune", "eval"])
+    @pytest.mark.parametrize("key,value,name", CONFIG_CASES, ids=[c[0] for c in CONFIG_CASES])
+    def test_out_of_range_config_value_exit_1(
+        self, key, value, name, command, cancer_file, tmp_path, capsys
+    ):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        net = inputs / "n.json"
+        net.write_text(serialize(init_network(NetworkConfig(9, 3, 2))), encoding="utf-8")
+        conf = cancer_config(inputs / "exp.conf", cancer_file, **{key: value})
+        out = tmp_path / "out"
+        out.mkdir()
+        outputs = {
+            "train": ["--out", str(out / "n.json"), "--trace", str(out / "t.csv")],
+            "prune": ["--net", str(net), "--out", str(out / "p.json"),
+                      "--trace-out", str(out / "t.jsonl")],
+            "eval": ["--net", str(net)],
+        }
+        assert main([command, "--config", str(conf), *outputs[command]]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command,flag,value", REMOVED_FLAGS, ids=["-".join(case[:2]) for case in REMOVED_FLAGS]
+    )
+    def test_removed_flag_is_unrecognized(self, command, flag, value, tmp_path, capsys):
+        net = ["--net", str(tmp_path / "n.json")]
+        required = {
+            "train": ["--out", str(tmp_path / "n.json")],
+            "prune": [*net, "--out", str(tmp_path / "p.json")],
+            "eval": net,
+        }
         with pytest.raises(SystemExit) as exc:
-            main([
-                "prune", "--dataset", "cancer1", "--data", str(cancer_file),
-                "--net", str(tmp_path / "n.json"), "--out", str(tmp_path / "p.json"),
-                "--eta1", "0.3",
-            ])
+            main([command, "--config", "exp.conf", *required[command], flag, value])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --eta1 0.3" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_run_negative_split_seed_exit_1(self, cancer_file, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
@@ -409,10 +476,8 @@ class TestCli:
         assert err.startswith("error: ") and "'n_hidden'" in err
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
-        rc = main(
-            ["eval", "--dataset", "cancer1", "--data", str(tmp_path / "x.data"),
-             "--net", str(tmp_path / "n.json")]
-        )
+        conf = cancer_config(tmp_path / "exp.conf", tmp_path / "x.data")
+        rc = main(["eval", "--config", str(conf), "--net", str(tmp_path / "n.json")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
@@ -420,10 +485,9 @@ class TestCli:
         data = tmp_path / "bad.data"
         rows = [",".join(["1"] * 8 + [label]) for label in ("0", "1", "0", "7")]
         data.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        rc = main(
-            ["eval", "--dataset", "diabetes", "--data", str(data),
-             "--net", str(tmp_path / "n.json")]
-        )
+        conf = tmp_path / "exp.conf"
+        conf.write_text(f"dataset = diabetes\ndata_path = {data}\n")
+        rc = main(["eval", "--config", str(conf), "--net", str(tmp_path / "n.json")])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: bad.data line 4: class label '7' not in the label map\n"
@@ -435,42 +499,45 @@ class TestCli:
         data.write_text(",".join(["1"] * 8) + ",0\n", encoding="utf-8")
         conf = tmp_path / "exp.conf"
         conf.write_text(f"dataset = diabetes\ndata_path = {data}\noutput_dir = {tmp_path}\n")
-        source = ["--dataset", "diabetes", "--data", str(data)]
-        argv = {
-            "eval": ["eval", *source, "--net", str(tmp_path / "n.json")],
-            "train": ["train", *source, "--epochs", "1", "--out", str(tmp_path / "n.json")],
-            "run": ["run", "--config", str(conf)],
-        }[command]
-        assert main(argv) == 1
+        outputs = {
+            "eval": ["--net", str(tmp_path / "n.json")],
+            "train": ["--out", str(tmp_path / "n.json")],
+            "run": [],
+        }
+        assert main([command, "--config", str(conf), *outputs[command]]) == 1
         assert capsys.readouterr().err == (
             "error: short.data: too few records (1); the 50/25/25 split needs at "
             "least 4 to leave every split non-empty\n"
         )
 
     @pytest.mark.parametrize(
-        "command,flag,bad",
+        "command,path,bad",
         [
             ("run", "--config", "directory"),
-            ("eval", "--data", "directory"),
+            ("eval", "data_path", "directory"),
             ("train", "--out", "directory"),
             ("run", "--config", "latin-1"),
-            ("eval", "--data", "latin-1"),
+            ("eval", "--config", "latin-1"),
+            ("eval", "data_path", "latin-1"),
             ("eval", "--net", "latin-1"),
         ],
     )
-    def test_unreadable_path_exit_1(self, command, flag, bad, cancer_file, tmp_path, capsys):
-        path = tmp_path / "bad"
+    def test_unreadable_path_exit_1(self, command, path, bad, cancer_file, tmp_path, capsys):
+        """``path`` is the flag, or the config key, that names the bad path."""
+        bad_path = tmp_path / "bad"
         if bad == "directory":
-            path.mkdir()
+            bad_path.mkdir()
         else:
-            path.write_bytes("dataset = caf\xe9\n".encode("latin-1"))
-        data = ["--dataset", "cancer1", "--data", str(cancer_file)]
+            bad_path.write_bytes("dataset = caf\xe9\n".encode("latin-1"))
+        data = bad_path if path == "data_path" else cancer_file
+        conf = str(cancer_config(tmp_path / "exp.conf", data, epochs=1))
         argv = {
             "run": ["run", "--config", "x"],
-            "eval": ["eval", *data, "--net", "x"],
-            "train": ["train", *data, "--epochs", "1", "--out", "x"],
+            "eval": ["eval", "--config", conf, "--net", "x"],
+            "train": ["train", "--config", conf, "--out", "x"],
         }[command]
-        argv[argv.index(flag) + 1] = str(path)
+        if path.startswith("--"):
+            argv[argv.index(path) + 1] = str(bad_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -517,18 +584,22 @@ def _numeric_flags():
     ]
 
 
-# Parameter each flag feeds where the name differs from the flag's.
-_PARAMETER = {
-    "--hidden": "n_hidden",
-    "--lr": "(learning_rate|lr)",
-    "--tolerance": "accuracy_drop_tolerance",
-    "--retrain-epochs": "retrain_max_epochs",
-}
+# (command, flag, type) of the numeric knob flags `train` and `prune` took
+# before they read the config; each must stay unknown to the parser.
+_REMOVED_NUMERIC_FLAGS = [
+    *[("train", flag, float) for flag in ("--eps1", "--eps2", "--beta", "--lr", "--init-range")],
+    *[("train", flag, int) for flag in ("--hidden", "--epochs", "--seed")],
+    *[("prune", flag, float) for flag in ("--eps1", "--eps2", "--beta", "--eta2", "--lr")],
+    ("prune", "--tolerance", float),
+    ("prune", "--retrain-epochs", int),
+]
 
 
 class TestFlagRanges:
     @pytest.mark.parametrize(
-        "command,flag,kind", _numeric_flags(), ids=lambda v: getattr(v, "__name__", v)
+        "command,flag,kind",
+        _numeric_flags() + _REMOVED_NUMERIC_FLAGS,
+        ids=lambda v: getattr(v, "__name__", v),
     )
     def test_out_of_range_value_is_usage_error(
         self, command, flag, kind, cancer_file, tmp_path, capsys
@@ -543,8 +614,6 @@ class TestFlagRanges:
             "split_seeds = 1\nepochs = 1\n"
         )
         given = {
-            "--dataset": "cancer1",
-            "--data": str(cancer_file),
             "--net": str(net),
             "--config": str(conf),
             "--out": str(tmp_path / "out"),
@@ -561,7 +630,10 @@ class TestFlagRanges:
             main([command, *required, flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        name = _PARAMETER.get(flag, flag.lstrip("-").replace("-", "_"))
-        assert re.search(rf"error: ({name} must be|argument {flag}: invalid)", err), err
+        if (command, flag, kind) in _REMOVED_NUMERIC_FLAGS:
+            assert f"error: unrecognized arguments: {flag} {value}" in err, err
+        else:
+            name = flag.lstrip("-").replace("-", "_")  # a flag is spelled like its parameter
+            assert re.search(rf"error: ({name} must be|argument {flag}: invalid)", err), err
         assert "Traceback" not in err
         assert sorted(tmp_path.rglob("*")) == before
