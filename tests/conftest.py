@@ -1,4 +1,5 @@
-"""Shared fixtures: benchmark data files and prepared bundles.
+"""Shared fixtures: benchmark data files, prepared bundles and one run of
+each shipped experiment.
 
 Benchmark-shaped data is resolved in this order:
 
@@ -9,22 +10,92 @@ Benchmark-shaped data is resolved in this order:
 The resolved source ("real" or "synthetic") is echoed once per session so
 it is always visible which data a run used.  Benchmark experiments are
 configured from the shipped ``configs/<name>.conf`` files.
+
+``shipped_runs`` runs each of ``configs/{cancer1,diabetes,glass}.conf``
+once per session, at its split seeds 1-5, through ``run_shipped``.  The
+acceptance criteria, the golden comparison and the ``run_experiment``
+tests all read that one run; ``tests/test_golden.py`` rewrites the goldens
+through the same function.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+import shutil
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
 
-from nnprune import CANCER1, DIABETES, GLASS, load_bundle, load_config
+from nnprune import (
+    CANCER1,
+    DIABETES,
+    GLASS,
+    ExperimentConfig,
+    ExperimentReport,
+    load_bundle,
+    load_config,
+    run_experiment,
+)
 from nnprune.synth import FILENAMES, write_benchmark
 
 _REPO = Path(__file__).resolve().parent.parent
 _REPO_DATA = _REPO / "data"
 _CONFIG_DIR = _REPO / "configs"
+SHIPPED = ("cancer1", "diabetes", "glass")
+
+
+def shipped_config(name, data_path, output_dir, split_seeds=None) -> ExperimentConfig:
+    """``configs/<name>.conf`` with its data and output paths, and optionally
+    its split seeds, replaced."""
+    config = load_config(_CONFIG_DIR / f"{name}.conf")
+    config = replace(config, data_path=Path(data_path), output_dir=Path(output_dir))
+    if split_seeds is not None:
+        config = replace(config, split_seeds=tuple(split_seeds))
+    return config
+
+
+@dataclass(frozen=True)
+class ShippedRun:
+    """One run of a shipped config: what it ran, what it returned, where its
+    files are (an absolute path), how long it took and which data it read."""
+
+    config: ExperimentConfig
+    report: ExperimentReport
+    out: Path
+    elapsed: float
+    source: str
+
+
+def run_shipped(workdir: Path, files: dict[str, tuple[Path, str]]) -> dict[str, ShippedRun]:
+    """Run every shipped config, at its own split seeds, under ``workdir``.
+
+    ``files`` maps each dataset name to ``(path, source)``, as
+    ``benchmark_files`` does.  Each file is copied to ``data/<its usual
+    name>`` and each config writes ``out/<name>``, both relative to
+    ``workdir``, so the path strings inside ``report.json`` do not depend on
+    where the run happens.  ``workdir`` is the working directory during the
+    runs; the previous one is restored afterwards, even if a run raises.
+    """
+    workdir = workdir.resolve()
+    (workdir / "data").mkdir(parents=True, exist_ok=True)
+    runs: dict[str, ShippedRun] = {}
+    old = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name in SHIPPED:
+            path, source = files[name]
+            data = Path("data") / FILENAMES[name]
+            shutil.copyfile(path, data)
+            config = shipped_config(name, data, Path("out") / name)
+            start = time.perf_counter()
+            report = run_experiment(config)
+            elapsed = time.perf_counter() - start
+            runs[name] = ShippedRun(config, report, workdir / config.output_dir, elapsed, source)
+    finally:
+        os.chdir(old)
+    return runs
 
 
 @pytest.fixture(scope="session")
@@ -49,18 +120,15 @@ def benchmark_files(tmp_path_factory) -> dict[str, tuple[Path, str]]:
 
 
 @pytest.fixture(scope="session")
-def shipped_config():
-    """Factory: ``configs/<name>.conf`` with its data and output paths, and
-    optionally its split seeds, replaced."""
+def shipped_runs(benchmark_files, tmp_path_factory) -> dict[str, ShippedRun]:
+    """Each shipped config, run once per session on ``benchmark_files``."""
+    return run_shipped(tmp_path_factory.mktemp("shipped"), benchmark_files)
 
-    def make(name, data_path, output_dir, split_seeds=None):
-        config = load_config(_CONFIG_DIR / f"{name}.conf")
-        config = replace(config, data_path=Path(data_path), output_dir=Path(output_dir))
-        if split_seeds is not None:
-            config = replace(config, split_seeds=tuple(split_seeds))
-        return config
 
-    return make
+@pytest.fixture(name="shipped_config", scope="session")
+def shipped_config_fixture():
+    """:func:`shipped_config`, for tests that build their own run."""
+    return shipped_config
 
 
 @pytest.fixture(scope="session")

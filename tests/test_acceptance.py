@@ -1,19 +1,18 @@
 """Acceptance suite: every exit criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they print.  Criteria 3-5 run the benchmark experiments of the shipped
-``configs/*.conf`` files; the
-data source (real files or the deterministic stand-ins) is echoed by the
-session fixture in conftest.
+they print.  Criteria 3-6 read the session's one run of each shipped
+``configs/*.conf`` file (``shipped_runs`` in conftest), the same run the
+golden comparison reads.  The data source (real files or the deterministic
+stand-ins) is echoed by the session fixture in conftest and in each
+criterion's line.
 """
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from nnprune import (
     CANCER1,
@@ -51,37 +50,6 @@ RUNTIME_LIMITS = {"cancer1": 60.0, "diabetes": 120.0, "glass": 60.0}
 
 def report_line(criterion: str, ok: bool, detail: str) -> None:
     print(f"\n[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
-
-
-def run_benchmark(name, files, tmp_path_factory, shipped_config):
-    path, source = files[name]
-    out = tmp_path_factory.mktemp(f"acceptance-{name}")
-    config = shipped_config(name, path, out)
-    start = time.perf_counter()
-    report = run_experiment(config)
-    elapsed = time.perf_counter() - start
-    return {
-        "config": config,
-        "report": report,
-        "out": out,
-        "elapsed": elapsed,
-        "source": source,
-    }
-
-
-@pytest.fixture(scope="module")
-def cancer_run(benchmark_files, tmp_path_factory, shipped_config):
-    return run_benchmark("cancer1", benchmark_files, tmp_path_factory, shipped_config)
-
-
-@pytest.fixture(scope="module")
-def diabetes_run(benchmark_files, tmp_path_factory, shipped_config):
-    return run_benchmark("diabetes", benchmark_files, tmp_path_factory, shipped_config)
-
-
-@pytest.fixture(scope="module")
-def glass_run(benchmark_files, tmp_path_factory, shipped_config):
-    return run_benchmark("glass", benchmark_files, tmp_path_factory, shipped_config)
 
 
 def in_band(value: float, name: str, kind: str) -> bool:
@@ -156,66 +124,69 @@ def test_criterion_2_penalty_analytics():
     assert value_ok and zero_ok and nonzero_ok
 
 
-def _accuracy_summary(run, name):
-    agg = run["report"].aggregate()
+def _accuracy_summary(run):
+    agg = run.report.aggregate()
     full = agg["full_test_accuracy"]["mean"]
     pruned = agg["pruned_test_accuracy"]["mean"]
     return full, pruned
 
 
-def test_criterion_3_cancer_reproduction(cancer_run):
-    full, pruned = _accuracy_summary(cancer_run, "cancer1")
-    rows = cancer_run["report"].rows.values()
+def test_criterion_3_cancer_reproduction(shipped_runs):
+    cancer_run = shipped_runs["cancer1"]
+    full, pruned = _accuracy_summary(cancer_run)
+    rows = cancer_run.report.rows.values()
     small_enough = [r.simplified_architecture.split("-") for r in rows]
     structure_ok = (
         sum(int(a[1]) <= 2 and int(a[0]) <= 6 for a in small_enough) > len(rows) / 2
     )
     full_ok = in_band(full, "cancer1", "full")
     pruned_ok = in_band(pruned, "cancer1", "pruned")
-    time_ok = cancer_run["elapsed"] < RUNTIME_LIMITS["cancer1"]
+    time_ok = cancer_run.elapsed < RUNTIME_LIMITS["cancer1"]
     ok = full_ok and pruned_ok and structure_ok and time_ok
     report_line(
         "criterion 3: cancer reproduction",
         ok,
         f"full {full*100:.3f}% (97.143 +/- 2.5), pruned {pruned*100:.3f}% "
         f"(96.644 +/- 3.0), architectures {[r.simplified_architecture for r in rows]}, "
-        f"{cancer_run['elapsed']:.1f}s (< 60s), data={cancer_run['source']}",
+        f"{cancer_run.elapsed:.1f}s (< 60s), data={cancer_run.source}",
     )
     assert full_ok and pruned_ok and structure_ok and time_ok
 
 
-def test_criterion_4_diabetes_reproduction(diabetes_run):
-    full, pruned = _accuracy_summary(diabetes_run, "diabetes")
-    rows = diabetes_run["report"].rows.values()
+def test_criterion_4_diabetes_reproduction(shipped_runs):
+    diabetes_run = shipped_runs["diabetes"]
+    full, pruned = _accuracy_summary(diabetes_run)
+    rows = diabetes_run.report.rows.values()
     hidden_removed_majority = (
         sum(r.hidden_nodes_removed >= 1 for r in rows) > len(rows) / 2
     )
     full_ok = in_band(full, "diabetes", "full")
     pruned_ok = in_band(pruned, "diabetes", "pruned")
-    time_ok = diabetes_run["elapsed"] < RUNTIME_LIMITS["diabetes"]
+    time_ok = diabetes_run.elapsed < RUNTIME_LIMITS["diabetes"]
     ok = full_ok and pruned_ok and hidden_removed_majority and time_ok
     report_line(
         "criterion 4: diabetes reproduction",
         ok,
         f"full {full*100:.3f}% (77.344 +/- 3.0), pruned {pruned*100:.3f}% "
         f"(75.260 +/- 3.5), hidden removed {[r.hidden_nodes_removed for r in rows]}, "
-        f"{diabetes_run['elapsed']:.1f}s (< 120s), data={diabetes_run['source']}",
+        f"{diabetes_run.elapsed:.1f}s (< 120s), data={diabetes_run.source}",
     )
     assert full_ok and pruned_ok and hidden_removed_majority and time_ok
 
 
-def test_criterion_5_glass_reproduction(glass_run):
-    full, pruned = _accuracy_summary(glass_run, "glass")
+def test_criterion_5_glass_reproduction(shipped_runs):
+    glass_run = shipped_runs["glass"]
+    full, pruned = _accuracy_summary(glass_run)
     full_ok = in_band(full, "glass", "full")
     pruned_ok = in_band(pruned, "glass", "pruned")
-    time_ok = glass_run["elapsed"] < RUNTIME_LIMITS["glass"]
+    time_ok = glass_run.elapsed < RUNTIME_LIMITS["glass"]
     ok = full_ok and pruned_ok and time_ok
     report_line(
         "criterion 5: glass reproduction",
         ok,
         f"full {full*100:.3f}% (65.277 +/- 5.0), pruned {pruned*100:.3f}% "
-        f"(63.289 +/- 5.0), {glass_run['elapsed']:.1f}s (< 60s), "
-        f"data={glass_run['source']}",
+        f"(63.289 +/- 5.0), {glass_run.elapsed:.1f}s (< 60s), "
+        f"data={glass_run.source}",
     )
     assert full_ok and pruned_ok and time_ok
 
@@ -249,13 +220,13 @@ def _replay_trace(out_dir, seed) -> tuple[int, int]:
     return checked, violations
 
 
-def test_criterion_6_pruning_soundness(cancer_run, diabetes_run, glass_run):
+def test_criterion_6_pruning_soundness(shipped_runs):
     # (a) every kept threshold removal satisfied its inequality, replayed
     # from the pre-batch network snapshots
     checked = violations = 0
-    for run in (cancer_run, diabetes_run, glass_run):
-        for seed in run["config"].split_seeds:
-            c, v = _replay_trace(run["out"], seed)
+    for run in shipped_runs.values():
+        for seed in run.config.split_seeds:
+            c, v = _replay_trace(run.out, seed)
             checked += c
             violations += v
     replay_ok = violations == 0
@@ -264,9 +235,9 @@ def test_criterion_6_pruning_soundness(cancer_run, diabetes_run, glass_run):
     # its fully connected reference
     floor_ok = True
     converged_rows = 0
-    for run in (cancer_run, diabetes_run, glass_run):
-        tol = run["config"].prune.accuracy_drop_tolerance
-        for row in run["report"].rows.values():
+    for run in shipped_runs.values():
+        tol = run.config.prune.accuracy_drop_tolerance
+        for row in run.report.rows.values():
             if not row.converged:
                 continue
             converged_rows += 1

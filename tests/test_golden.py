@@ -1,12 +1,18 @@
 """Golden outputs: the three shipped experiments and ``nnprune prune``, byte
 for byte.
 
-Each ``configs/<name>.conf`` runs on the default-seed stand-in files from
-``synth.write_all`` with split seed 1 only, and its ``report.json``,
-``networks/*.json`` and ``traces/*.jsonl`` must equal the files under
-``tests/golden/<name>/``.  Data and output paths are relative to a scratch
-directory, so the path strings inside the report do not depend on where the
-test runs.
+Each ``configs/<name>.conf`` runs once per session, at split seeds 1-5, on
+the default-seed stand-in files, through ``run_shipped`` in conftest (the
+run the acceptance criteria read too).  Its ``report.json``, its ten
+``networks/*.json`` and its five ``traces/*.jsonl`` must equal the files
+under ``tests/golden/<name>/``.  Data and output paths are relative to a
+scratch directory, so the path strings inside the report do not depend on
+where the test runs.  When real data files were found the comparison is
+skipped: the goldens are outputs of the stand-in data.
+
+``test_goldens_cover_the_pinned_paths`` checks that the goldens still hold
+the rows and traces that take the restart and rollback paths, so a config
+or golden change cannot drop them unnoticed.
 
 The CLI case runs ``nnprune train`` and ``nnprune prune --trace-out`` on
 split seed 1 with ``configs/cancer1.conf``, its ``epochs`` line set to 200;
@@ -23,38 +29,22 @@ them from the current code:
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from nnprune import load_config, run_experiment
 from nnprune.cli import main
-from nnprune.synth import FILENAMES, write_all
+from nnprune.pruning import PruneTrace
+from nnprune.synth import write_all
 
 _REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ("cancer1", "diabetes", "glass")
 PATTERNS = ("report.json", "networks/*.json", "traces/*.jsonl")
 PRUNE_PATTERNS = ("pruned.json", "prune.jsonl")
-
-
-def run_config(name: str, workdir: Path) -> Path:
-    """Run ``configs/<name>.conf`` on stand-in data under ``workdir`` (which
-    must be the current directory); returns the output directory."""
-    write_all(workdir / "data")
-    config = replace(
-        load_config(_REPO / "configs" / f"{name}.conf"),
-        data_path=Path("data") / FILENAMES[name],
-        output_dir=Path("out") / name,
-        split_seeds=(1,),
-    )
-    run_experiment(config)
-    return workdir / config.output_dir
 
 
 def run_prune(workdir: Path) -> Path:
@@ -131,10 +121,11 @@ def assert_matches_golden(name: str, got: dict[str, bytes], want: dict[str, byte
 
 
 @pytest.mark.parametrize("name", CONFIGS)
-def test_outputs_match_golden(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    got = output_files(run_config(name, tmp_path))
-    assert_matches_golden(name, got, output_files(GOLDEN / name))
+def test_outputs_match_golden(name, shipped_runs):
+    run = shipped_runs[name]
+    if run.source != "synthetic":
+        pytest.skip(f"{name} ran on real data files; the goldens are outputs of the stand-in data")
+    assert_matches_golden(name, output_files(run.out), output_files(GOLDEN / name))
 
 
 def test_prune_cli_matches_golden(tmp_path):
@@ -150,23 +141,57 @@ def test_first_difference_names_the_field():
     assert first_difference({"a": [0.5]}, {"a": [0.5]}) is None
 
 
+# Each path the goldens were widened to pin, as a test of a report.json row
+# given the config's max_restarts.
+PINNED_ROW_PATHS = {
+    "no attempt converged and an earlier one was kept":
+        lambda row, max_restarts: not row["converged"] and row["restarts_used"] < max_restarts,
+    "no attempt converged and the last one was kept":
+        lambda row, max_restarts: not row["converged"] and row["restarts_used"] == max_restarts,
+    "an attempt after the first converged":
+        lambda row, max_restarts: row["converged"] and row["restarts_used"] > 1,
+}
+
+
+def batch_0_rolled_back(trace: PruneTrace) -> bool:
+    """Every removal of batch 0 was rolled back, so no weight was removed."""
+    first = [e for e in trace.events if e.batch == 0]
+    return bool(first) and all(e.rolled_back for e in first) and trace.n_removed_weights() == 0
+
+
+def test_goldens_cover_the_pinned_paths():
+    found = {path: [] for path in (*PINNED_ROW_PATHS, "batch 0 rolled back")}
+    for name in CONFIGS:
+        doc = json.loads((GOLDEN / name / "report.json").read_text(encoding="utf-8"))
+        max_restarts = doc["config"]["prune"]["max_restarts"]
+        for row in doc["per_seed"]:
+            for path, takes in PINNED_ROW_PATHS.items():
+                if takes(row, max_restarts):
+                    found[path].append(f"{name} seed {row['split_seed']}")
+        for trace_file in sorted((GOLDEN / name / "traces").glob("*.jsonl")):
+            if batch_0_rolled_back(PruneTrace.from_jsonl(trace_file.read_text(encoding="utf-8"))):
+                found["batch 0 rolled back"].append(f"{name} {trace_file.stem}")
+    missing = [path for path, where in found.items() if not where]
+    assert not missing, f"no golden takes these paths: {missing}"
+
+
+def _write_golden(name: str, files: dict[str, bytes]) -> None:
+    shutil.rmtree(GOLDEN / name, ignore_errors=True)
+    for rel, data in files.items():
+        (GOLDEN / name / rel).parent.mkdir(parents=True, exist_ok=True)
+        (GOLDEN / name / rel).write_bytes(data)
+    print(f"wrote {len(files)} golden files for {name}", file=sys.stderr)
+
+
 def _regenerate() -> None:
-    for name in (*CONFIGS, "prune"):
-        with tempfile.TemporaryDirectory() as tmp:
-            old = os.getcwd()
-            os.chdir(tmp)
-            try:
-                if name == "prune":
-                    files = output_files(run_prune(Path(tmp)), PRUNE_PATTERNS)
-                else:
-                    files = output_files(run_config(name, Path(tmp)))
-            finally:
-                os.chdir(old)
-        shutil.rmtree(GOLDEN / name, ignore_errors=True)
-        for rel, data in files.items():
-            (GOLDEN / name / rel).parent.mkdir(parents=True, exist_ok=True)
-            (GOLDEN / name / rel).write_bytes(data)
-        print(f"wrote {len(files)} golden files for {name}", file=sys.stderr)
+    from conftest import run_shipped  # tests/ is on sys.path when run as a script
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {name: (path, "synthetic") for name, path in write_all(tmp / "stand-ins").items()}
+        for name, run in run_shipped(tmp / "shipped", files).items():
+            _write_golden(name, output_files(run.out))
+        _write_golden("prune", output_files(run_prune(tmp / "prune"), PRUNE_PATTERNS))
 
 
 if __name__ == "__main__":

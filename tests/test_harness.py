@@ -192,41 +192,36 @@ class TestExportDot:
         assert "O1" in dot and "O2" in dot
 
 
-@pytest.fixture(scope="module")
-def small_experiment(cancer_file, tmp_path_factory, shipped_config):
-    out = tmp_path_factory.mktemp("exp")
-    config = shipped_config("cancer1", cancer_file, out, split_seeds=(1, 2))
-    report = run_experiment(config)
-    return config, report, out
-
-
 class TestRunExperiment:
-    def test_report_files_written(self, small_experiment):
-        _, report, out = small_experiment
+    """Reads the session's run of ``configs/cancer1.conf`` (split seeds 1-5)."""
+
+    SEEDS = [1, 2, 3, 4, 5]
+
+    def test_report_files_written(self, shipped_runs):
+        out = shipped_runs["cancer1"].out
         assert (out / "report.json").is_file()
         assert (out / "report.txt").is_file()
-        for seed in (1, 2):
+        for seed in self.SEEDS:
             assert (out / "networks" / f"full_seed{seed}.json").is_file()
             assert (out / "networks" / f"pruned_seed{seed}.json").is_file()
             assert (out / "traces" / f"seed{seed}.jsonl").is_file()
 
-    def test_report_json_structure(self, small_experiment):
-        _, _, out = small_experiment
-        doc = json.loads((out / "report.json").read_text())
+    def test_report_json_structure(self, shipped_runs):
+        doc = json.loads((shipped_runs["cancer1"].out / "report.json").read_text())
         assert doc["config"]["dataset"] == "cancer1"
-        assert [row["split_seed"] for row in doc["per_seed"]] == [1, 2]
+        assert [row["split_seed"] for row in doc["per_seed"]] == self.SEEDS
         assert "full_test_accuracy" in doc["aggregate"]
         assert 0.0 <= doc["aggregate"]["pruned_test_accuracy"]["mean"] <= 1.0
 
-    def test_architecture_strings_match_networks(self, small_experiment):
-        _, report, out = small_experiment
-        assert list(report.rows) == [1, 2]
-        for seed, row in report.rows.items():
-            net = deserialize((out / "networks" / f"pruned_seed{seed}.json").read_text())
+    def test_architecture_strings_match_networks(self, shipped_runs):
+        run = shipped_runs["cancer1"]
+        assert list(run.report.rows) == self.SEEDS
+        for seed, row in run.report.rows.items():
+            net = deserialize((run.out / "networks" / f"pruned_seed{seed}.json").read_text())
             assert row.simplified_architecture == net.architecture()
 
-    def test_traces_parse(self, small_experiment):
-        _, _, out = small_experiment
+    def test_traces_parse(self, shipped_runs):
+        out = shipped_runs["cancer1"].out
         trace = PruneTrace.from_jsonl((out / "traces" / "seed1.jsonl").read_text())
         assert trace.events
 
