@@ -145,8 +145,9 @@ def _cmd_prune(args) -> int:
     config = args.config
     bundle = load_bundle(config.data_path, config.spec, args.split_seed)
     net = deserialize(args.net.read_text(encoding="utf-8"))
+    floor = config.prune.floor(accuracy(net, bundle.validation))
     pruned, trace = eliminate_weights(
-        net, bundle, config.train.learning_rate, config.penalty, config.prune
+        net, bundle, config.train.learning_rate, config.penalty, config.prune, floor
     )
     pruned = prune_dead_nodes(pruned, trace)
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
@@ -185,9 +186,10 @@ def _cmd_synth_data(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    check_int("seed", args.seed, 0)  # it seeds the batch too, so its error names seed
     check_int("examples", args.examples, 1)
     n, h, o = args.arch
-    net = init_network(NetworkConfig(n, h, o, seed=args.seed))
+    net = init_network(NetworkConfig(n, h, o, init_seed=args.seed))
     rng = np.random.default_rng(args.seed)
     batch = Split(rng.random((args.examples, n)), rng.integers(0, o, size=args.examples), o)
     worst = finite_diff_check(net, batch, PenaltyParams(), step=args.step)

@@ -62,14 +62,13 @@ class ExperimentConfig:
 
 
 # Documented config file keys and their defaults (flat `key = value` lines).
-# Only the run-level values are written here; every other default is the one
-# its parameter dataclass declares.
+# Each default is the one its parameter class declares under the same name,
+# except n_hidden, split_seeds and output_dir, which no class holds.
 CONFIG_DEFAULTS = {
     "n_hidden": 3,
     "init_range": NetworkConfig.init_range,
-    "init_seed": 1,
-    "learning_rate": TrainParams.learning_rate,
-    "epochs": 500,
+    "init_seed": NetworkConfig.init_seed,
+    **asdict(TrainParams()),
     **asdict(PenaltyParams()),
     **asdict(PruneParams()),
     "split_seeds": (1, 2, 3, 4, 5),
@@ -131,7 +130,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
             n_hidden=get("n_hidden", int),
             n_outputs=spec.n_classes,
             init_range=get("init_range", float),
-            seed=get("init_seed", int),
+            init_seed=get("init_seed", int),
         ),
         train=TrainParams(
             learning_rate=get("learning_rate", float),
@@ -240,13 +239,13 @@ def _run_seed(
     config: ExperimentConfig, split_seed: int
 ) -> tuple[GrowPruneReport, Network, Network, PruneTrace]:
     bundle = load_bundle(config.data_path, config.spec, split_seed)
-    base = replace(config.network, seed=derived_seed(config.network.seed, split_seed))
+    base = replace(config.network, init_seed=derived_seed(config.network.init_seed, split_seed))
     pruned, trace, report = grow_and_prune(
         bundle, base, config.train, config.penalty, config.prune
     )
     # rebuild the fully connected reference of the restart that produced the
     # result; training is deterministic, so this is the exact same network
-    full_config = replace(base, seed=derived_seed(base.seed, report.restarts_used - 1, 0))
+    full_config = replace(base, init_seed=derived_seed(base.init_seed, report.restarts_used - 1, 0))
     full_net = train(init_network(full_config), bundle.train, config.train, config.penalty)
     return report, full_net, pruned, trace
 

@@ -31,13 +31,13 @@ class NetworkConfig:
     n_hidden: int
     n_outputs: int
     init_range: float = 1.0
-    seed: int = 0
+    init_seed: int = 1
 
     def __post_init__(self) -> None:
         for name in ("n_inputs", "n_hidden", "n_outputs"):
             check_int(name, getattr(self, name), 1)
         check_float("init_range", self.init_range, 0, MAX_INIT_RANGE, "(]")
-        check_int("seed", self.seed, 0)
+        check_int("init_seed", self.init_seed, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +143,10 @@ def init_network(config: NetworkConfig) -> Network:
     """Create a fully connected network with uniform random weights.
 
     Every weight is drawn from [-init_range, +init_range] with a generator
-    seeded by ``config.seed``; the draw order (w then v) is fixed, so equal
+    seeded by ``config.init_seed``; the draw order (w then v) is fixed, so equal
     configs give bit-identical networks.
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.init_seed)
     r = config.init_range
     w = rng.uniform(-r, r, size=(config.n_hidden, config.n_inputs))
     v = rng.uniform(-r, r, size=(config.n_outputs, config.n_hidden))

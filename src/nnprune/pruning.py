@@ -70,6 +70,10 @@ class PruneParams:
         """Removal threshold 4 * eta2."""
         return 4.0 * self.eta2
 
+    def floor(self, accuracy: float) -> float:
+        """The floor for a reference ``accuracy``: it minus the tolerance, at least 0."""
+        return max(0.0, accuracy - self.accuracy_drop_tolerance)
+
 
 @dataclass(frozen=True)
 class RemovalEvent:
@@ -116,7 +120,7 @@ class PruneTrace:
     """Audit log: removal events plus a network snapshot before each batch."""
 
     events: list[RemovalEvent] = field(default_factory=list)
-    snapshots: dict[int, str] = field(default_factory=dict)  # batch -> serialized net
+    snapshots: dict[int, Network] = field(default_factory=dict)  # batch -> network
 
     def n_removed_weights(self) -> int:
         """Weight removals that were not rolled back."""
@@ -131,14 +135,13 @@ class PruneTrace:
         return sum(e.implied_connections for e in self.events if not e.rolled_back)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for batch in sorted(self.snapshots):
-            lines.append(
-                json.dumps(
-                    {"type": "snapshot", "batch": batch, "network": json.loads(self.snapshots[batch])},
-                    sort_keys=True,
-                )
+        lines = [
+            json.dumps(
+                {"type": "snapshot", "batch": batch, "network": json.loads(serialize(net))},
+                sort_keys=True,
             )
+            for batch, net in sorted(self.snapshots.items())
+        ]
         lines.extend(e.to_json() for e in self.events)
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -162,8 +165,7 @@ class PruneTrace:
                 elif doc.keys() != {"batch", "network"} or type(doc["batch"]) is not int:
                     raise ValueError(f"snapshot needs an integer batch and a network, got {doc!r}")
                 else:
-                    network = deserialize(json.dumps(doc["network"]))
-                    trace.snapshots[doc["batch"]] = serialize(network)
+                    trace.snapshots[doc["batch"]] = deserialize(json.dumps(doc["network"]))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"trace line {lineno}: {type(exc).__name__}: {exc}") from None
         return trace
@@ -207,31 +209,26 @@ def eliminate_weights(
     lr: float,
     penalty: PenaltyParams,
     params: PruneParams,
-    floor: float | None = None,
+    floor: float,
 ) -> tuple[Network, PruneTrace]:
     """Iteratively remove redundant weights from an already-trained network.
 
     Each round removes the batch ``removal_batch`` builds and retrains at
-    learning rate ``lr`` toward the floor, by default the entry validation
-    accuracy minus ``accuracy_drop_tolerance`` (pass ``floor`` to anchor it
-    elsewhere, e.g. to a reference network's accuracy).  Elimination stops
-    at an empty batch or at a round that cannot recover the floor, which is
+    learning rate ``lr`` toward the validation accuracy ``floor``, usually
+    ``params.floor`` of a reference accuracy.  Elimination stops at an
+    empty batch or at a round that cannot recover the floor, which is
     rolled back exactly.  The returned network is the last one that met the
-    floor.
+    floor; the trace holds a copy of the network before each round.
     """
     check_float("lr", lr, 0, math.inf)
+    check_float("floor", floor, 0, 1, "[]")
     current = net.copy()
-    if floor is None:
-        baseline = accuracy(current, bundle.validation)
-        floor = max(0.0, baseline - params.accuracy_drop_tolerance)
-    else:
-        check_float("floor", floor, 0, 1, "[]")
     trace = PruneTrace()
     for batch_id in count():
         batch = removal_batch(current, params, batch_id)
         if not batch:
             break
-        trace.snapshots[batch_id] = serialize(current)
+        trace.snapshots[batch_id] = current.copy()
         candidate = current.copy()
         for event in batch:
             mask = candidate.w_mask if event.kind == KIND_WEIGHT_W else candidate.v_mask
@@ -332,21 +329,21 @@ def grow_and_prune(
     best: tuple[tuple[float, int], Network, PruneTrace, GrowPruneReport] | None = None
 
     for restart in range(params.max_restarts):
-        full_config = replace(base_config, seed=derived_seed(base_config.seed, restart, 0))
+        full_config = replace(base_config, init_seed=derived_seed(base_config.init_seed, restart, 0))
         full_net = train(init_network(full_config), bundle.train, tparams, penalty)
         baseline_val = accuracy(full_net, bundle.validation)
         full_test = accuracy(full_net, bundle.test)
-        val_floor = max(0.0, baseline_val - params.accuracy_drop_tolerance)
-        test_floor = max(0.0, full_test - params.accuracy_drop_tolerance)
+        val_floor = params.floor(baseline_val)
+        test_floor = params.floor(full_test)
 
         accepted = False
         for h in range(1, max_hidden + 1):
             config_h = replace(
-                base_config, n_hidden=h, seed=derived_seed(base_config.seed, restart, h)
+                base_config, n_hidden=h, init_seed=derived_seed(base_config.init_seed, restart, h)
             )
             net = train(init_network(config_h), bundle.train, tparams, penalty)
             net, trace = eliminate_weights(
-                net, bundle, tparams.learning_rate, penalty, params, floor=val_floor
+                net, bundle, tparams.learning_rate, penalty, params, val_floor
             )
             if accuracy(net, bundle.validation) >= val_floor:
                 accepted = True

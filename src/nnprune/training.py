@@ -57,7 +57,7 @@ class TrainParams:
     """Learning rate and epoch budget for one training run."""
 
     learning_rate: float = 0.1
-    epochs: int = 0
+    epochs: int = 500
 
     def __post_init__(self) -> None:
         check_float("learning_rate", self.learning_rate, 0, math.inf)

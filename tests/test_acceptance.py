@@ -20,7 +20,6 @@ from nnprune import (
     NetworkConfig,
     PenaltyParams,
     Split,
-    deserialize,
     finite_diff_check,
     forward_batch,
     init_network,
@@ -67,7 +66,7 @@ def test_criterion_1_gradient_correctness():
     for trial in range(21):
         n, h, o = architectures[trial % 3]
         seed = int(rng.integers(1 << 31))
-        net = init_network(NetworkConfig(n, h, o, init_range=1.5, seed=seed))
+        net = init_network(NetworkConfig(n, h, o, init_range=1.5, init_seed=seed))
         k = int(rng.integers(4, 16))
         batch = Split(rng.random((k, n)), rng.integers(0, o, size=k), o)
         params = PenaltyParams(
@@ -91,14 +90,14 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_penalty_analytics():
     """penalty() matches the hand value; P = 0 iff all weights are zero."""
-    net = init_network(NetworkConfig(1, 1, 1, seed=1))
+    net = init_network(NetworkConfig(1, 1, 1, init_seed=1))
     net.w[0, 0] = 1.0
     net.v[0, 0] = 0.0
     value = penalty(net, PenaltyParams(eps1=0.1, eps2=1e-5, beta=10.0))
     hand = 0.09091909090909091  # 0.1 * 10/11 + 1e-5, derived independently
     value_ok = abs(value - hand) <= 1e-9
 
-    zero = init_network(NetworkConfig(4, 3, 2, seed=2))
+    zero = init_network(NetworkConfig(4, 3, 2, init_seed=2))
     zero.w[:] = 0.0
     zero.v[:] = 0.0
     zero_ok = penalty(zero, PenaltyParams()) == 0.0
@@ -202,7 +201,7 @@ def _replay_trace(out_dir, seed) -> tuple[int, int]:
     for event in trace.events:
         if event.rolled_back or event.trigger not in (TRIGGER_PRODUCT, TRIGGER_MAGNITUDE):
             continue
-        snapshot = deserialize(trace.snapshots[event.batch])
+        snapshot = trace.snapshots[event.batch]
         if event.kind == KIND_WEIGHT_W:
             m, l = event.indices
             metric = max(
@@ -252,7 +251,7 @@ def test_criterion_6_pruning_soundness(shipped_runs):
     equiv_ok = True
     for _ in range(20):
         n, h, o = (int(v) for v in rng.integers(2, 8, size=3))
-        net = init_network(NetworkConfig(n, h, o, seed=int(rng.integers(1 << 31))))
+        net = init_network(NetworkConfig(n, h, o, init_seed=int(rng.integers(1 << 31))))
         dead_inputs = rng.random(n) < 0.4
         dead_hidden = rng.random(h) < 0.4
         net.w_mask[:, dead_inputs] = False

@@ -3,11 +3,11 @@ for byte.
 
 Each ``configs/<name>.conf`` runs once per session, at split seeds 1-5, on
 the default-seed stand-in files, through ``run_shipped`` in conftest (the
-run the acceptance criteria read too).  Its ``report.json``, its ten
-``networks/*.json`` and its five ``traces/*.jsonl`` must equal the files
-under ``tests/golden/<name>/``.  Data and output paths are relative to a
-scratch directory, so the path strings inside the report do not depend on
-where the test runs.  When real data files were found the comparison is
+run the acceptance criteria read too).  Its ``report.json``,
+``report.txt``, ten ``networks/*.json`` and five ``traces/*.jsonl`` must
+equal the files under ``tests/golden/<name>/``.  Data and output paths are
+relative to a scratch directory, so the path strings inside the reports do
+not depend on where the test runs.  When real data files were found the comparison is
 skipped: the goldens are outputs of the stand-in data.
 
 ``test_goldens_cover_the_pinned_paths`` checks that the goldens still hold
@@ -17,8 +17,9 @@ or golden change cannot drop them unnoticed.
 The CLI case runs ``nnprune train`` and ``nnprune prune --trace-out`` on
 split seed 1 with ``configs/cancer1.conf``, its ``epochs`` line set to 200;
 the pruned network and the audit log must equal ``tests/golden/prune/``.
-It covers the entry-accuracy floor of ``eliminate_weights`` and the CLI's
-dead-node step, which the experiment runs never reach.
+It covers the floor ``nnprune prune`` takes from the accuracy of the network
+it is given, and the CLI's dead-node step, which the experiment runs never
+reach.
 
 A golden file changes only with a declared change of behaviour.  To rewrite
 them from the current code:
@@ -43,7 +44,7 @@ from nnprune.synth import write_all
 _REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ("cancer1", "diabetes", "glass")
-PATTERNS = ("report.json", "networks/*.json", "traces/*.jsonl")
+PATTERNS = ("report.json", "report.txt", "networks/*.json", "traces/*.jsonl")
 PRUNE_PATTERNS = ("pruned.json", "prune.jsonl")
 
 
@@ -98,20 +99,24 @@ def first_difference(a, b, where: str = "") -> str | None:
 
 
 def describe_mismatch(name: str, got: bytes, want: bytes) -> str:
-    """Name the file and the first differing JSON field (per line for JSONL)."""
+    """Name the file and the first differing JSON field (per line for JSONL)
+    or, for a text file, the first differing line."""
     got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
-    if name.endswith(".jsonl"):
+    if name.endswith(".json"):
+        found = first_difference(json.loads(got), json.loads(want))
+        if found is not None:
+            return f"{name}: {found}"
+    else:
         for lineno, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
-            found = first_difference(json.loads(g), json.loads(w))
+            if name.endswith(".jsonl"):
+                found = first_difference(json.loads(g), json.loads(w))
+            else:
+                found = None if g == w else f"{g!r} != {w!r}"
             if found is not None:
                 return f"{name} line {lineno}: {found}"
         if len(got_lines) != len(want_lines):
             return f"{name}: {len(got_lines)} lines, golden has {len(want_lines)}"
-    else:
-        found = first_difference(json.loads(got), json.loads(want))
-        if found is not None:
-            return f"{name}: {found}"
-    return f"{name}: same JSON values, different bytes"
+    return f"{name}: same values, different bytes"
 
 
 def assert_matches_golden(name: str, got: dict[str, bytes], want: dict[str, bytes]) -> None:

@@ -1,7 +1,7 @@
 import argparse
 import json
 import re
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from nnprune import (
     train,
 )
 from nnprune.cli import _build_parser, main
-from nnprune.harness import load_config, parse_config_text
+from nnprune.harness import CONFIG_DEFAULTS, load_config, parse_config_text
 from nnprune.pruning import KIND_HIDDEN_NODE, KIND_INPUT_NODE, PruneTrace
 
 # The paper's settings per benchmark: architecture, epoch budget, growth cap.
@@ -32,6 +32,27 @@ PAPER_SETTINGS = {
     "cancer1": ((9, 3, 2), 500, None),
     "diabetes": ((8, 3, 2), 1200, None),
     "glass": ((9, 4, 6), 650, 4),
+}
+
+
+# For every config key: a valid value other than its default, as written
+# in a config and as the field of the same name holds it.
+NON_DEFAULT_VALUES = {
+    "n_hidden": ("4", 4),
+    "init_range": ("0.5", 0.5),
+    "init_seed": ("7", 7),
+    "learning_rate": ("0.2", 0.2),
+    "epochs": ("20", 20),
+    "eps1": ("0.2", 0.2),
+    "eps2": ("1e-4", 1e-4),
+    "beta": ("5", 5.0),
+    "eta2": ("0.2", 0.2),
+    "accuracy_drop_tolerance": ("0.05", 0.05),
+    "retrain_max_epochs": ("7", 7),
+    "max_hidden": ("6", 6),
+    "max_restarts": ("2", 2),
+    "split_seeds": ("3, 9", (3, 9)),
+    "output_dir": ("elsewhere", Path("elsewhere")),
 }
 
 
@@ -119,7 +140,7 @@ class TestConfigParsing:
         "line,message",
         [
             ("split_seeds = 1,-1", "split_seeds must be >= 0"),
-            ("init_seed = -1", "seed must be >= 0"),
+            ("init_seed = -1", "init_seed must be >= 0"),
             ("init_range = 1e308", "init_range must be in"),
             ("split_seeds = 1,2,1", "split seed 1 is listed more than once"),
             ("eps2 = inf", "eps2 must be in"),
@@ -134,16 +155,31 @@ class TestConfigParsing:
         config = load_config(Path(__file__).parent.parent / "configs" / f"{name}.conf")
         arch, epochs, max_hidden = PAPER_SETTINGS[name]
         assert config.dataset == name
-        assert config.network == NetworkConfig(*arch, init_range=1.0, seed=1)
+        assert config.network == NetworkConfig(*arch, init_range=1.0, init_seed=1)
         assert config.train == TrainParams(learning_rate=0.1, epochs=epochs)
         assert config.penalty == PenaltyParams()
         assert config.prune == PruneParams(max_hidden=max_hidden)
         assert config.split_seeds == (1, 2, 3, 4, 5)
 
+    def test_every_class_default_is_the_config_default(self):
+        for params in (NetworkConfig, TrainParams, PenaltyParams, PruneParams):
+            for f in fields(params):
+                if f.default is not MISSING:
+                    assert CONFIG_DEFAULTS[f.name] == f.default, f.name
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_DEFAULTS))
+    def test_every_key_reaches_the_field_of_its_name(self, key):
+        text, value = NON_DEFAULT_VALUES[key]
+        assert value != CONFIG_DEFAULTS[key]
+        config = parse_config_text(f"dataset = cancer1\ndata_path = x\n{key} = {text}\n")
+        holders = [config, config.network, config.train, config.penalty, config.prune]
+        (held,) = [getattr(h, key) for h in holders if key in {f.name for f in fields(h)}]
+        assert held == value
+
 
 class TestExportDot:
     def test_fully_connected_structure(self):
-        net = init_network(NetworkConfig(2, 1, 1, seed=1))
+        net = init_network(NetworkConfig(2, 1, 1, init_seed=1))
         dot = export_dot(net)
         assert dot.startswith("digraph")
         for node in ("I1", "I2", "H1", "O1"):
@@ -152,7 +188,7 @@ class TestExportDot:
         assert "[style=dashed]" not in dot
 
     def test_masked_edge_dashed(self):
-        net = init_network(NetworkConfig(2, 1, 1, seed=1))
+        net = init_network(NetworkConfig(2, 1, 1, init_seed=1))
         net.w_mask[0, 1] = False
         net.apply_masks()
         dot = export_dot(net)
@@ -160,7 +196,7 @@ class TestExportDot:
         assert "I1 -> H1 [style=solid];" in dot
 
     def test_inactive_nodes_omitted(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=2))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=2))
         net.w_mask[:, 1] = False
         net.input_active[1] = False
         net.v_mask[:, 1] = False
@@ -174,7 +210,7 @@ class TestExportDot:
 
     def test_simplified_cancer_shape(self):
         # three active inputs, one active hidden unit, two outputs
-        net = init_network(NetworkConfig(9, 3, 2, seed=3))
+        net = init_network(NetworkConfig(9, 3, 2, init_seed=3))
         keep_inputs = (0, 5, 8)
         for l in range(9):
             if l not in keep_inputs:
@@ -246,16 +282,16 @@ def cancer_config(path: Path, data_file: Path, **values) -> Path:
 FLAG_CASES = [
     ("train", "--split-seed", "-1", "split_seed must be >= 0"),
     ("gradcheck", "--step", "nan", "step must be in"),
-    ("gradcheck", "--seed", "-1", "seed must be >= 0"),
+    ("gradcheck", "--seed", "-1", "error: seed must be >= 0"),
     ("gradcheck", "--examples", "-1", "examples must be >= 1"),
-    ("synth-data", "--seed", "-1", "seed must be >= 0"),
+    ("synth-data", "--seed", "-1", "error: seed must be >= 0"),
     ("run", "--jobs", "0", "argument --jobs: invalid choice"),
     ("run", "--jobs", "-3", "argument --jobs: invalid choice"),
     ("run", "--jobs", "2", "argument --jobs: invalid choice"),
 ]
-# Knob flags `train` and `prune` took before they read the config: an old
-# out-of-range command line is still a usage error, as the flag is unknown.
-# The range itself is checked through the config (CONFIG_CASES).
+# Old out-of-range command lines for knob flags of REMOVED_FLAGS: still a
+# usage error, as the flag is unknown.  The range itself is checked through
+# the config (CONFIG_CASES).
 FLAG_CASES += [
     (command, flag, value, f"unrecognized arguments: {flag} {value}")
     for command, flag, value in [
@@ -274,29 +310,33 @@ FLAG_CASES += [
     ]
 ]
 
-# (config key, out-of-range value, the parameter its error names)
-CONFIG_CASES = [
-    ("eps1", "nan", "eps1"),
-    ("eps2", "-1", "eps2"),
-    ("beta", "inf", "beta"),
-    ("learning_rate", "0", "learning_rate"),
-    ("init_range", "inf", "init_range"),
-    ("init_seed", "-1", "seed"),  # NetworkConfig.seed
-    ("n_hidden", "0", "n_hidden"),
-    ("epochs", "-1", "epochs"),
-    ("eta2", "0.5", "eta2"),
-    ("accuracy_drop_tolerance", "nan", "accuracy_drop_tolerance"),
-    ("retrain_max_epochs", "-1", "retrain_max_epochs"),
+# (command, flag, type of its value) of every flag the CLI no longer has: the
+# data and knob flags `train`, `prune` and `eval` took before they read the
+# config, and `prune --eta1`, which no parameter read.  An old command line
+# with one of them is a usage error that names it, and writes nothing.
+REMOVED_FLAGS = [
+    *[(command, flag, str) for command in ("train", "prune", "eval")
+      for flag in ("--dataset", "--data")],
+    *[("train", flag, float) for flag in ("--eps1", "--eps2", "--beta", "--lr", "--init-range")],
+    *[("train", flag, int) for flag in ("--hidden", "--epochs", "--seed")],
+    *[("prune", flag, float) for flag in ("--eps1", "--eps2", "--beta", "--eta1", "--eta2", "--lr")],
+    ("prune", "--tolerance", float),
+    ("prune", "--retrain-epochs", int),
 ]
 
-# (command, flag that went when these commands began reading the config, a value)
-REMOVED_FLAGS = [
-    ("prune", "--eta1", "0.3"),
-    ("train", "--lr", "0.1"),
-    ("train", "--dataset", "cancer1"),
-    ("prune", "--eta2", "0.1"),
-    ("prune", "--tolerance", "0.02"),
-    ("eval", "--data", "x.data"),
+# (config key, an out-of-range value); the error names the key
+CONFIG_CASES = [
+    ("eps1", "nan"),
+    ("eps2", "-1"),
+    ("beta", "inf"),
+    ("learning_rate", "0"),
+    ("init_range", "inf"),
+    ("init_seed", "-1"),
+    ("n_hidden", "0"),
+    ("epochs", "-1"),
+    ("eta2", "0.5"),
+    ("accuracy_drop_tolerance", "nan"),
+    ("retrain_max_epochs", "-1"),
 ]
 
 
@@ -360,7 +400,7 @@ class TestCli:
         assert rows[-1] == f"20,{theta!r},{accuracy(saved, split)!r}"
 
     def test_train_divergence_names_true_epoch(self, cancer_file, cancer_bundle, tmp_path, capsys):
-        net = init_network(NetworkConfig(9, 3, 2, seed=1))  # the network cancer1.conf sets
+        net = init_network(NetworkConfig(9, 3, 2, init_seed=1))  # the network cancer1.conf sets
         with pytest.raises(DivergenceError) as library:
             train(net, cancer_bundle.train, TrainParams(1e30, 30), PenaltyParams())
         assert int(str(library.value).rsplit(" ", 1)[1]) > 1
@@ -394,10 +434,10 @@ class TestCli:
         assert message in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf"]
 
-    @pytest.mark.parametrize("command", ["train", "prune", "eval"])
-    @pytest.mark.parametrize("key,value,name", CONFIG_CASES, ids=[c[0] for c in CONFIG_CASES])
+    @pytest.mark.parametrize("command", ["run", "train", "prune", "eval"])
+    @pytest.mark.parametrize("key,value", CONFIG_CASES, ids=[c[0] for c in CONFIG_CASES])
     def test_out_of_range_config_value_exit_1(
-        self, key, value, name, command, cancer_file, tmp_path, capsys
+        self, key, value, command, cancer_file, tmp_path, capsys
     ):
         inputs = tmp_path / "in"
         inputs.mkdir()
@@ -407,29 +447,32 @@ class TestCli:
         out = tmp_path / "out"
         out.mkdir()
         outputs = {
+            "run": ["--out", str(out / "run")],
             "train": ["--out", str(out / "n.json"), "--trace", str(out / "t.csv")],
             "prune": ["--net", str(net), "--out", str(out / "p.json"),
                       "--trace-out", str(out / "t.jsonl")],
             "eval": ["--net", str(net)],
         }
         assert main([command, "--config", str(conf), *outputs[command]]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {name} must be")
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command,flag,value", REMOVED_FLAGS, ids=["-".join(case[:2]) for case in REMOVED_FLAGS]
+        "command,flag,kind", REMOVED_FLAGS, ids=["-".join(case[:2]) for case in REMOVED_FLAGS]
     )
-    def test_removed_flag_is_unrecognized(self, command, flag, value, tmp_path, capsys):
+    def test_removed_flag_is_unrecognized(self, command, flag, kind, tmp_path, capsys):
         net = ["--net", str(tmp_path / "n.json")]
         required = {
             "train": ["--out", str(tmp_path / "n.json")],
             "prune": [*net, "--out", str(tmp_path / "p.json")],
             "eval": net,
         }
+        value = "x.data" if kind is str else "1"
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", "exp.conf", *required[command], flag, value])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_negative_split_seed_exit_1(self, cancer_file, tmp_path, capsys):
         conf = tmp_path / "exp.conf"
@@ -579,26 +622,17 @@ def _numeric_flags():
     ]
 
 
-# (command, flag, type) of the numeric knob flags `train` and `prune` took
-# before they read the config; each must stay unknown to the parser.
-_REMOVED_NUMERIC_FLAGS = [
-    *[("train", flag, float) for flag in ("--eps1", "--eps2", "--beta", "--lr", "--init-range")],
-    *[("train", flag, int) for flag in ("--hidden", "--epochs", "--seed")],
-    *[("prune", flag, float) for flag in ("--eps1", "--eps2", "--beta", "--eta2", "--lr")],
-    ("prune", "--tolerance", float),
-    ("prune", "--retrain-epochs", int),
-]
-
-
 class TestFlagRanges:
     @pytest.mark.parametrize(
         "command,flag,kind",
-        _numeric_flags() + _REMOVED_NUMERIC_FLAGS,
+        _numeric_flags() + [case for case in REMOVED_FLAGS if case[2] is not str],
         ids=lambda v: getattr(v, "__name__", v),
     )
     def test_out_of_range_value_is_usage_error(
         self, command, flag, kind, cancer_file, tmp_path, capsys
     ):
+        """A numeric flag given a value out of its range, or a removed numeric
+        flag given any value, exits 2 naming it and writes nothing."""
         inputs = tmp_path / "in"
         inputs.mkdir()
         net = inputs / "n.json"
@@ -625,7 +659,7 @@ class TestFlagRanges:
             main([command, *required, flag, value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        if (command, flag, kind) in _REMOVED_NUMERIC_FLAGS:
+        if (command, flag, kind) in REMOVED_FLAGS:
             assert f"error: unrecognized arguments: {flag} {value}" in err, err
         else:
             name = flag.lstrip("-").replace("-", "_")  # a flag is spelled like its parameter

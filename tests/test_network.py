@@ -27,7 +27,7 @@ LOGISTIC_TANH_1 = 0.6816997421945262
 
 
 def small_net(n=2, h=2, o=2, seed=3) -> Network:
-    return init_network(NetworkConfig(n, h, o, init_range=1.0, seed=seed))
+    return init_network(NetworkConfig(n, h, o, init_range=1.0, init_seed=seed))
 
 
 def forward_one(net: Network, x) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +42,7 @@ def classify_one(net: Network, x) -> int:
 
 class TestConfig:
     def test_valid(self):
-        cfg = NetworkConfig(9, 3, 2, init_range=1.0, seed=7)
+        cfg = NetworkConfig(9, 3, 2, init_range=1.0, init_seed=7)
         assert (cfg.n_inputs, cfg.n_hidden, cfg.n_outputs) == (9, 3, 2)
 
     @pytest.mark.parametrize(
@@ -55,11 +55,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
     def test_non_integer_seed_rejected(self, seed):
-        with pytest.raises(ConfigurationError, match="seed must be an integer"):
-            NetworkConfig(1, 1, 1, seed=seed)
+        with pytest.raises(ConfigurationError, match="init_seed must be an integer"):
+            NetworkConfig(1, 1, 1, init_seed=seed)
 
     def test_numpy_integers_accepted(self):
-        cfg = NetworkConfig(np.int64(9), np.int32(3), np.uint8(2), seed=np.int64(7))
+        cfg = NetworkConfig(np.int64(9), np.int32(3), np.uint8(2), init_seed=np.int64(7))
         assert init_network(cfg).architecture() == "9-3-2"
 
     def test_zero_init_range_rejected(self):
@@ -72,13 +72,13 @@ class TestConfig:
             NetworkConfig(1, 1, 1, init_range=init_range)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
-            NetworkConfig(1, 1, 1, seed=-1)
+        with pytest.raises(ConfigurationError, match="init_seed must be >= 0"):
+            NetworkConfig(1, 1, 1, init_seed=-1)
 
 
 class TestInit:
     def test_shapes_and_bound(self):
-        net = init_network(NetworkConfig(9, 3, 2, init_range=1.0, seed=7))
+        net = init_network(NetworkConfig(9, 3, 2, init_range=1.0, init_seed=7))
         assert net.w.shape == (3, 9) and net.w.size == 27
         assert net.v.shape == (2, 3) and net.v.size == 6
         assert np.all(np.abs(net.w) <= 1.0) and np.all(np.abs(net.v) <= 1.0)
@@ -86,17 +86,17 @@ class TestInit:
         assert net.input_active.all() and net.hidden_active.all()
 
     def test_deterministic(self):
-        cfg = NetworkConfig(9, 3, 2, init_range=1.0, seed=7)
+        cfg = NetworkConfig(9, 3, 2, init_range=1.0, init_seed=7)
         a, b = init_network(cfg), init_network(cfg)
         assert np.array_equal(a.w, b.w) and np.array_equal(a.v, b.v)
 
     def test_seed_changes_weights(self):
-        a = init_network(NetworkConfig(9, 3, 2, seed=7))
-        b = init_network(NetworkConfig(9, 3, 2, seed=8))
+        a = init_network(NetworkConfig(9, 3, 2, init_seed=7))
+        b = init_network(NetworkConfig(9, 3, 2, init_seed=8))
         assert not np.array_equal(a.w, b.w)
 
     def test_init_range_scales(self):
-        net = init_network(NetworkConfig(6, 4, 3, init_range=0.01, seed=5))
+        net = init_network(NetworkConfig(6, 4, 3, init_range=0.01, init_seed=5))
         assert np.all(np.abs(net.w) <= 0.01)
 
 
@@ -139,9 +139,8 @@ class TestForward:
         rng = np.random.default_rng(123)
         for _ in range(1000):
             n, h, o = rng.integers(1, 10, size=3)
-            net = init_network(
-                NetworkConfig(int(n), int(h), int(o), init_range=2.0, seed=int(rng.integers(1 << 31)))
-            )
+            seed = int(rng.integers(1 << 31))
+            net = init_network(NetworkConfig(int(n), int(h), int(o), init_range=2.0, init_seed=seed))
             hidden, output = forward_one(net, rng.uniform(-1, 1, size=int(n)))
             assert np.all(np.abs(hidden) < 1.0)
             assert np.all((output > 0.0) & (output < 1.0))
@@ -231,7 +230,7 @@ class TestSerialization:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_round_trip_property(self, n, h, o, seed):
-        net = init_network(NetworkConfig(n, h, o, init_range=3.0, seed=seed))
+        net = init_network(NetworkConfig(n, h, o, init_range=3.0, init_seed=seed))
         rng = np.random.default_rng(seed)
         net.w_mask[...] &= rng.random(net.w.shape) > 0.3
         net.v_mask[...] &= rng.random(net.v.shape) > 0.3

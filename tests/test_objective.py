@@ -67,20 +67,20 @@ class TestCrossEntropy:
 
 class TestPenalty:
     def test_zero_network(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=1))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=1))
         net.w[:] = 0.0
         net.v[:] = 0.0
         assert penalty(net, PenaltyParams()) == 0.0
 
     def test_single_weight_value(self):
-        net = init_network(NetworkConfig(1, 1, 1, seed=1))
+        net = init_network(NetworkConfig(1, 1, 1, init_seed=1))
         net.w[0, 0] = 1.0
         net.v[0, 0] = 0.0
         p = penalty(net, PenaltyParams(eps1=0.1, eps2=1e-5, beta=10.0))
         assert p == pytest.approx(SINGLE_WEIGHT_PENALTY, abs=1e-9)
 
     def test_even_in_weights(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=8))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=8))
         params = PenaltyParams()
         p1 = penalty(net, params)
         net.w[...] = -net.w
@@ -88,7 +88,7 @@ class TestPenalty:
         assert penalty(net, params) == pytest.approx(p1, rel=1e-15)
 
     def test_positive_iff_nonzero(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=8))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=8))
         assert penalty(net, PenaltyParams()) > 0.0
         net.w[:] = 0.0
         net.v[:] = 0.0
@@ -105,7 +105,7 @@ class TestPenalty:
 
 class TestObjective:
     def test_penalty_off_equals_cross_entropy(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
         batch = make_batch(3, 2, 10, seed=5)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         _, preds = forward_batch(net, batch.examples)
@@ -114,14 +114,14 @@ class TestObjective:
         )
 
     def test_zero_network_two_class(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
         net.w[:] = 0.0
         net.v[:] = 0.0
         batch = make_batch(3, 2, 1, seed=6)
         assert objective(net, batch, PenaltyParams()) == pytest.approx(TWO_LN_TWO, abs=1e-12)
 
     def test_objective_at_least_cross_entropy(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
         batch = make_batch(3, 2, 10, seed=7)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         assert objective(net, batch, PenaltyParams()) >= objective(net, batch, off)
@@ -132,7 +132,7 @@ class TestObjective:
             Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
 
     def test_gradient_rejects_evaluation_of_another_batch(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
         batch = make_batch(3, 2, 10, seed=8)
         at = forward_pass(net, batch.examples[:4])
         with pytest.raises(ShapeError):
@@ -154,21 +154,21 @@ class TestBatchFit:
     @pytest.mark.parametrize("function", sorted(BATCH_FUNCTIONS))
     @pytest.mark.parametrize("n,o", [(4, 2), (3, 3)])
     def test_batch_that_does_not_fit_the_network_rejected(self, function, n, o):
-        net = init_network(NetworkConfig(3, 2, 2, seed=5))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
         with pytest.raises(ShapeError):
             BATCH_FUNCTIONS[function](net, make_batch(n, o, 5))
 
 
 class TestGradients:
     def test_zero_network_zero_gradient(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=2))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         net.w[:] = 0.0
         net.v[:] = 0.0
         batch = make_batch(4, 2, 6, seed=2)
         assert np.all(gradients(net, batch, PenaltyParams()) == 0.0)
 
     def test_masked_entries_zero(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=2))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         net.w_mask[1, 2] = False
         net.v_mask[0, 1] = False
         net.apply_masks()
@@ -179,7 +179,7 @@ class TestGradients:
 
     def test_data_gradient_is_raw_at_masked_entries(self):
         # masks are the trainer's to apply; the formula's value is kept
-        net = init_network(NetworkConfig(4, 3, 2, seed=2))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         net.w[1, 2] = 0.0
         batch = make_batch(4, 2, 6, seed=2)
         unmasked = data_gradients(net, batch, forward_pass(net, batch.examples))
@@ -189,7 +189,7 @@ class TestGradients:
         assert np.array_equal(raw, unmasked)
 
     def test_penalty_only_gradient_sign(self):
-        net = init_network(NetworkConfig(1, 1, 1, seed=1))
+        net = init_network(NetworkConfig(1, 1, 1, init_seed=1))
         net.w[0, 0] = 0.7
         net.v[0, 0] = 0.0
         # zero input: data gradient vanishes for w
@@ -197,7 +197,7 @@ class TestGradients:
         assert net.views(g)[0][0, 0] > 0.0
 
     def test_full_gradient_is_the_per_matrix_gradients_packed(self):
-        net = init_network(NetworkConfig(5, 3, 3, seed=15))
+        net = init_network(NetworkConfig(5, 3, 3, init_seed=15))
         net.w_mask[1, 2] = net.v_mask[0, 1] = False
         net.apply_masks()
         batch = make_batch(5, 3, 9, seed=15)
@@ -214,7 +214,7 @@ class TestGradients:
         assert np.array_equal(gradients(net, batch, params), expected)
 
     def test_matches_finite_differences(self):
-        net = init_network(NetworkConfig(9, 3, 2, init_range=1.0, seed=42))
+        net = init_network(NetworkConfig(9, 3, 2, init_range=1.0, init_seed=42))
         batch = make_batch(9, 2, 10, seed=42)
         err = finite_diff_check(net, batch, PenaltyParams(), step=1e-6)
         assert err < 1e-5
@@ -226,7 +226,7 @@ class TestGradients:
         for n, h, o in ((9, 3, 2), (8, 3, 2), (9, 4, 6)):
             for _ in range(2):
                 seed = int(rng.integers(1 << 31))
-                net = init_network(NetworkConfig(n, h, o, seed=seed))
+                net = init_network(NetworkConfig(n, h, o, init_seed=seed))
                 batch = make_batch(n, o, 7, seed=seed)
                 params = PenaltyParams(
                     eps1=float(rng.uniform(0, 0.3)),
@@ -236,7 +236,7 @@ class TestGradients:
                 assert finite_diff_check(net, batch, params, step=1e-6) < 1e-5
 
     def test_zero_network_finite_diff_error_zero(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=9))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=9))
         net.w[:] = 0.0
         net.v[:] = 0.0
         batch = make_batch(3, 2, 4, seed=9)
@@ -246,7 +246,7 @@ class TestGradients:
     def test_non_finite_comparison_fails_the_check(self):
         # theta is not finite around weights of 1e200, so neither is any
         # central difference; the check must not report agreement
-        net = init_network(NetworkConfig(3, 2, 2, seed=9))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=9))
         net.w[:] = 1e200
         batch = make_batch(3, 2, 4, seed=9)
         with np.errstate(all="ignore"):
@@ -255,20 +255,20 @@ class TestGradients:
         assert not err < 1e-5
 
     def test_bad_step_rejected(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=9))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=9))
         batch = make_batch(3, 2, 4, seed=9)
         with pytest.raises(ConfigurationError):
             finite_diff_check(net, batch, PenaltyParams(), step=0.0)
 
     @pytest.mark.parametrize("step", [-1e-6, math.inf, math.nan, "1e-6"])
     def test_step_outside_range_named(self, step):
-        net = init_network(NetworkConfig(3, 2, 2, seed=9))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=9))
         batch = make_batch(3, 2, 4, seed=9)
         with pytest.raises(ConfigurationError, match="step must be"):
             finite_diff_check(net, batch, PenaltyParams(), step=step)
 
     def test_batch_permutation_invariance(self):
-        net = init_network(NetworkConfig(5, 3, 3, seed=13))
+        net = init_network(NetworkConfig(5, 3, 3, init_seed=13))
         batch = make_batch(5, 3, 12, seed=13)
         g1 = gradients(net, batch, PenaltyParams())
         perm = np.random.default_rng(14).permutation(12)
@@ -337,6 +337,6 @@ class TestThetaCertificate:
         assert finite or not certified
 
     def test_holds_on_an_ordinary_network(self):
-        net = init_network(NetworkConfig(9, 3, 2, seed=42))
+        net = init_network(NetworkConfig(9, 3, 2, init_seed=42))
         at = forward_pass(net, make_batch(9, 2, 10, seed=42).examples)
         assert theta_certainly_finite(net.weights, at, PenaltyParams())

@@ -98,6 +98,12 @@ class TestPruneParams:
         with pytest.raises(ConfigurationError, match="eta2"):
             PruneParams(eta2=0.0)
 
+    def test_floor_is_accuracy_less_tolerance_clamped_at_zero(self):
+        params = PruneParams(accuracy_drop_tolerance=0.25)
+        assert params.floor(0.75) == 0.5
+        assert params.floor(0.25) == 0.0
+        assert params.floor(0.125) == 0.0
+
     @pytest.mark.parametrize(
         "field,value",
         [
@@ -197,7 +203,7 @@ def masked_networks(draw):
 
 def all_w_masked():
     """Every w masked; one v entry (0.34) lies below 0.4 but above 0.04."""
-    net = init_network(NetworkConfig(3, 2, 2, seed=12))
+    net = init_network(NetworkConfig(3, 2, 2, init_seed=12))
     net.w_mask[:] = False
     net.apply_masks()
     return net
@@ -220,7 +226,7 @@ class TestConditionCandidates:
     """The threshold rules of ``removal_batch``."""
 
     def net_1out(self):
-        net = init_network(NetworkConfig(2, 1, 1, seed=0))
+        net = init_network(NetworkConfig(2, 1, 1, init_seed=0))
         return net
 
     def test_product_threshold(self):
@@ -243,7 +249,7 @@ class TestConditionCandidates:
         assert v_c == []
 
     def test_dead_fanout_makes_all_w_candidates(self):
-        net = init_network(NetworkConfig(3, 2, 2, seed=1))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=1))
         net.w[:] = 5.0  # far above any threshold on their own
         net.v[:, 0] = 0.0  # hidden 0 has zero fan-out
         net.v[:, 1] = 5.0
@@ -253,7 +259,7 @@ class TestConditionCandidates:
 
     def test_max_over_outputs_is_used(self):
         # one large fan-out weight protects the w entry
-        net = init_network(NetworkConfig(1, 1, 2, seed=2))
+        net = init_network(NetworkConfig(1, 1, 2, init_seed=2))
         net.w[0, 0] = 0.3
         net.v[0, 0], net.v[1, 0] = 0.1, 3.0  # max |v*w| = 0.9 > 0.4
         w_c, _ = threshold_removals(net, PruneParams())
@@ -288,7 +294,7 @@ class TestSmallestProduct:
     """The smallest-product rule of ``removal_batch``."""
 
     def test_single_unmasked(self):
-        net = init_network(NetworkConfig(2, 2, 1, seed=3))
+        net = init_network(NetworkConfig(2, 2, 1, init_seed=3))
         net.v[:] = 1.0
         net.w_mask[:] = False
         net.w_mask[1, 0] = True
@@ -296,13 +302,13 @@ class TestSmallestProduct:
         assert fallback_removal(net) == (1, 0)
 
     def test_argmin(self):
-        net = init_network(NetworkConfig(3, 1, 1, seed=4))
+        net = init_network(NetworkConfig(3, 1, 1, init_seed=4))
         net.v[0, 0] = 1.0
         net.w[0] = np.array([0.5, 0.2, 0.9])
         assert fallback_removal(net) == (0, 1)
 
     def test_tie_break_lexicographic(self):
-        net = init_network(NetworkConfig(4, 2, 1, seed=5))
+        net = init_network(NetworkConfig(4, 2, 1, init_seed=5))
         net.v[:] = 1.0
         net.w[:] = 1.0
         net.w[0, 3] = 0.05
@@ -311,7 +317,7 @@ class TestSmallestProduct:
 
     def test_exhausted_returns_empty(self):
         # all w masked and no v below the threshold: nothing left to remove
-        net = init_network(NetworkConfig(2, 2, 1, seed=6))
+        net = init_network(NetworkConfig(2, 2, 1, init_seed=6))
         net.v[:] = 1.0
         net.w_mask[:] = False
         net.apply_masks()
@@ -323,28 +329,45 @@ class TestEliminateWeights:
         # two-input halfplane net: either input alone cannot represent the
         # margin rule, so the first fallback removal must be rolled back
         bundle = halfplane_bundle(seed=1)
-        net = train(init_network(NetworkConfig(2, 1, 2, seed=1)), bundle.train, TP, PEN)
+        net = train(init_network(NetworkConfig(2, 1, 2, init_seed=1)), bundle.train, TP, PEN)
         assert accuracy(net, bundle.validation) > 0.9
-        out, trace = eliminate_weights(
-            net, bundle, TP.learning_rate, PEN, PruneParams(retrain_max_epochs=50)
-        )
+        params = PruneParams(retrain_max_epochs=50)
+        floor = params.floor(accuracy(net, bundle.validation))
+        out, trace = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
         assert serialize(out) == serialize(net)  # bit-identical rollback
         assert len(trace.events) >= 1
         assert all(e.rolled_back for e in trace.events)
         assert trace.n_removed_weights() == 0
 
+    def test_snapshots_do_not_follow_later_edits(self):
+        # as above, every batch is rolled back: the network returned equals
+        # the last snapshot, but is not it
+        bundle = halfplane_bundle(seed=1)
+        net = train(init_network(NetworkConfig(2, 1, 2, init_seed=1)), bundle.train, TP, PEN)
+        params = PruneParams(retrain_max_epochs=50)
+        floor = params.floor(accuracy(net, bundle.validation))
+        out, trace = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
+        last = trace.snapshots[max(trace.snapshots)]
+        assert serialize(last) == serialize(out)
+        written = trace.to_jsonl()
+        for edited in (out, net):
+            edited.weights[:] = 0.5
+            edited.w_mask[0, 0] = False
+            edited.apply_masks()
+        assert trace.to_jsonl() == written
+
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan])
     def test_bad_lr_rejected(self, lr):
         bundle = halfplane_bundle(seed=1)
-        net = init_network(NetworkConfig(2, 1, 2, seed=1))
+        net = init_network(NetworkConfig(2, 1, 2, init_seed=1))
         with pytest.raises(ConfigurationError, match="lr must be in"):
-            eliminate_weights(net, bundle, lr, PEN, PruneParams())
+            eliminate_weights(net, bundle, lr, PEN, PruneParams(), 0.5)
 
     @pytest.mark.parametrize("removable", [True, False])
     @pytest.mark.parametrize("floor", [math.nan, 1.5, -1.0])
     def test_bad_floor_rejected(self, floor, removable):
         bundle = halfplane_bundle(seed=1)
-        net = init_network(NetworkConfig(2, 1, 2, seed=1))
+        net = init_network(NetworkConfig(2, 1, 2, init_seed=1))
         if not removable:  # every w masked and every v too large to remove
             net.w_mask[:] = False
             net.apply_masks()
@@ -355,13 +378,14 @@ class TestEliminateWeights:
 
     def test_monotone_sparsity_and_trace_completeness(self, cancer_bundle):
         net = train(
-            init_network(NetworkConfig(9, 3, 2, seed=5)),
+            init_network(NetworkConfig(9, 3, 2, init_seed=5)),
             cancer_bundle.train,
             TrainParams(0.1, 500),
             PEN,
         )
         before = net.n_unmasked()
-        out, trace = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams())
+        floor = PruneParams().floor(accuracy(net, cancer_bundle.validation))
+        out, trace = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams(), floor)
         out.validate()
         after = out.n_unmasked()
         assert after <= before
@@ -374,19 +398,19 @@ class TestEliminateWeights:
 
     def test_floor_holds_at_exit(self, cancer_bundle):
         net = train(
-            init_network(NetworkConfig(9, 3, 2, seed=6)),
+            init_network(NetworkConfig(9, 3, 2, init_seed=6)),
             cancer_bundle.train,
             TrainParams(0.1, 500),
             PEN,
         )
         baseline = accuracy(net, cancer_bundle.validation)
         params = PruneParams(accuracy_drop_tolerance=0.02)
-        out, _ = eliminate_weights(net, cancer_bundle, 0.1, PEN, params)
+        out, _ = eliminate_weights(net, cancer_bundle, 0.1, PEN, params, params.floor(baseline))
         assert accuracy(out, cancer_bundle.validation) >= baseline - 0.02
 
     def test_explicit_floor_is_respected(self, cancer_bundle):
         net = train(
-            init_network(NetworkConfig(9, 3, 2, seed=7)),
+            init_network(NetworkConfig(9, 3, 2, init_seed=7)),
             cancer_bundle.train,
             TrainParams(0.1, 500),
             PEN,
@@ -406,14 +430,14 @@ def assert_same_function(net, out, seed):
 
 class TestNodePruning:
     def test_fully_connected_untouched(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=8))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=8))
         trace = PruneTrace()
         out = prune_dead_nodes(net, trace)
         assert trace.events == []
         assert serialize(out) == serialize(net)
 
     def test_dead_input_column(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=9))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=9))
         net.w_mask[:, 2] = False
         net.apply_masks()
         trace = PruneTrace()
@@ -424,7 +448,7 @@ class TestNodePruning:
         assert_same_function(net, out, seed=9)
 
     def test_dead_hidden_column(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=10))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=10))
         net.v_mask[:, 1] = False
         net.apply_masks()
         trace = PruneTrace()
@@ -438,7 +462,7 @@ class TestNodePruning:
         out.validate()
 
     def test_inputs_fed_only_dead_hidden_units_go_after_them(self):
-        net = init_network(NetworkConfig(3, 3, 2, seed=13))
+        net = init_network(NetworkConfig(3, 3, 2, init_seed=13))
         net.w_mask[1, 2] = False       # input 2 feeds hidden 0 and 2 only
         net.w_mask[0, 1] = False       # hidden 0 keeps inputs 0 and 2
         net.w_mask[2, 0:2] = False     # hidden 2 keeps input 2
@@ -458,8 +482,8 @@ class TestNodePruning:
 class TestTraceSerialization:
     def test_jsonl_round_trip(self):
         trace = PruneTrace()
-        net = init_network(NetworkConfig(2, 2, 2, seed=11))
-        trace.snapshots[0] = serialize(net)
+        net = init_network(NetworkConfig(2, 2, 2, init_seed=11))
+        trace.snapshots[0] = net
         trace.events.append(
             RemovalEvent(
                 kind=KIND_WEIGHT_W, indices=(1, 0), trigger="product-threshold",
@@ -474,9 +498,11 @@ class TestTraceSerialization:
                 accuracy_after_retrain=0.91,
             )
         )
-        back = PruneTrace.from_jsonl(trace.to_jsonl())
+        text = trace.to_jsonl()
+        back = PruneTrace.from_jsonl(text)
         assert back.events == trace.events
-        assert back.snapshots == trace.snapshots
+        assert {b: serialize(n) for b, n in back.snapshots.items()} == {0: serialize(net)}
+        assert back.to_jsonl() == text
 
     @pytest.mark.parametrize(
         "bad",
@@ -537,7 +563,7 @@ class TestTraceSerialization:
         ],
     )
     def test_bad_snapshot_or_type_rejected(self, bad):
-        network = serialize(init_network(NetworkConfig(2, 2, 2, seed=11)))
+        network = serialize(init_network(NetworkConfig(2, 2, 2, init_seed=11)))
         with pytest.raises(ParseError, match=r"^trace line 1: "):
             PruneTrace.from_jsonl(bad.replace("NETWORK", network))
 
@@ -547,7 +573,7 @@ class TestGrowAndPrune:
         bundle = halfplane_bundle(seed=2)
         net, trace, report = grow_and_prune(
             bundle,
-            NetworkConfig(2, 2, 2, seed=3),
+            NetworkConfig(2, 2, 2, init_seed=3),
             TP,
             PEN,
             PruneParams(retrain_max_epochs=50),
@@ -560,7 +586,9 @@ class TestGrowAndPrune:
 
     def test_deterministic(self):
         bundle = halfplane_bundle(seed=3)
-        args = (bundle, NetworkConfig(2, 2, 2, seed=4), TP, PEN, PruneParams(retrain_max_epochs=50))
+        args = (
+            bundle, NetworkConfig(2, 2, 2, init_seed=4), TP, PEN, PruneParams(retrain_max_epochs=50)
+        )
         net1, _, rep1 = grow_and_prune(*args)
         net2, _, rep2 = grow_and_prune(*args)
         assert serialize(net1) == serialize(net2)
@@ -569,7 +597,7 @@ class TestGrowAndPrune:
     def test_trace_accounts_for_final_masks(self, cancer_bundle):
         net, trace, report = grow_and_prune(
             cancer_bundle,
-            NetworkConfig(9, 3, 2, seed=5),
+            NetworkConfig(9, 3, 2, init_seed=5),
             TrainParams(0.1, 500),
             PEN,
             PruneParams(),

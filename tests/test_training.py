@@ -77,28 +77,28 @@ class TestTrainParams:
 class TestTrain:
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
     def test_descend_rejects_bad_lr_before_any_update(self, lr):
-        net = init_network(NetworkConfig(4, 3, 2, seed=1))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=1))
         before = net.copy()
         with pytest.raises(ConfigurationError, match="lr must be in"):
             next(descend(net, toy_split(), lr, PenaltyParams()))
         assert np.array_equal(net.w, before.w) and np.array_equal(net.v, before.v)
 
     def test_zero_epochs_identity(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=1))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=1))
         split = toy_split()
         out = train(net, split, TrainParams(0.1, 0), PenaltyParams())
         assert np.array_equal(out.w, net.w)
         assert np.array_equal(out.v, net.v)
 
     def test_input_not_mutated(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=1))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=1))
         w_before = net.w.copy()
         train(net, toy_split(), TrainParams(0.1, 5), PenaltyParams())
         assert np.array_equal(net.w, w_before)
 
     def test_small_step_descends(self):
         # with the penalty off, one small step cannot increase the objective
-        net = init_network(NetworkConfig(4, 3, 2, seed=2))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         split = toy_split(seed=2)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         before = objective(net, split, off)
@@ -107,7 +107,7 @@ class TestTrain:
         assert after <= before + 1e-9
 
     def test_objective_sequence_non_increasing_small_lr(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=3))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=3))
         split = toy_split(seed=3)
         off = PenaltyParams(eps1=0.0, eps2=0.0)
         values = [objective(net, split, off)]
@@ -117,14 +117,14 @@ class TestTrain:
         assert np.all(diffs <= 1e-9)
 
     def test_deterministic(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=4))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=4))
         split = toy_split(seed=4)
         a = train(net, split, TrainParams(0.1, 50), PenaltyParams())
         b = train(net, split, TrainParams(0.1, 50), PenaltyParams())
         assert np.array_equal(a.w, b.w) and np.array_equal(a.v, b.v)
 
     def test_mask_preserved_through_training(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=5))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=5))
         net.w_mask[0, 0] = False
         net.v_mask[1, 2] = False
         net.apply_masks()
@@ -138,7 +138,7 @@ class TestTrain:
             raise AssertionError("train evaluated accuracy")
 
         monkeypatch.setattr("nnprune.training.accuracy", forbidden)
-        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         train(net, toy_split(seed=6), TrainParams(0.1, 5), PenaltyParams())
 
     def test_descend_matches_train(self, monkeypatch):
@@ -152,7 +152,7 @@ class TestTrain:
         monkeypatch.setattr(
             importlib.import_module("nnprune.objective"), "forward_batch", recording
         )
-        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         split = toy_split(seed=6)
         stepped = net.copy()
         epochs = list(islice(descend(stepped, split, 0.1, PenaltyParams()), 5))
@@ -178,7 +178,7 @@ class TestTrain:
         # ``nnprune.objective`` names the function; the module is looked up
         for module in ("nnprune.objective", "nnprune.network"):
             monkeypatch.setattr(importlib.import_module(module), "forward_batch", counting)
-        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
         # descend is lazy: zero epochs start no pass
         assert len(calls) == (epochs + 1 if epochs else 0)
@@ -188,13 +188,13 @@ class TestTrain:
             raise AssertionError("train evaluated theta")
 
         monkeypatch.setattr("nnprune.training.objective", forbidden)
-        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         net.w_mask[0, 1] = False
         net.apply_masks()
         train(net, toy_split(seed=6), TrainParams(0.1, 200), PenaltyParams())
 
     def test_divergence_error_names_epoch(self):
-        net = init_network(NetworkConfig(2, 2, 2, seed=7))
+        net = init_network(NetworkConfig(2, 2, 2, init_seed=7))
         net.w[0, 0] = 1e200  # non-finite objective after the first update
         split = toy_split(n=2, seed=7)
         with pytest.raises(DivergenceError, match="epoch 1"):
@@ -206,7 +206,7 @@ class TestTrain:
         with pytest.raises(DatasetError, match="at least one example"):
             Split(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
         one = toy_split(k=1, seed=8)
-        net = init_network(NetworkConfig(4, 3, 2, seed=8))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=8))
         net = train(net, one, TrainParams(0.1, 3), PenaltyParams())
         assert accuracy(net, one) in (0.0, 1.0)
 
@@ -243,7 +243,7 @@ class TestPackedEpochs:
     @pytest.mark.parametrize("bundle,n,h,o,seed,pruned", BENCHMARK_SHAPES)
     def test_bit_identical_to_reference(self, bundle, n, h, o, seed, pruned, request):
         split = request.getfixturevalue(f"{bundle}_bundle").train
-        net = init_network(NetworkConfig(n, h, o, seed=seed))
+        net = init_network(NetworkConfig(n, h, o, init_seed=seed))
         if pruned:
             net.w_mask[0, 2] = net.w_mask[1, n - 1] = False
             net.v_mask[o - 1, 0] = False
@@ -263,7 +263,7 @@ class TestPackedEpochs:
         stepped.validate()
 
     def test_references_taken_before_descend_see_the_trained_weights(self):
-        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         split = toy_split(seed=6)
         w, v, weights = net.w, net.v, net.weights
         before = net.copy()
@@ -297,7 +297,7 @@ class TestEpochContract:
         count_calls(training, "penalty_gradients")
         # ``nnprune.objective`` names the function; the module is looked up
         count_calls(importlib.import_module("nnprune.objective"), "forward_batch")
-        net = init_network(NetworkConfig(4, 3, 2, seed=6))
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         net.w_mask[0, 1] = False
         net.apply_masks()
         if runner == "train":
@@ -333,7 +333,7 @@ class TestDivergenceEpoch:
             PenaltyParams(eps1=3e306),
         ):
             for lr in (1e2, 1e3, 1e5, 1e10, 1e20, 1e50, 1e100, 1e150, 1e200, 1e250, 1e300):
-                net = init_network(NetworkConfig(4, 3, 2, seed=21))
+                net = init_network(NetworkConfig(4, 3, 2, init_seed=21))
                 net.w_mask[0, 1] = False
                 net.apply_masks()
                 theta_calls.clear()
@@ -358,7 +358,7 @@ class TestDivergenceEpoch:
 class TestAccuracy:
     def test_perfect_predictor(self):
         split = toy_split(seed=9)
-        net = init_network(NetworkConfig(4, 1, 2, seed=9))
+        net = init_network(NetworkConfig(4, 1, 2, init_seed=9))
         net.w[:] = 0.0
         net.w[0, 0], net.w[0, 1] = 5.0, -5.0  # sign of x0 - x1
         net.v[:] = np.array([[-4.0], [4.0]])
@@ -366,7 +366,7 @@ class TestAccuracy:
 
     def test_zero_network_predicts_class_zero(self):
         split = toy_split(seed=10)
-        net = init_network(NetworkConfig(4, 2, 2, seed=10))
+        net = init_network(NetworkConfig(4, 2, 2, init_seed=10))
         net.w[:] = 0.0
         net.v[:] = 0.0
         expected = float(np.mean(split.class_indices == 0))
@@ -380,7 +380,7 @@ class TestAccuracy:
 
 class TestRetrain:
     def test_floor_zero_returns_immediately(self):
-        net = init_network(NetworkConfig(4, 2, 2, seed=12))
+        net = init_network(NetworkConfig(4, 2, 2, init_seed=12))
         split = toy_split(seed=12)
         out, met = retrain(
             net, split, split, 0.1, PenaltyParams(), floor=0.0, max_epochs=100
@@ -393,7 +393,7 @@ class TestRetrain:
         x = rng.random((20, 3))
         classes = rng.integers(0, 2, size=20)  # pure noise labels
         split = Split(x, classes, 2)
-        net = init_network(NetworkConfig(3, 2, 2, seed=13))
+        net = init_network(NetworkConfig(3, 2, 2, init_seed=13))
         out, met = retrain(
             net, split, split, 0.1, PenaltyParams(), floor=1.0, max_epochs=25
         )
@@ -402,7 +402,7 @@ class TestRetrain:
     def test_recovers_after_removal(self):
         split = toy_split(k=60, seed=14)
         net = train(
-            init_network(NetworkConfig(4, 3, 2, seed=14)),
+            init_network(NetworkConfig(4, 3, 2, init_seed=14)),
             split,
             TrainParams(0.1, 300),
             PenaltyParams(),
@@ -427,20 +427,20 @@ class TestRetrain:
     @pytest.mark.parametrize("floor", [0.0, 1.0])  # met at once, and never met
     @pytest.mark.parametrize("lr", [-1.0, math.nan])
     def test_bad_lr_rejected(self, lr, floor):
-        net = init_network(NetworkConfig(4, 2, 2, seed=15))
+        net = init_network(NetworkConfig(4, 2, 2, init_seed=15))
         split = toy_split(seed=15)
         with pytest.raises(ConfigurationError, match="lr must be in"):
             retrain(net, split, split, lr, PenaltyParams(), floor=floor, max_epochs=5)
 
     @pytest.mark.parametrize("max_epochs", [-3, 2.5, True])
     def test_bad_max_epochs_rejected(self, max_epochs):
-        net = init_network(NetworkConfig(4, 2, 2, seed=15))
+        net = init_network(NetworkConfig(4, 2, 2, init_seed=15))
         split = toy_split(seed=15)
         with pytest.raises(ConfigurationError, match="max_epochs must be"):
             retrain(net, split, split, 0.1, PenaltyParams(), floor=1.0, max_epochs=max_epochs)
 
     def test_floor_validation(self):
-        net = init_network(NetworkConfig(4, 2, 2, seed=15))
+        net = init_network(NetworkConfig(4, 2, 2, init_seed=15))
         split = toy_split(seed=15)
         with pytest.raises(ConfigurationError):
             retrain(
