@@ -109,7 +109,8 @@ class Split:
             and ((class_indices >= 0) & (class_indices < self.n_classes)).all()
         ):
             raise DatasetError(f"class indices must be integers in [0, {self.n_classes})")
-        targets = np.eye(self.n_classes)[class_indices]
+        targets = np.zeros((len(class_indices), self.n_classes))
+        targets[np.arange(len(class_indices)), class_indices] = 1.0
         for array in (examples, class_indices, targets):
             array.flags.writeable = False
         vars(self).update(examples=examples, class_indices=class_indices, targets=targets)

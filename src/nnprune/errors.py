@@ -12,12 +12,14 @@ class ShapeError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed serialized network or data file."""
+    """Malformed serialized network, trace or data file, such as a data
+    line whose class label is not in the label map."""
 
 
 class DatasetError(ValueError):
     """Invalid dataset contents: too few records for three non-empty splits,
-    a split with no examples, unmapped class labels, bad class indices."""
+    a split with no examples, arrays of disagreeing shapes, non-finite
+    attribute values, bad class indices."""
 
 
 class DivergenceError(RuntimeError):

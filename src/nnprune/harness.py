@@ -11,7 +11,7 @@ and as a human-readable table.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,15 +62,17 @@ class ExperimentConfig:
 
 
 # Documented config file keys and their defaults (flat `key = value` lines).
-# Each default is the one its parameter class declares under the same name,
-# except n_hidden, split_seeds and output_dir, which no class holds.
+# Each field of the four parameter classes is the key of its name, with the
+# default its class declares; the dataset sets n_inputs and n_outputs.  Only
+# n_hidden, split_seeds and output_dir have their defaults here.
 CONFIG_DEFAULTS = {
     "n_hidden": 3,
-    "init_range": NetworkConfig.init_range,
-    "init_seed": NetworkConfig.init_seed,
-    **asdict(TrainParams()),
-    **asdict(PenaltyParams()),
-    **asdict(PruneParams()),
+    **{
+        f.name: f.default
+        for cls in (NetworkConfig, TrainParams, PenaltyParams, PruneParams)
+        for f in fields(cls)
+        if f.default is not MISSING
+    },
     "split_seeds": (1, 2, 3, 4, 5),
     "output_dir": "out",
 }
@@ -114,40 +116,21 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         raise ConfigurationError(f"unknown dataset {dataset!r}; choose from {sorted(SPECS)}")
     spec = SPECS[dataset]
 
-    def resolve(p: str) -> Path:
-        p = Path(p)
-        if base_dir is not None and not p.is_absolute():
-            return base_dir / p
-        return p
+    def build(cls, **given):
+        for f in fields(cls):
+            if f.name not in given:
+                given[f.name] = get(f.name, _PARSERS[f.type])
+        return cls(**given)
 
     return ExperimentConfig(
         dataset=dataset,
-        data_path=resolve(values["data_path"]),
-        output_dir=resolve(get("output_dir", str)),
+        data_path=Path(base_dir or "", get("data_path", _path)),
+        output_dir=Path(base_dir or "", get("output_dir", _path)),
         split_seeds=get("split_seeds", _seeds),
-        network=NetworkConfig(
-            n_inputs=spec.n_attributes,
-            n_hidden=get("n_hidden", int),
-            n_outputs=spec.n_classes,
-            init_range=get("init_range", float),
-            init_seed=get("init_seed", int),
-        ),
-        train=TrainParams(
-            learning_rate=get("learning_rate", float),
-            epochs=get("epochs", int),
-        ),
-        penalty=PenaltyParams(
-            eps1=get("eps1", float),
-            eps2=get("eps2", float),
-            beta=get("beta", float),
-        ),
-        prune=PruneParams(
-            eta2=get("eta2", float),
-            accuracy_drop_tolerance=get("accuracy_drop_tolerance", float),
-            retrain_max_epochs=get("retrain_max_epochs", int),
-            max_hidden=get("max_hidden", _optional_int),
-            max_restarts=get("max_restarts", int),
-        ),
+        network=build(NetworkConfig, n_inputs=spec.n_attributes, n_outputs=spec.n_classes),
+        train=build(TrainParams),
+        penalty=build(PenaltyParams),
+        prune=build(PruneParams),
     )
 
 
@@ -162,6 +145,16 @@ def _optional_int(value: str) -> int | None:
 
 def _seeds(value: str) -> tuple[int, ...]:
     return tuple(int(s) for s in value.split(",") if s.strip())
+
+
+def _path(value: str) -> str:
+    if not value:
+        raise ValueError("empty path")
+    return value
+
+
+# parse a config value by the annotation of the field it fills
+_PARSERS = {"int": int, "float": float, "int | None": _optional_int}
 
 
 @dataclass

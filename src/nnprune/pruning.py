@@ -95,7 +95,7 @@ class RemovalEvent:
     @classmethod
     def from_doc(cls, doc: dict) -> "RemovalEvent":
         """The event of a parsed :meth:`to_json` line without its ``type``;
-        raises ValueError naming the first field of the wrong type."""
+        raises ValueError naming the first field of the wrong type or value."""
         e = cls(**doc)
         number = (int, float, type(None))  # type(), not isinstance: true loads as a bool
         for name, ok in (
@@ -103,7 +103,7 @@ class RemovalEvent:
             ("indices", type(e.indices) is list and {type(i) for i in e.indices} <= {int}),
             ("trigger", e.trigger in (TRIGGER_PRODUCT, TRIGGER_MAGNITUDE, TRIGGER_SMALLEST,
                                       TRIGGER_DEAD_INPUT, TRIGGER_DEAD_HIDDEN)),
-            ("batch", type(e.batch) is int),
+            ("batch", type(e.batch) is int and e.batch >= 0),
             ("metric", type(e.metric) in number),
             ("threshold", type(e.threshold) in number),
             ("rolled_back", type(e.rolled_back) is bool),
@@ -148,9 +148,9 @@ class PruneTrace:
     @classmethod
     def from_jsonl(cls, text: str) -> "PruneTrace":
         """Parse :meth:`to_jsonl` output; a line that is not JSON, lacks a
-        field, holds one of another type than :meth:`to_jsonl` writes or a
-        network :func:`deserialize` rejects raises ParseError naming its
-        1-based line number."""
+        field, holds one :meth:`to_jsonl` would not write (a negative batch,
+        a second snapshot of a batch, a network :func:`deserialize` rejects)
+        raises ParseError naming its 1-based line number."""
         trace = cls()
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -164,6 +164,8 @@ class PruneTrace:
                     raise ValueError(f"unknown line type {kind!r}")
                 elif doc.keys() != {"batch", "network"} or type(doc["batch"]) is not int:
                     raise ValueError(f"snapshot needs an integer batch and a network, got {doc!r}")
+                elif doc["batch"] < 0 or doc["batch"] in trace.snapshots:
+                    raise ValueError(f"snapshot batch {doc['batch']} is negative or read twice")
                 else:
                     trace.snapshots[doc["batch"]] = deserialize(json.dumps(doc["network"]))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -217,8 +219,9 @@ def eliminate_weights(
     learning rate ``lr`` toward the validation accuracy ``floor``, usually
     ``params.floor`` of a reference accuracy.  Elimination stops at an
     empty batch or at a round that cannot recover the floor, which is
-    rolled back exactly.  The returned network is the last one that met the
-    floor; the trace holds a copy of the network before each round.
+    rolled back exactly.  The returned network is the input with the kept
+    rounds applied, so below the floor if the input was and no round was
+    kept; the trace holds a copy of the network before each round.
     """
     check_float("lr", lr, 0, math.inf)
     check_float("floor", floor, 0, 1, "[]")

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -414,6 +415,17 @@ class TestSplitInvariants:
         assert split.targets.dtype == np.float64
         assert np.array_equal(split.targets, expected)
         assert split.targets.shape == expected.shape
+
+    def test_targets_allocate_only_their_own_size(self):
+        # 24 kB of targets; an n_classes x n_classes identity would take 72 MB
+        tracemalloc.start()
+        try:
+            split = Split(np.zeros((1, 9)), [2999], 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert split.targets.nbytes == 24_000
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_examples_rejected(self, value):

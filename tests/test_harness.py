@@ -129,6 +129,8 @@ class TestConfigParsing:
             "split_seeds = 1,a",
             "epochs = 2.5",
             "n_hidden = True",
+            "output_dir = ",
+            "data_path = ",
         ],
     )
     def test_unparsable_value_names_key(self, line):

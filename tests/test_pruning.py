@@ -356,6 +356,20 @@ class TestEliminateWeights:
             edited.apply_masks()
         assert trace.to_jsonl() == written
 
+    def test_input_below_the_floor_comes_back_unchanged(self):
+        # as in the growth loop, where a small network can miss the floor of
+        # the reference: batch 0 is rolled back and the input is returned
+        bundle = halfplane_bundle(seed=1)
+        tparams = TrainParams(learning_rate=0.1, epochs=5)
+        net = train(init_network(NetworkConfig(2, 1, 2, init_seed=1)), bundle.train, tparams, PEN)
+        params = PruneParams(retrain_max_epochs=50)
+        floor = params.floor(1.0)
+        assert accuracy(net, bundle.validation) < floor
+        out, trace = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
+        assert serialize(out) == serialize(net)
+        assert accuracy(out, bundle.validation) < floor
+        assert [(e.batch, e.rolled_back) for e in trace.events] == [(0, True)]
+
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan])
     def test_bad_lr_rejected(self, lr):
         bundle = halfplane_bundle(seed=1)
@@ -537,6 +551,7 @@ class TestTraceSerialization:
             ("metric", "0.1"),
             ("threshold", [0.4]),
             ("accuracy_after_retrain", True),
+            ("batch", -3),
         ],
     )
     def test_event_field_of_wrong_type_rejected(self, field, value):
@@ -560,12 +575,17 @@ class TestTraceSerialization:
             '{"type": "snapshot", "batch": 0.0, "network": NETWORK}',
             '{"type": "snapshot", "batch": 0}',
             '{"type": "snapshot", "batch": 0, "network": NETWORK, "extra": 1}',
+            '{"type": "snapshot", "batch": -3, "network": NETWORK}',
+            '{"type": "snapshot", "batch": 0, "network": NETWORK}\n'
+            '{"type": "snapshot", "batch": 0, "network": NETWORK}',
         ],
     )
     def test_bad_snapshot_or_type_rejected(self, bad):
         network = serialize(init_network(NetworkConfig(2, 2, 2, init_seed=11)))
-        with pytest.raises(ParseError, match=r"^trace line 1: "):
-            PruneTrace.from_jsonl(bad.replace("NETWORK", network))
+        text = bad.replace("NETWORK", network)
+        last = len(text.splitlines())  # the bad line is the last one
+        with pytest.raises(ParseError, match=rf"^trace line {last}: "):
+            PruneTrace.from_jsonl(text)
 
 
 class TestGrowAndPrune:
