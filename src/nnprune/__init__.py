@@ -57,6 +57,7 @@ from .pruning import (
     eliminate_weights,
     grow_and_prune,
     prune_dead_nodes,
+    reference_config,
     removal_batch,
 )
 from .training import TrainParams, accuracy, descend, retrain, train
@@ -105,6 +106,7 @@ __all__ = [
     "penalty",
     "prepare",
     "prune_dead_nodes",
+    "reference_config",
     "removal_batch",
     "retrain",
     "run_experiment",

@@ -20,7 +20,14 @@ from .data import SPECS, DatasetSpec, load_bundle
 from .errors import ConfigurationError, check_int
 from .network import Network, NetworkConfig, init_network, serialize
 from .objective import PenaltyParams
-from .pruning import GrowPruneReport, PruneParams, PruneTrace, derived_seed, grow_and_prune
+from .pruning import (
+    GrowPruneReport,
+    PruneParams,
+    PruneTrace,
+    derived_seed,
+    grow_and_prune,
+    reference_config,
+)
 from .training import TrainParams, train
 
 
@@ -233,13 +240,12 @@ def _run_seed(
 ) -> tuple[GrowPruneReport, Network, Network, PruneTrace]:
     bundle = load_bundle(config.data_path, config.spec, split_seed)
     base = replace(config.network, init_seed=derived_seed(config.network.init_seed, split_seed))
-    pruned, trace, report = grow_and_prune(
-        bundle, base, config.train, config.penalty, config.prune
+    reference = train(
+        init_network(reference_config(base, 0)), bundle.train, config.train, config.penalty
     )
-    # rebuild the fully connected reference of the restart that produced the
-    # result; training is deterministic, so this is the exact same network
-    full_config = replace(base, init_seed=derived_seed(base.init_seed, report.restarts_used - 1, 0))
-    full_net = train(init_network(full_config), bundle.train, config.train, config.penalty)
+    pruned, trace, report, full_net = grow_and_prune(
+        bundle, reference, base, config.train, config.penalty, config.prune
+    )
     return report, full_net, pruned, trace
 
 

@@ -30,7 +30,7 @@ from itertools import count
 import numpy as np
 
 from .data import DatasetBundle
-from .errors import ParseError, check_float, check_int
+from .errors import ParseError, ShapeError, check_float, check_int
 from .network import Network, NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams
 from .training import TrainParams, accuracy, retrain, train
@@ -309,33 +309,54 @@ def prune_dead_nodes(net: Network, trace: PruneTrace) -> Network:
     return net
 
 
+def reference_config(base_config: NetworkConfig, restart: int) -> NetworkConfig:
+    """The config of the fully connected reference network of 0-based
+    attempt ``restart`` of :func:`grow_and_prune` from ``base_config``."""
+    return replace(base_config, init_seed=derived_seed(base_config.init_seed, restart, 0))
+
+
 def grow_and_prune(
     bundle: DatasetBundle,
+    reference: Network,
     base_config: NetworkConfig,
     tparams: TrainParams,
     penalty: PenaltyParams,
     params: PruneParams,
-) -> tuple[Network, PruneTrace, GrowPruneReport]:
+) -> tuple[Network, PruneTrace, GrowPruneReport, Network]:
     """Grow a network from one hidden unit, pruning as it goes.
 
-    A fully connected reference network (the base architecture) is trained
-    first; its validation accuracy minus the configured tolerance is the
-    acceptability floor.  Hidden units are then added one at a time, each
-    size being trained and weight-eliminated, until a candidate meets the
-    floor or ``max_hidden`` is reached.  Dead nodes are pruned and the
-    candidate's generalization is checked on the test split; a failed check
-    restarts everything from fresh weights, up to ``max_restarts`` times.
-    The best candidate seen (test accuracy, then fewest connections) is
-    returned, flagged ``converged=False`` when no restart fully succeeded.
+    Each attempt has a fully connected reference network (the base
+    architecture); its validation accuracy minus the configured tolerance
+    is the acceptability floor.  ``reference`` is the first attempt's:
+    ``init_network(reference_config(base_config, 0))`` trained on
+    ``bundle.train`` with ``tparams`` and ``penalty``; one of another
+    architecture raises ShapeError.  Hidden units are then added one at a
+    time, each size being trained and weight-eliminated, until a candidate
+    meets the floor or ``max_hidden`` is reached.  Elimination retrains
+    toward the floor after each batch, so it can lift a candidate trained
+    below the floor up to it.  Dead nodes are pruned and the candidate's
+    generalization is checked on the test split; a failed check restarts
+    from fresh weights, the next attempt's reference trained from
+    ``reference_config(base_config, restart)``, up to ``max_restarts``
+    attempts in all.  The best candidate seen (test accuracy, then fewest
+    connections) is returned with its trace, its report and its attempt's
+    reference (``reference`` itself for the first), flagged
+    ``converged=False`` when no attempt fully succeeded.
     """
+    initial = f"{base_config.n_inputs}-{base_config.n_hidden}-{base_config.n_outputs}"
+    given = f"{reference.n_inputs}-{reference.n_hidden}-{reference.n_outputs}"
+    if given != initial:
+        raise ShapeError(f"reference network is {given}, expected {initial}")
     max_hidden = params.max_hidden if params.max_hidden is not None else base_config.n_hidden + 2
-    best: tuple[tuple[float, int], Network, PruneTrace, GrowPruneReport] | None = None
+    best: tuple[tuple[float, int], Network, PruneTrace, GrowPruneReport, Network] | None = None
 
     for restart in range(params.max_restarts):
-        full_config = replace(base_config, init_seed=derived_seed(base_config.init_seed, restart, 0))
-        full_net = train(init_network(full_config), bundle.train, tparams, penalty)
-        baseline_val = accuracy(full_net, bundle.validation)
-        full_test = accuracy(full_net, bundle.test)
+        if restart:
+            reference = train(
+                init_network(reference_config(base_config, restart)), bundle.train, tparams, penalty
+            )
+        baseline_val = accuracy(reference, bundle.validation)
+        full_test = accuracy(reference, bundle.test)
         val_floor = params.floor(baseline_val)
         test_floor = params.floor(full_test)
 
@@ -357,7 +378,7 @@ def grow_and_prune(
         pruned_test = accuracy(net, bundle.test)
         converged = accepted and pruned_test >= test_floor
         report = GrowPruneReport(
-            initial_architecture=f"{base_config.n_inputs}-{base_config.n_hidden}-{base_config.n_outputs}",
+            initial_architecture=initial,
             simplified_architecture=net.architecture(),
             input_nodes_removed=base_config.n_inputs - net.n_active_inputs,
             hidden_nodes_removed=base_config.n_hidden - net.n_active_hidden,
@@ -372,9 +393,9 @@ def grow_and_prune(
             grown_hidden_units=h,
         )
         if converged:
-            return net, trace, report
+            return net, trace, report, reference
         key = (pruned_test, -net.n_unmasked())
         if best is None or key > best[0]:
-            best = (key, net, trace, report)
+            best = (key, net, trace, report, reference)
 
-    return best[1], best[2], best[3]
+    return best[1:]

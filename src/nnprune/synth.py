@@ -25,6 +25,11 @@ FILENAMES = {
 
 DEFAULT_SEED = 20240901
 
+# The attributes each generator makes informative, 1-based as in the
+# generators' comments: cancer1's four strong attributes, and diabetes's
+# glucose-like one, which dominates.  Glass has no such split.
+SIGNAL = {"cancer1": (1, 2, 6, 9), "diabetes": (2,)}
+
 
 def _clip_round(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.clip(np.rint(values), lo, hi).astype(int)

@@ -19,13 +19,15 @@ from nnprune import (
     export_dot,
     init_network,
     objective,
+    reference_config,
     run_experiment,
     serialize,
     train,
 )
+from nnprune import harness, pruning
 from nnprune.cli import _build_parser, main
 from nnprune.harness import CONFIG_DEFAULTS, load_config, parse_config_text
-from nnprune.pruning import KIND_HIDDEN_NODE, KIND_INPUT_NODE, PruneTrace
+from nnprune.pruning import KIND_HIDDEN_NODE, KIND_INPUT_NODE, PruneTrace, derived_seed
 
 # The paper's settings per benchmark: architecture, epoch budget, growth cap.
 PAPER_SETTINGS = {
@@ -278,6 +280,37 @@ def cancer_config(path: Path, data_file: Path, **values) -> Path:
             text += f"{key} = {value}\n"
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def test_no_network_is_trained_twice(cancer_file, tmp_path, monkeypatch):
+    trained = []  # every network handed to train, serialized
+    for module in (harness, pruning):
+        def recording(net, *args, _train=module.train, **kwargs):
+            trained.append(serialize(net))
+            return _train(net, *args, **kwargs)
+
+        monkeypatch.setattr(module, "train", recording)
+    config = load_config(cancer_config(
+        tmp_path / "cancer1.conf", cancer_file, output_dir=tmp_path / "out",
+        split_seeds="2, 3", epochs=50, accuracy_drop_tolerance=0.0, retrain_max_epochs=5,
+        max_restarts=2,
+    ))
+    rows = run_experiment(config).rows.values()
+    attempts = sum(
+        row.restarts_used if row.converged else config.prune.max_restarts for row in rows
+    )
+    assert attempts > len(rows)  # some split seed restarted
+    assert len(set(trained)) == len(trained)
+    bases = [
+        replace(config.network, init_seed=derived_seed(config.network.init_seed, seed))
+        for seed in config.split_seeds
+    ]
+    references = {
+        serialize(init_network(reference_config(base, restart)))
+        for base in bases
+        for restart in range(config.prune.max_restarts)
+    }
+    assert sum(net in references for net in trained) == attempts
 
 
 # (command, flag, out-of-range value, what stderr says about it)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nnprune import (
     PenaltyParams,
     PruneParams,
     PruneTrace,
+    ShapeError,
     Split,
     TrainParams,
     accuracy,
@@ -22,6 +24,7 @@ from nnprune import (
     grow_and_prune,
     init_network,
     prune_dead_nodes,
+    reference_config,
     removal_batch,
     serialize,
     train,
@@ -37,6 +40,7 @@ from nnprune.pruning import (
     TRIGGER_PRODUCT,
     TRIGGER_SMALLEST,
     RemovalEvent,
+    derived_seed,
 )
 
 TP = TrainParams(learning_rate=0.1, epochs=300)
@@ -588,10 +592,16 @@ class TestTraceSerialization:
             PruneTrace.from_jsonl(text)
 
 
+def grown(bundle, base, tparams, penalty, params):
+    """:func:`grow_and_prune` given the first attempt's trained reference."""
+    reference = train(init_network(reference_config(base, 0)), bundle.train, tparams, penalty)
+    return grow_and_prune(bundle, reference, base, tparams, penalty, params)
+
+
 class TestGrowAndPrune:
     def test_toy_converges_with_one_hidden_unit(self):
         bundle = halfplane_bundle(seed=2)
-        net, trace, report = grow_and_prune(
+        net, trace, report, _ = grown(
             bundle,
             NetworkConfig(2, 2, 2, init_seed=3),
             TP,
@@ -609,13 +619,14 @@ class TestGrowAndPrune:
         args = (
             bundle, NetworkConfig(2, 2, 2, init_seed=4), TP, PEN, PruneParams(retrain_max_epochs=50)
         )
-        net1, _, rep1 = grow_and_prune(*args)
-        net2, _, rep2 = grow_and_prune(*args)
+        net1, _, rep1, ref1 = grown(*args)
+        net2, _, rep2, ref2 = grown(*args)
         assert serialize(net1) == serialize(net2)
+        assert serialize(ref1) == serialize(ref2)
         assert rep1 == rep2
 
     def test_trace_accounts_for_final_masks(self, cancer_bundle):
-        net, trace, report = grow_and_prune(
+        net, trace, report, _ = grown(
             cancer_bundle,
             NetworkConfig(9, 3, 2, init_seed=5),
             TrainParams(0.1, 500),
@@ -629,3 +640,31 @@ class TestGrowAndPrune:
         assert initial_unmasked - net.n_unmasked() == explicit + implied
         assert report.explicit_connections_removed == explicit
         assert report.implied_connections_removed == implied
+
+    @pytest.mark.parametrize("arch", [(3, 2, 2), (2, 3, 2), (2, 2, 3)])
+    def test_reference_of_another_architecture_rejected(self, arch):
+        reference = init_network(NetworkConfig(*arch, init_seed=1))
+        with pytest.raises(ShapeError, match=r"^reference network is \d-\d-\d, expected 2-2-2$"):
+            grow_and_prune(
+                halfplane_bundle(), reference, NetworkConfig(2, 2, 2, init_seed=1), TP, PEN,
+                PruneParams(),
+            )
+
+    def test_kept_reference_is_the_best_attempts_not_the_last(self):
+        # no attempt converges and the second of three scores best
+        bundle, base = halfplane_bundle(seed=2), NetworkConfig(2, 2, 2, init_seed=5)
+        tparams = TrainParams(0.1, 30)
+        params = PruneParams(retrain_max_epochs=10, accuracy_drop_tolerance=0.0, max_hidden=1)
+        _, _, report, kept = grown(bundle, base, tparams, PEN, params)
+        assert not report.converged
+        assert report.restarts_used == 2 < params.max_restarts
+        # the re-train the experiment harness used to make after grow_and_prune
+        rebuilt = train(
+            init_network(
+                replace(base, init_seed=derived_seed(base.init_seed, report.restarts_used - 1, 0))
+            ),
+            bundle.train, tparams, PEN,
+        )
+        assert serialize(kept) == serialize(rebuilt)
+        assert report.full_test_accuracy == accuracy(kept, bundle.test)
+        assert report.full_validation_accuracy == accuracy(kept, bundle.validation)

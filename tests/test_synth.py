@@ -2,10 +2,11 @@ from collections import Counter
 
 import pytest
 
-from nnprune import ConfigurationError
+from nnprune import ConfigurationError, deserialize
 
 from nnprune.synth import (
     FILENAMES,
+    SIGNAL,
     write_all,
     write_benchmark,
     write_cancer_like,
@@ -101,3 +102,20 @@ class TestWriteAll:
         with pytest.raises(ConfigurationError, match="seed must be"):
             write_benchmark("glass", tmp_path / "x.data", seed=seed)
         assert not (tmp_path / "x.data").exists()
+
+
+def kept_inputs(run, seed):
+    """The 1-based attributes the pruned network of ``seed`` still reads."""
+    net = deserialize((run.out / "networks" / f"pruned_seed{seed}.json").read_text())
+    return {l + 1 for l in range(net.n_inputs) if net.input_active[l]}
+
+
+def test_pruning_keeps_the_informative_inputs(shipped_runs):
+    # the shipped runs at split seeds 1-5 recover what the generators built
+    if any(shipped_runs[name].source != "synthetic" for name in SIGNAL):
+        pytest.skip("SIGNAL describes the stand-in files, not the real ones")
+    cancer, diabetes = shipped_runs["cancer1"], shipped_runs["diabetes"]
+    for seed in cancer.config.split_seeds:
+        assert set() < kept_inputs(cancer, seed) <= set(SIGNAL["cancer1"]), seed
+    for seed in diabetes.config.split_seeds:
+        assert set(SIGNAL["diabetes"]) <= kept_inputs(diabetes, seed), seed
