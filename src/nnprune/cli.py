@@ -60,14 +60,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a config file")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, help=help)
+        subparser.set_defaults(handler=handler, usage_error=subparser.error)
+        return subparser
+
+    p_run = command("run", _cmd_run, "run an experiment from a config file")
     p_run.add_argument("--config", required=True, type=Path)
     # seeds run one after another; --jobs accepts only 1, which the benchmark
     # workload passes, and goes with ROADMAP item 1
     p_run.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p_run.add_argument("--out", type=Path, default=None, help="override output_dir")
 
-    p_train = sub.add_parser("train", help="train a fresh network on one split")
+    p_train = command("train", _cmd_train, "train a fresh network on one split")
     _add_config_args(p_train)
     p_train.add_argument("--out", required=True, type=Path, help="network JSON output")
     p_train.add_argument(
@@ -75,24 +80,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write per-epoch CSV telemetry: epoch,objective,train_accuracy",
     )
 
-    p_prune = sub.add_parser("prune", help="simplify a trained network")
+    p_prune = command("prune", _cmd_prune, "simplify a trained network")
     _add_config_args(p_prune)
     p_prune.add_argument("--net", required=True, type=Path)
     p_prune.add_argument("--out", required=True, type=Path)
     p_prune.add_argument("--trace-out", type=Path, default=None, help="JSONL audit log")
 
-    p_eval = sub.add_parser("eval", help="accuracy of a saved network")
+    p_eval = command("eval", _cmd_eval, "accuracy of a saved network")
     _add_config_args(p_eval)
     p_eval.add_argument("--net", required=True, type=Path)
     p_eval.add_argument(
         "--split", choices=("train", "validation", "test"), default="test"
     )
 
-    p_dot = sub.add_parser("export-dot", help="DOT rendering of a saved network")
+    p_dot = command("export-dot", _cmd_export_dot, "DOT rendering of a saved network")
     p_dot.add_argument("--net", required=True, type=Path)
     p_dot.add_argument("--out", type=Path, default=None, help="default: stdout")
 
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
+    p_grad = command("gradcheck", _cmd_gradcheck, "finite-difference gradient check")
     p_grad.add_argument("--seed", type=int, default=42)
     p_grad.add_argument("--step", type=float, default=1e-6)
     p_grad.add_argument(
@@ -100,12 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_grad.add_argument("--examples", type=int, default=10)
 
-    p_synth = sub.add_parser("synth-data", help="write stand-in benchmark files")
+    p_synth = command("synth-data", _cmd_synth_data, "write stand-in benchmark files")
     p_synth.add_argument("--out", required=True, type=Path)
     p_synth.add_argument("--seed", type=int, default=synth.DEFAULT_SEED)
-
-    for subparser in sub.choices.values():
-        subparser.set_defaults(usage_error=subparser.error)
     return parser
 
 
@@ -199,20 +201,11 @@ def _cmd_gradcheck(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "train": _cmd_train,
-        "prune": _cmd_prune,
-        "eval": _cmd_eval,
-        "export-dot": _cmd_export_dot,
-        "gradcheck": _cmd_gradcheck,
-        "synth-data": _cmd_synth_data,
-    }
     try:
         if "config" in args:
             args.config = load_config(args.config)
         try:
-            return handlers[args.command](args)
+            return args.handler(args)
         except ConfigurationError as exc:
             # the config file was checked as it loaded, so a flag gave the value
             args.usage_error(str(exc))

@@ -18,13 +18,12 @@ example and derives its one-hot targets from its class indices.
 or class count does not fit the network (:func:`check_batch`, which
 :func:`~nnprune.training.accuracy` shares).
 
-The data gradient is taken from a :class:`ForwardPass` instead of a pass of
-its own: :func:`forward_pass` runs one, and the trainer keeps the pass of
-its last update for the next gradient.  :func:`objective` returns theta
-alone.  A training epoch needs theta only to detect divergence, so it asks
-:func:`theta_certainly_finite`, which proves theta finite from the pass and
-the weights without computing it, and falls back to :func:`objective` only
-when that proof fails.
+The data gradient differentiates the ``(hidden, preds)`` pair of a forward
+pass the trainer already ran (:func:`forward_pass`).  :func:`objective`
+returns theta alone.  A training epoch needs theta only to detect
+divergence, so it asks :func:`theta_certainly_finite`, which proves theta
+finite from the pass and the weights without computing it, and falls back
+to :func:`objective` only when that proof fails.
 
 A gradient is one vector in the packed layout of ``net.weights``, which
 :func:`data_gradients` can write into across epochs;
@@ -71,14 +70,6 @@ class PenaltyParams:
         check_float("beta", self.beta, 0, math.inf)
 
 
-@dataclass(frozen=True)
-class ForwardPass:
-    """One forward pass of one network over one batch."""
-
-    hidden: np.ndarray  # [k, h] tanh activations
-    preds: np.ndarray   # [k, o] logistic outputs
-
-
 def check_batch(net: Network, batch: Split) -> None:
     """Raise ShapeError unless ``batch`` has one attribute per input of
     ``net`` and one class per output."""
@@ -121,10 +112,14 @@ def penalty(net: Network, params: PenaltyParams) -> float:
         return float(params.eps1 * saturating + params.eps2 * quadratic)
 
 
-def forward_pass(net: Network, inputs: np.ndarray) -> ForwardPass:
-    """One forward pass of ``net`` over ``inputs``, ready to differentiate."""
-    hidden, preds = forward_batch(net, inputs)
-    return ForwardPass(hidden=hidden, preds=preds)
+def forward_pass(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(hidden, preds)`` pair of :func:`~nnprune.network.forward_batch`.
+
+    The trainer's pass goes through here so that it resolves through the
+    name ``nnprune.objective.forward_batch``, where ``bench/spans.py`` and
+    the epoch-contract test count it.
+    """
+    return forward_batch(net, inputs)
 
 
 def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
@@ -134,13 +129,15 @@ def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
     return cross_entropy(preds, batch.targets) + penalty(net, params)
 
 
-def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: PenaltyParams) -> bool:
+def theta_certainly_finite(
+    weights: np.ndarray, at: tuple[np.ndarray, np.ndarray], params: PenaltyParams
+) -> bool:
     """A cheap sufficient condition for a finite theta at ``at``.
 
     ``weights`` holds every weight of the network, in any shape (the
-    trainer passes ``net.weights``).  ``at`` must be the forward pass of
-    that network on a :class:`~nnprune.data.Split`, whose targets are
-    one-hot rows of 0.0 and 1.0 by construction.  True means ``objective``
+    trainer passes ``net.weights``).  ``at`` must be the ``(hidden, preds)``
+    pass of that network on a :class:`~nnprune.data.Split`, whose targets
+    are one-hot rows of 0.0 and 1.0 by construction.  True means ``objective``
     is finite there; False proves nothing.  The argument, with S the sum of
     all squared weights and N the number of weights:
 
@@ -155,43 +152,45 @@ def theta_certainly_finite(weights: np.ndarray, at: ForwardPass, params: Penalty
 
     A NaN or infinite weight makes S non-finite and the check False.
     """
+    _, preds = at
     # a Python float: arithmetic on an overflowed S gives inf without a numpy warning
     squares = float(np.vdot(weights, weights))
     bound = (
-        CROSS_ENTROPY_TERM_MAX * at.preds.size
+        CROSS_ENTROPY_TERM_MAX * preds.size
         + params.eps1 * weights.size
         + params.eps2 * squares
     )
     return bool(
         squares * max(params.beta, 1.0) <= CERTIFICATE_LIMIT
         and bound <= CERTIFICATE_LIMIT
-        and not np.isnan(at.preds).any()
+        and not np.isnan(preds).any()
     )
 
 
 def data_gradients(
     net: Network,
     batch: Split,
-    at: ForwardPass,
+    at: tuple[np.ndarray, np.ndarray],
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
-    ``at`` must be the forward pass of ``net`` over ``batch.examples`` for
-    its current weights; it is differentiated, no pass is run here.  The
-    gradient, in the layout of ``net.weights``, is written into ``out``
-    when given, else into new storage, and returned.
+    ``at`` must be the ``(hidden, preds)`` pass of ``net`` over
+    ``batch.examples`` for its current weights; it is differentiated, no
+    pass is run here.  The gradient, in the layout of ``net.weights``, is
+    written into ``out`` when given, else into new storage, and returned.
     """
     check_batch(net, batch)
-    if at.preds.shape != batch.targets.shape:
+    hidden, preds = at
+    if preds.shape != batch.targets.shape:
         raise ShapeError(
-            f"evaluation outputs {at.preds.shape} do not match targets {batch.targets.shape}"
+            f"evaluation outputs {preds.shape} do not match targets {batch.targets.shape}"
         )
     grad = np.empty_like(net.weights) if out is None else out
     d_w, d_v = net.views(grad)
-    d_out = at.preds - batch.targets        # dF/d(pre-logistic), [k, o]
-    np.matmul(d_out.T, at.hidden, out=d_v)  # [o, h]
-    d_hidden = (d_out @ net.v) * (1.0 - at.hidden ** 2)
+    d_out = preds - batch.targets        # dF/d(pre-logistic), [k, o]
+    np.matmul(d_out.T, hidden, out=d_v)  # [o, h]
+    d_hidden = (d_out @ net.v) * (1.0 - hidden ** 2)
     np.matmul(d_hidden.T, batch.examples, out=d_w)  # [h, n]
     return grad
 

@@ -1,5 +1,7 @@
 """The README's CLI and Library examples run as written against stand-in
-data, and the package names it mentions exist."""
+data, the package names it mentions exist, its results and removal-trigger
+tables match the shipped runs, and every cross-reference in the package's
+docstrings resolves."""
 
 from __future__ import annotations
 
@@ -8,10 +10,21 @@ import importlib
 import re
 import shlex
 import shutil
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import nnprune
 from nnprune.cli import main
+from nnprune.pruning import (
+    KIND_WEIGHT_V,
+    KIND_WEIGHT_W,
+    TRIGGER_MAGNITUDE,
+    TRIGGER_PRODUCT,
+    TRIGGER_SMALLEST,
+    PruneTrace,
+)
 from nnprune.synth import write_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -79,3 +92,108 @@ def test_dotted_names_resolve():
     assert {"nnprune.objective.theta_certainly_finite", "Network.weights"} <= names
     for name in sorted(names):
         resolve(name)
+
+
+# a Sphinx cross-reference in a docstring, such as :func:`~nnprune.objective.objective`
+REFERENCE = re.compile(r":(func|class|meth|attr):`~?([\w.]+)`")
+
+
+def docstring_references() -> list[tuple[str, str, str]]:
+    """(module, role, target) of every cross-reference in ``src/nnprune``."""
+    references = []
+    for path in sorted((ROOT / "src" / "nnprune").glob("*.py")):
+        module = "nnprune" if path.stem == "__init__" else f"nnprune.{path.stem}"
+        text = path.read_text(encoding="utf-8")
+        references += [(module, role, target) for role, target in REFERENCE.findall(text)]
+    return references
+
+
+def resolve_reference(module: str, role: str, target: str) -> object:
+    """The object ``target`` names from ``module``: a name that starts with
+    ``nnprune`` is absolute, any other is looked up in ``module``, and a bare
+    ``:meth:`` or ``:attr:`` name on one of ``module``'s own classes."""
+    if target.split(".")[0] == "nnprune":
+        return resolve(target)
+    if role not in ("meth", "attr") or "." in target:
+        return resolve(f"{module}.{target}")
+    own = importlib.import_module(module)
+    for cls in vars(own).values():
+        if isinstance(cls, type) and cls.__module__ == module:
+            try:
+                return resolve(f"{module}.{cls.__name__}.{target}")
+            except AttributeError:
+                pass
+    raise AttributeError(f"no class of {module} has {target!r}")
+
+
+def test_docstring_references_resolve():
+    references = docstring_references()
+    assert ("nnprune.objective", "func", "forward_pass") in references
+    assert ("nnprune.network", "meth", "views") in references
+    unresolved = []
+    for module, role, target in references:
+        try:
+            resolve_reference(module, role, target)
+        except AttributeError as exc:
+            unresolved.append(f"{module} :{role}:`{target}`: {exc}")
+    assert not unresolved, "\n".join(unresolved)
+
+
+def markdown_table(text: str, header: str) -> dict[str, list[str]]:
+    """The first table in ``text`` whose header row has a cell ``header``:
+    each row's cells after the first, keyed by its first cell, header row
+    included."""
+    rows: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line.startswith("|"):
+            if rows:
+                break
+            continue
+        first, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        if rows or header in cells:
+            if not set(first) <= set("-:"):  # the separator row
+                rows[first] = cells
+    return rows
+
+
+def stand_in(shipped_runs):
+    """``shipped_runs``; skips the test unless every run read the stand-in
+    files, which the README's figures describe."""
+    if any(run.source != "synthetic" for run in shipped_runs.values()):
+        pytest.skip("the README's figures describe the stand-in files, not the real ones")
+    return shipped_runs
+
+
+def test_results_table_matches_the_shipped_runs(shipped_runs):
+    table = markdown_table(README.read_text(encoding="utf-8"), "fully connected")
+    assert table.pop("dataset")[:2] == ["fully connected", "simplified"]
+    runs = stand_in(shipped_runs)
+    assert table.keys() == runs.keys()
+    for name, run in runs.items():
+        aggregate = run.report.aggregate()
+        assert table[name][:2] == [
+            f"{100 * aggregate[key]['mean']:.1f}%"
+            for key in ("full_test_accuracy", "pruned_test_accuracy")
+        ], name
+
+
+def test_removal_trigger_table_matches_the_shipped_traces(shipped_runs):
+    table = markdown_table(README.read_text(encoding="utf-8"), TRIGGER_SMALLEST)
+    assert table.pop("dataset") == [TRIGGER_SMALLEST, TRIGGER_PRODUCT, TRIGGER_MAGNITUDE]
+    runs = stand_in(shipped_runs)
+    assert table.keys() == runs.keys()
+    for name, run in runs.items():
+        kept = Counter()
+        for seed in run.config.split_seeds:
+            text = (run.out / "traces" / f"seed{seed}.jsonl").read_text(encoding="utf-8")
+            kept.update(
+                event.trigger
+                for event in PruneTrace.from_jsonl(text).events
+                if event.kind in (KIND_WEIGHT_W, KIND_WEIGHT_V) and not event.rolled_back
+            )
+        assert table[name] == [
+            f"{kept[TRIGGER_SMALLEST]} of {sum(kept.values())}",
+            str(kept[TRIGGER_PRODUCT]),
+            str(kept[TRIGGER_MAGNITUDE]),
+        ], name
