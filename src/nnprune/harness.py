@@ -23,7 +23,6 @@ from .objective import PenaltyParams
 from .pruning import (
     GrowPruneReport,
     PruneParams,
-    PruneTrace,
     derived_seed,
     grow_and_prune,
     reference_config,
@@ -151,7 +150,7 @@ def _optional_int(value: str) -> int | None:
 
 
 def _seeds(value: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in value.split(",") if s.strip())
+    return tuple(int(s) for s in value.split(","))
 
 
 def _path(value: str) -> str:
@@ -235,20 +234,6 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_seed(
-    config: ExperimentConfig, split_seed: int
-) -> tuple[GrowPruneReport, Network, Network, PruneTrace]:
-    bundle = load_bundle(config.data_path, config.spec, split_seed)
-    base = replace(config.network, init_seed=derived_seed(config.network.init_seed, split_seed))
-    reference = train(
-        init_network(reference_config(base, 0)), bundle.train, config.train, config.penalty
-    )
-    pruned, trace, report, full_net = grow_and_prune(
-        bundle, reference, base, config.train, config.penalty, config.prune
-    )
-    return report, full_net, pruned, trace
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every split seed, write per-seed artifacts, return the report.
 
@@ -262,7 +247,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     rows: dict[int, GrowPruneReport] = {}
     try:
         for seed in config.split_seeds:
-            result, full_net, pruned_net, trace = _run_seed(config, seed)
+            bundle = load_bundle(config.data_path, config.spec, seed)
+            base = replace(config.network, init_seed=derived_seed(config.network.init_seed, seed))
+            reference = train(
+                init_network(reference_config(base, 0)), bundle.train, config.train, config.penalty
+            )
+            pruned_net, trace, result, full_net = grow_and_prune(
+                bundle, reference, base, config.train, config.penalty, config.prune
+            )
             (out / "networks" / f"full_seed{seed}.json").write_text(
                 serialize(full_net) + "\n", encoding="utf-8"
             )

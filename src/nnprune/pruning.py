@@ -46,6 +46,14 @@ TRIGGER_SMALLEST = "smallest-product"
 TRIGGER_DEAD_INPUT = "dead-input"
 TRIGGER_DEAD_HIDDEN = "dead-hidden"
 
+# kind: (index count, triggers) of the events removal_batch and prune_dead_nodes write
+_FORMS = {
+    KIND_WEIGHT_W: (2, (TRIGGER_PRODUCT, TRIGGER_SMALLEST)),
+    KIND_WEIGHT_V: (2, (TRIGGER_MAGNITUDE,)),
+    KIND_INPUT_NODE: (1, (TRIGGER_DEAD_INPUT,)),
+    KIND_HIDDEN_NODE: (1, (TRIGGER_DEAD_HIDDEN,)),
+}
+
 
 @dataclass(frozen=True)
 class PruneParams:
@@ -97,12 +105,14 @@ class RemovalEvent:
         """The event of a parsed :meth:`to_json` line without its ``type``;
         raises ValueError naming the first field of the wrong type or value."""
         e = cls(**doc)
+        form = _FORMS.get(e.kind) if isinstance(e.kind, str) else None
+        n_indices, triggers = form or (0, ())
         number = (int, float, type(None))  # type(), not isinstance: true loads as a bool
         for name, ok in (
-            ("kind", e.kind in (KIND_WEIGHT_W, KIND_WEIGHT_V, KIND_INPUT_NODE, KIND_HIDDEN_NODE)),
-            ("indices", type(e.indices) is list and {type(i) for i in e.indices} <= {int}),
-            ("trigger", e.trigger in (TRIGGER_PRODUCT, TRIGGER_MAGNITUDE, TRIGGER_SMALLEST,
-                                      TRIGGER_DEAD_INPUT, TRIGGER_DEAD_HIDDEN)),
+            ("kind", form is not None),
+            ("indices", type(e.indices) is list and len(e.indices) == n_indices
+             and all(type(i) is int and i >= 0 for i in e.indices)),
+            ("trigger", e.trigger in triggers),
             ("batch", type(e.batch) is int and e.batch >= 0),
             ("metric", type(e.metric) in number),
             ("threshold", type(e.threshold) in number),
@@ -339,16 +349,18 @@ def grow_and_prune(
     from fresh weights, the next attempt's reference trained from
     ``reference_config(base_config, restart)``, up to ``max_restarts``
     attempts in all.  The best candidate seen (test accuracy, then fewest
-    connections) is returned with its trace, its report and its attempt's
-    reference (``reference`` itself for the first), flagged
-    ``converged=False`` when no attempt fully succeeded.
+    connections; a tie keeps the earlier attempt) is returned with its
+    trace, its report and its attempt's reference (``reference`` itself for
+    the first), flagged ``converged=False`` when no attempt fully
+    succeeded.  The report's ``pruned_validation_accuracy`` is the score
+    that decided acceptance against the floor.
     """
     initial = f"{base_config.n_inputs}-{base_config.n_hidden}-{base_config.n_outputs}"
     given = f"{reference.n_inputs}-{reference.n_hidden}-{reference.n_outputs}"
     if given != initial:
         raise ShapeError(f"reference network is {given}, expected {initial}")
     max_hidden = params.max_hidden if params.max_hidden is not None else base_config.n_hidden + 2
-    best: tuple[tuple[float, int], Network, PruneTrace, GrowPruneReport, Network] | None = None
+    attempts = []  # (key, result) per failed attempt; max keeps the first of equal keys
 
     for restart in range(params.max_restarts):
         if restart:
@@ -360,7 +372,6 @@ def grow_and_prune(
         val_floor = params.floor(baseline_val)
         test_floor = params.floor(full_test)
 
-        accepted = False
         for h in range(1, max_hidden + 1):
             config_h = replace(
                 base_config, n_hidden=h, init_seed=derived_seed(base_config.init_seed, restart, h)
@@ -369,14 +380,14 @@ def grow_and_prune(
             net, trace = eliminate_weights(
                 net, bundle, tparams.learning_rate, penalty, params, val_floor
             )
-            if accuracy(net, bundle.validation) >= val_floor:
-                accepted = True
+            pruned_val = accuracy(net, bundle.validation)
+            if pruned_val >= val_floor:
                 break
 
+        # dead-node pruning leaves every output unchanged, so pruned_val stands
         net = prune_dead_nodes(net, trace)
-        pruned_val = accuracy(net, bundle.validation)
         pruned_test = accuracy(net, bundle.test)
-        converged = accepted and pruned_test >= test_floor
+        converged = pruned_val >= val_floor and pruned_test >= test_floor
         report = GrowPruneReport(
             initial_architecture=initial,
             simplified_architecture=net.architecture(),
@@ -392,10 +403,9 @@ def grow_and_prune(
             restarts_used=restart + 1,
             grown_hidden_units=h,
         )
+        result = (net, trace, report, reference)
         if converged:
-            return net, trace, report, reference
-        key = (pruned_test, -net.n_unmasked())
-        if best is None or key > best[0]:
-            best = (key, net, trace, report, reference)
+            return result
+        attempts.append(((pruned_test, -net.n_unmasked()), result))
 
-    return best[1:]
+    return max(attempts, key=lambda attempt: attempt[0])[1]

@@ -129,6 +129,8 @@ class TestConfigParsing:
             "eps1 = abc",
             "max_hidden = x",
             "split_seeds = 1,a",
+            "split_seeds = 1,,2",
+            "split_seeds = 1,2,",
             "epochs = 2.5",
             "n_hidden = True",
             "output_dir = ",

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -511,7 +512,7 @@ class TestTraceSerialization:
         )
         trace.events.append(
             RemovalEvent(
-                kind=KIND_WEIGHT_V, indices=(0, 1), trigger="smallest-product",
+                kind=KIND_WEIGHT_V, indices=(0, 1), trigger=TRIGGER_MAGNITUDE,
                 batch=1, metric=0.9, threshold=None, rolled_back=True,
                 accuracy_after_retrain=0.91,
             )
@@ -564,6 +565,37 @@ class TestTraceSerialization:
         with pytest.raises(ParseError, match=rf"^trace line 2: ValueError: bad {field} "):
             PruneTrace.from_jsonl(f"\n{bad}\n")
 
+    @pytest.mark.parametrize(
+        "kind,indices,trigger,field",
+        [
+            (KIND_WEIGHT_W, [1], TRIGGER_PRODUCT, "indices"),
+            (KIND_WEIGHT_W, [0, -1], TRIGGER_PRODUCT, "indices"),
+            (KIND_WEIGHT_W, [0, 1], TRIGGER_MAGNITUDE, "trigger"),
+            (KIND_WEIGHT_V, [0, 1, 2], TRIGGER_MAGNITUDE, "indices"),
+            (KIND_WEIGHT_V, [0, 1], TRIGGER_SMALLEST, "trigger"),
+            (KIND_INPUT_NODE, [0, 1, 2], TRIGGER_DEAD_INPUT, "indices"),
+            (KIND_INPUT_NODE, [-1], TRIGGER_DEAD_INPUT, "indices"),
+            (KIND_INPUT_NODE, [2], TRIGGER_SMALLEST, "trigger"),
+            (KIND_INPUT_NODE, [2], TRIGGER_DEAD_HIDDEN, "trigger"),
+            (KIND_HIDDEN_NODE, [], TRIGGER_DEAD_HIDDEN, "indices"),
+            (KIND_HIDDEN_NODE, [1], TRIGGER_DEAD_INPUT, "trigger"),
+        ],
+    )
+    def test_event_its_kind_is_never_written_with_rejected(self, kind, indices, trigger, field):
+        bad = {"type": "removal", "kind": kind, "indices": indices, "trigger": trigger, "batch": 0}
+        with pytest.raises(ParseError, match=rf"^trace line 1: ValueError: bad {field} "):
+            PruneTrace.from_jsonl(json.dumps(bad))
+
+    def test_each_kind_loads_with_each_of_its_triggers(self):
+        events = [
+            RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_PRODUCT, 0),
+            RemovalEvent(KIND_WEIGHT_W, (1, 0), TRIGGER_SMALLEST, 0),
+            RemovalEvent(KIND_WEIGHT_V, (1, 0), TRIGGER_MAGNITUDE, 0),
+            RemovalEvent(KIND_HIDDEN_NODE, (1,), TRIGGER_DEAD_HIDDEN, 1, implied_connections=2),
+            RemovalEvent(KIND_INPUT_NODE, (0,), TRIGGER_DEAD_INPUT, 1),
+        ]
+        assert PruneTrace.from_jsonl(PruneTrace(events=events).to_jsonl()).events == events
+
     def test_numbers_and_nulls_accepted_where_written(self):
         event = RemovalEvent(
             KIND_INPUT_NODE, (2,), TRIGGER_DEAD_INPUT, 3, metric=1,
@@ -613,6 +645,22 @@ class TestGrowAndPrune:
         assert net.n_active_hidden == 1
         assert report.pruned_test_accuracy >= report.full_test_accuracy - 0.02 - 1e-12
         net.validate()
+
+    def test_final_candidate_is_scored_once_on_validation(self, monkeypatch):
+        # the case above: one attempt, accepted at one hidden unit
+        bundle, params = halfplane_bundle(seed=2), PruneParams(retrain_max_epochs=50)
+        calls = []
+
+        def counted(net, split):
+            if split is bundle.validation and sys._getframe(1).f_code is grow_and_prune.__code__:
+                calls.append(net)
+            return accuracy(net, split)
+
+        monkeypatch.setattr("nnprune.pruning.accuracy", counted)
+        _, _, report, _ = grown(bundle, NetworkConfig(2, 2, 2, init_seed=3), TP, PEN, params)
+        assert (report.restarts_used, report.grown_hidden_units) == (1, 1)
+        # the reference, then the candidate, whose score pruning dead nodes keeps
+        assert len(calls) == 2
 
     def test_deterministic(self):
         bundle = halfplane_bundle(seed=3)
