@@ -148,17 +148,17 @@ def _cmd_prune(args) -> int:
     bundle = load_bundle(config.data_path, config.spec, args.split_seed)
     net = deserialize(args.net.read_text(encoding="utf-8"))
     floor = config.prune.floor(accuracy(net, bundle.validation))
-    pruned, trace = eliminate_weights(
+    pruned, trace, score = eliminate_weights(
         net, bundle, config.train.learning_rate, config.penalty, config.prune, floor
     )
-    pruned = prune_dead_nodes(pruned, trace)
+    pruned = prune_dead_nodes(pruned, trace)  # outputs unchanged, so `score` stands
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
     if args.trace_out is not None:
         args.trace_out.write_text(trace.to_jsonl(), encoding="utf-8")
     print(
         f"pruned to {pruned.architecture()} "
         f"({pruned.n_unmasked()} connections), "
-        f"validation acc {accuracy(pruned, bundle.validation):.5f}"
+        f"validation acc {score:.5f}"
     )
     return 0
 

@@ -83,6 +83,12 @@ class PruneParams:
         return max(0.0, accuracy - self.accuracy_drop_tolerance)
 
 
+def _number(x, top: float = math.inf) -> bool:
+    """Whether a loaded event field is None or a finite number in [0, top]."""
+    # type(), not isinstance: true loads as a bool; NaN fails every comparison
+    return x is None or (type(x) in (int, float) and 0 <= x <= top and x < math.inf)
+
+
 @dataclass(frozen=True)
 class RemovalEvent:
     """One pruning decision, in chronological order within a trace."""
@@ -107,18 +113,18 @@ class RemovalEvent:
         e = cls(**doc)
         form = _FORMS.get(e.kind) if isinstance(e.kind, str) else None
         n_indices, triggers = form or (0, ())
-        number = (int, float, type(None))  # type(), not isinstance: true loads as a bool
         for name, ok in (
             ("kind", form is not None),
             ("indices", type(e.indices) is list and len(e.indices) == n_indices
              and all(type(i) is int and i >= 0 for i in e.indices)),
             ("trigger", e.trigger in triggers),
             ("batch", type(e.batch) is int and e.batch >= 0),
-            ("metric", type(e.metric) in number),
-            ("threshold", type(e.threshold) in number),
+            ("metric", _number(e.metric)),
+            ("threshold", _number(e.threshold)),
             ("rolled_back", type(e.rolled_back) is bool),
-            ("accuracy_after_retrain", type(e.accuracy_after_retrain) in number),
-            ("implied_connections", type(e.implied_connections) is int),
+            ("accuracy_after_retrain", _number(e.accuracy_after_retrain, 1)),
+            ("implied_connections", type(e.implied_connections) is int
+             and e.implied_connections >= 0),
         ):
             if not ok:
                 raise ValueError(f"bad {name} {getattr(e, name)!r}")
@@ -222,20 +228,22 @@ def eliminate_weights(
     penalty: PenaltyParams,
     params: PruneParams,
     floor: float,
-) -> tuple[Network, PruneTrace]:
+) -> tuple[Network, PruneTrace, float]:
     """Iteratively remove redundant weights from an already-trained network.
 
     Each round removes the batch ``removal_batch`` builds and retrains at
     learning rate ``lr`` toward the validation accuracy ``floor``, usually
     ``params.floor`` of a reference accuracy.  Elimination stops at an
     empty batch or at a round that cannot recover the floor, which is
-    rolled back exactly.  The returned network is the input with the kept
-    rounds applied, so below the floor if the input was and no round was
-    kept; the trace holds a copy of the network before each round.
+    rolled back exactly, and each event's ``accuracy_after_retrain`` is the
+    score ``retrain`` decided its round on.  Returns the input with the kept
+    rounds applied (below the floor if the input was and no round was kept),
+    the trace, with a copy of the network before each round, and the last
+    kept round's score, else the input's: the returned network's accuracy.
     """
     check_float("lr", lr, 0, math.inf)
     check_float("floor", floor, 0, 1, "[]")
-    current = net.copy()
+    current, score = net.copy(), accuracy(net, bundle.validation)
     trace = PruneTrace()
     for batch_id in count():
         batch = removal_batch(current, params, batch_id)
@@ -247,7 +255,7 @@ def eliminate_weights(
             mask = candidate.w_mask if event.kind == KIND_WEIGHT_W else candidate.v_mask
             mask[event.indices] = False
         candidate.apply_masks()
-        candidate, met = retrain(
+        candidate, met, val_acc = retrain(
             candidate,
             bundle.train,
             bundle.validation,
@@ -256,15 +264,14 @@ def eliminate_weights(
             floor,
             params.retrain_max_epochs,
         )
-        val_acc = accuracy(candidate, bundle.validation)
         trace.events.extend(
             replace(e, rolled_back=not met, accuracy_after_retrain=val_acc)
             for e in batch
         )
         if not met:
             break  # `current` was never touched: exact rollback
-        current = candidate
-    return current, trace
+        current, score = candidate, val_acc
+    return current, trace, score
 
 
 @dataclass(frozen=True)
@@ -377,10 +384,9 @@ def grow_and_prune(
                 base_config, n_hidden=h, init_seed=derived_seed(base_config.init_seed, restart, h)
             )
             net = train(init_network(config_h), bundle.train, tparams, penalty)
-            net, trace = eliminate_weights(
+            net, trace, pruned_val = eliminate_weights(
                 net, bundle, tparams.learning_rate, penalty, params, val_floor
             )
-            pruned_val = accuracy(net, bundle.validation)
             if pruned_val >= val_floor:
                 break
 

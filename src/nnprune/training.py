@@ -25,8 +25,9 @@ that proof fails is theta computed with
 :func:`~nnprune.objective.objective`; a non-finite theta raises
 DivergenceError at the same epoch as evaluating it every epoch would.
 :func:`train` takes a fixed number of its epochs, :func:`retrain` takes
-epochs until a validation-accuracy floor is met, and ``nnprune train``
-iterates it directly, evaluating theta for its ``--trace`` rows only.
+epochs until a validation-accuracy floor is met and returns the deciding
+score, and ``nnprune train`` iterates it directly, evaluating theta for its
+``--trace`` rows only.
 """
 
 from __future__ import annotations
@@ -133,19 +134,18 @@ def retrain(
     penalty: PenaltyParams,
     floor: float,
     max_epochs: int,
-) -> tuple[Network, bool]:
+) -> tuple[Network, bool, float]:
     """Train until validation accuracy reaches ``floor``, up to max_epochs.
 
-    Returns the (possibly unchanged) network copy and whether the floor was
-    met.  A network already at or above the floor is returned immediately.
+    Returns the network copy, whether the floor was met and the copy's
+    validation accuracy, which decided it; one at the floor takes no epoch.
     """
     check_float("lr", lr, 0, math.inf)
     check_float("floor", floor, 0, 1, "[]")
     check_int("max_epochs", max_epochs, 0)
     net = net.copy()
-    if accuracy(net, val_split) >= floor:
-        return net, True
-    for _ in islice(descend(net, train_split, lr, penalty), max_epochs):
-        if accuracy(net, val_split) >= floor:
-            return net, True
-    return net, False
+    steps = islice(descend(net, train_split, lr, penalty), max_epochs)
+    score = accuracy(net, val_split)
+    while score < floor and next(steps, None) is not None:
+        score = accuracy(net, val_split)
+    return net, score >= floor, score

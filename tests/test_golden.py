@@ -16,7 +16,8 @@ or golden change cannot drop them unnoticed.
 
 The CLI case runs ``nnprune train`` and ``nnprune prune --trace-out`` on
 split seed 1 with ``configs/cancer1.conf``, its ``epochs`` line set to 200;
-the pruned network and the audit log must equal ``tests/golden/prune/``.
+the pruned network, the audit log and the printed summary line must equal
+``tests/golden/prune/``.
 It covers the floor ``nnprune prune`` takes from the accuracy of the network
 it is given, and the CLI's dead-node step, which the experiment runs never
 reach.
@@ -29,6 +30,8 @@ them from the current code:
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import shutil
 import sys
@@ -45,12 +48,13 @@ _REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ("cancer1", "diabetes", "glass")
 PATTERNS = ("report.json", "report.txt", "networks/*.json", "traces/*.jsonl")
-PRUNE_PATTERNS = ("pruned.json", "prune.jsonl")
+PRUNE_PATTERNS = ("pruned.json", "prune.jsonl", "stdout.txt")
 
 
 def run_prune(workdir: Path) -> Path:
     """Train and prune a cancer1 network with the CLI under ``workdir``;
-    returns the output directory."""
+    returns the output directory, which also holds the prune command's
+    stdout as ``stdout.txt``."""
     write_all(workdir / "data")
     # configs/cancer1.conf finds its data at ../data, relative to itself
     conf = workdir / "configs" / "cancer1.conf"
@@ -62,10 +66,13 @@ def run_prune(workdir: Path) -> Path:
     out.mkdir(parents=True)
     split = ["--config", str(conf), "--split-seed", "1"]
     assert main(["train", *split, "--out", str(out / "net.json")]) == 0
-    assert main([
-        "prune", *split, "--net", str(out / "net.json"),
-        "--out", str(out / "pruned.json"), "--trace-out", str(out / "prune.jsonl"),
-    ]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main([
+            "prune", *split, "--net", str(out / "net.json"),
+            "--out", str(out / "pruned.json"), "--trace-out", str(out / "prune.jsonl"),
+        ]) == 0
+    (out / "stdout.txt").write_text(stdout.getvalue(), encoding="utf-8")
     return out
 
 

@@ -24,7 +24,7 @@ from nnprune import (
     serialize,
     train,
 )
-from nnprune import harness, pruning
+from nnprune import harness, pruning, training
 from nnprune.cli import _build_parser, main
 from nnprune.harness import CONFIG_DEFAULTS, load_config, parse_config_text
 from nnprune.pruning import KIND_HIDDEN_NODE, KIND_INPUT_NODE, PruneTrace, derived_seed
@@ -284,6 +284,15 @@ def cancer_config(path: Path, data_file: Path, **values) -> Path:
     return path
 
 
+def cut_down_config(cancer_file, tmp_path):
+    """A short cancer1 experiment in which some split seed restarts."""
+    return load_config(cancer_config(
+        tmp_path / "cancer1.conf", cancer_file, output_dir=tmp_path / "out",
+        split_seeds="2, 3", epochs=50, accuracy_drop_tolerance=0.0, retrain_max_epochs=5,
+        max_restarts=2,
+    ))
+
+
 def test_no_network_is_trained_twice(cancer_file, tmp_path, monkeypatch):
     trained = []  # every network handed to train, serialized
     for module in (harness, pruning):
@@ -292,11 +301,7 @@ def test_no_network_is_trained_twice(cancer_file, tmp_path, monkeypatch):
             return _train(net, *args, **kwargs)
 
         monkeypatch.setattr(module, "train", recording)
-    config = load_config(cancer_config(
-        tmp_path / "cancer1.conf", cancer_file, output_dir=tmp_path / "out",
-        split_seeds="2, 3", epochs=50, accuracy_drop_tolerance=0.0, retrain_max_epochs=5,
-        max_restarts=2,
-    ))
+    config = cut_down_config(cancer_file, tmp_path)
     rows = run_experiment(config).rows.values()
     attempts = sum(
         row.restarts_used if row.converged else config.prune.max_restarts for row in rows
@@ -313,6 +318,22 @@ def test_no_network_is_trained_twice(cancer_file, tmp_path, monkeypatch):
         for restart in range(config.prune.max_restarts)
     }
     assert sum(net in references for net in trained) == attempts
+
+
+def test_no_network_is_scored_twice_on_a_split(cancer_file, tmp_path, monkeypatch):
+    scored = []  # (serialized network, split id) of every accuracy call
+    splits = []  # keeps each scored split alive, so that no id is reused
+    for module in (pruning, training):
+        def recording(net, split, _accuracy=module.accuracy):
+            scored.append((serialize(net), id(split)))
+            splits.append(split)
+            return _accuracy(net, split)
+
+        monkeypatch.setattr(module, "accuracy", recording)
+    run_experiment(cut_down_config(cancer_file, tmp_path))
+    assert scored
+    repeated = len(scored) - len(set(scored))
+    assert repeated == 0, f"{repeated} of {len(scored)} scorings repeat an earlier one"
 
 
 # (command, flag, out-of-range value, what stderr says about it)

@@ -329,6 +329,14 @@ class TestSmallestProduct:
         assert fallback_removal(net) is None
 
 
+def assert_scored(net, out, trace, score, validation):
+    """``eliminate_weights``'s score is the returned network's validation
+    accuracy: the last kept batch's, or the input's when none was kept."""
+    assert score == accuracy(out, validation)
+    kept = [e.accuracy_after_retrain for e in trace.events if not e.rolled_back]
+    assert score == (kept[-1] if kept else accuracy(net, validation))
+
+
 class TestEliminateWeights:
     def test_rollback_exactness_when_nothing_removable(self):
         # two-input halfplane net: either input alone cannot represent the
@@ -338,8 +346,9 @@ class TestEliminateWeights:
         assert accuracy(net, bundle.validation) > 0.9
         params = PruneParams(retrain_max_epochs=50)
         floor = params.floor(accuracy(net, bundle.validation))
-        out, trace = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
+        out, trace, score = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
         assert serialize(out) == serialize(net)  # bit-identical rollback
+        assert_scored(net, out, trace, score, bundle.validation)
         assert len(trace.events) >= 1
         assert all(e.rolled_back for e in trace.events)
         assert trace.n_removed_weights() == 0
@@ -351,7 +360,7 @@ class TestEliminateWeights:
         net = train(init_network(NetworkConfig(2, 1, 2, init_seed=1)), bundle.train, TP, PEN)
         params = PruneParams(retrain_max_epochs=50)
         floor = params.floor(accuracy(net, bundle.validation))
-        out, trace = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
+        out, trace, _ = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
         last = trace.snapshots[max(trace.snapshots)]
         assert serialize(last) == serialize(out)
         written = trace.to_jsonl()
@@ -370,9 +379,10 @@ class TestEliminateWeights:
         params = PruneParams(retrain_max_epochs=50)
         floor = params.floor(1.0)
         assert accuracy(net, bundle.validation) < floor
-        out, trace = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
+        out, trace, score = eliminate_weights(net, bundle, TP.learning_rate, PEN, params, floor)
         assert serialize(out) == serialize(net)
-        assert accuracy(out, bundle.validation) < floor
+        assert score < floor
+        assert_scored(net, out, trace, score, bundle.validation)
         assert [(e.batch, e.rolled_back) for e in trace.events] == [(0, True)]
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan])
@@ -404,8 +414,9 @@ class TestEliminateWeights:
         )
         before = net.n_unmasked()
         floor = PruneParams().floor(accuracy(net, cancer_bundle.validation))
-        out, trace = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams(), floor)
+        out, trace, score = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams(), floor)
         out.validate()
+        assert_scored(net, out, trace, score, cancer_bundle.validation)
         after = out.n_unmasked()
         assert after <= before
         assert before - after == trace.n_removed_weights()
@@ -424,8 +435,11 @@ class TestEliminateWeights:
         )
         baseline = accuracy(net, cancer_bundle.validation)
         params = PruneParams(accuracy_drop_tolerance=0.02)
-        out, _ = eliminate_weights(net, cancer_bundle, 0.1, PEN, params, params.floor(baseline))
-        assert accuracy(out, cancer_bundle.validation) >= baseline - 0.02
+        out, trace, score = eliminate_weights(
+            net, cancer_bundle, 0.1, PEN, params, params.floor(baseline)
+        )
+        assert score >= baseline - 0.02
+        assert_scored(net, out, trace, score, cancer_bundle.validation)
 
     def test_explicit_floor_is_respected(self, cancer_bundle):
         net = train(
@@ -434,10 +448,11 @@ class TestEliminateWeights:
             TrainParams(0.1, 500),
             PEN,
         )
-        out, _ = eliminate_weights(
+        out, trace, score = eliminate_weights(
             net, cancer_bundle, 0.1, PEN, PruneParams(), floor=0.5
         )
-        assert accuracy(out, cancer_bundle.validation) >= 0.5
+        assert score >= 0.5
+        assert_scored(net, out, trace, score, cancer_bundle.validation)
 
 
 def assert_same_function(net, out, seed):
@@ -557,6 +572,16 @@ class TestTraceSerialization:
             ("threshold", [0.4]),
             ("accuracy_after_retrain", True),
             ("batch", -3),
+            # values the package never writes
+            ("metric", math.nan),
+            ("metric", -1.0),
+            ("metric", math.inf),
+            ("threshold", math.inf),
+            ("threshold", -0.4),
+            ("accuracy_after_retrain", math.nan),
+            ("accuracy_after_retrain", 1.5),
+            ("accuracy_after_retrain", -2),
+            ("implied_connections", -3),
         ],
     )
     def test_event_field_of_wrong_type_rejected(self, field, value):
@@ -659,8 +684,9 @@ class TestGrowAndPrune:
         monkeypatch.setattr("nnprune.pruning.accuracy", counted)
         _, _, report, _ = grown(bundle, NetworkConfig(2, 2, 2, init_seed=3), TP, PEN, params)
         assert (report.restarts_used, report.grown_hidden_units) == (1, 1)
-        # the reference, then the candidate, whose score pruning dead nodes keeps
-        assert len(calls) == 2
+        # the reference only: eliminate_weights returns the candidate's score,
+        # which pruning dead nodes keeps
+        assert len(calls) == 1
 
     def test_deterministic(self):
         bundle = halfplane_bundle(seed=3)

@@ -49,14 +49,17 @@ def test_cli_examples_run(tmp_path, monkeypatch):
 
 def test_library_examples_run(tmp_path, monkeypatch, capsys):
     blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     write_all(tmp_path / "data")
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
-    for block in blocks:  # the second block uses names the first one defines
+    for block in blocks:  # later blocks use names the first one defines
         exec(compile(block, str(README), "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 2 + 5  # two results, then epochs 100..500 with theta
+    # two results, the eliminated network, then epochs 100..500 with theta
+    assert len(printed) == 2 + 1 + 5
+    small = namespace["small"]
+    assert namespace["score"] == namespace["accuracy"](small, namespace["bundle"].validation)
 
 
 def resolve(name: str) -> object:

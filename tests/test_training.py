@@ -303,11 +303,11 @@ class TestEpochContract:
         if runner == "train":
             train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
         else:
-            _, met = retrain(
+            _, met, score = retrain(
                 net, toy_split(seed=6), toy_split(seed=7), 0.1, PenaltyParams(),
                 floor=1.0, max_epochs=epochs,
             )
-            assert met is False
+            assert met is False and score < 1.0
         assert calls == {
             "data_gradients": epochs, "penalty_gradients": epochs, "forward_batch": epochs + 1
         }
@@ -378,15 +378,23 @@ class TestAccuracy:
             Split(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 2)
 
 
+def assert_decided_by(out, val_split, met, score, floor):
+    """``retrain``'s score is the returned network's validation accuracy,
+    and it decided ``met``."""
+    assert score == accuracy(out, val_split)
+    assert met == (score >= floor)
+
+
 class TestRetrain:
     def test_floor_zero_returns_immediately(self):
         net = init_network(NetworkConfig(4, 2, 2, init_seed=12))
         split = toy_split(seed=12)
-        out, met = retrain(
+        out, met, score = retrain(
             net, split, split, 0.1, PenaltyParams(), floor=0.0, max_epochs=100
         )
         assert met is True
         assert np.array_equal(out.w, net.w)
+        assert_decided_by(out, split, met, score, 0.0)
 
     def test_unreachable_floor_runs_out(self):
         rng = np.random.default_rng(13)
@@ -394,10 +402,11 @@ class TestRetrain:
         classes = rng.integers(0, 2, size=20)  # pure noise labels
         split = Split(x, classes, 2)
         net = init_network(NetworkConfig(3, 2, 2, init_seed=13))
-        out, met = retrain(
+        out, met, score = retrain(
             net, split, split, 0.1, PenaltyParams(), floor=1.0, max_epochs=25
         )
         assert met is False
+        assert_decided_by(out, split, met, score, 1.0)
 
     def test_recovers_after_removal(self):
         split = toy_split(k=60, seed=14)
@@ -412,12 +421,13 @@ class TestRetrain:
         m, l = 0, 3  # remove one low-stakes weight
         pruned.w_mask[m, l] = False
         pruned.apply_masks()
-        out, met = retrain(
-            pruned, split, split, 0.1, PenaltyParams(),
-            floor=max(0.0, base - 0.02), max_epochs=100,
+        floor = max(0.0, base - 0.02)
+        out, met, score = retrain(
+            pruned, split, split, 0.1, PenaltyParams(), floor=floor, max_epochs=100,
         )
         assert met is True
         assert out.w[m, l] == 0.0
+        assert_decided_by(out, split, met, score, floor)
 
     def test_empty_training_split_rejected(self):
         # an empty split cannot be built, so retrain never trains on one
