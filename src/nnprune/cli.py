@@ -35,7 +35,7 @@ from .errors import (
 from .harness import export_dot, load_config, run_experiment
 from .network import NetworkConfig, deserialize, init_network, serialize
 from .objective import PenaltyParams, finite_diff_check, objective
-from .pruning import eliminate_weights, prune_dead_nodes
+from .pruning import eliminate_weights
 from .training import accuracy, descend
 
 GRADCHECK_TOLERANCE = 1e-5
@@ -151,7 +151,6 @@ def _cmd_prune(args) -> int:
     pruned, trace, score = eliminate_weights(
         net, bundle, config.train.learning_rate, config.penalty, config.prune, floor
     )
-    pruned = prune_dead_nodes(pruned, trace)  # outputs unchanged, so `score` stands
     args.out.write_text(serialize(pruned) + "\n", encoding="utf-8")
     if args.trace_out is not None:
         args.trace_out.write_text(trace.to_jsonl(), encoding="utf-8")

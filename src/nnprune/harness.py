@@ -146,7 +146,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _optional_int(value: str) -> int | None:
-    return None if value.lower() in ("", "none") else int(value)
+    return None if value.lower() == "none" else int(value)
 
 
 def _seeds(value: str) -> tuple[int, ...]:

@@ -13,11 +13,11 @@ show to be redundant.  ``removal_batch`` states the rule once:
 
 After each removal batch the network is retrained; if it can no longer
 reach the accuracy floor, the batch is rolled back and elimination stops.
-``prune_dead_nodes`` then deactivates hidden units and inputs left with no
-unmasked connections, which provably leaves the network function
-unchanged.  The growth loop wraps all of this: it starts from a single
-hidden unit and adds units until the pruned network is acceptable,
-restarting from fresh weights when generalization fails.
+``eliminate_weights`` ends with ``prune_dead_nodes``, which deactivates
+hidden units and inputs left with no unmasked connections and provably
+leaves the network function unchanged.  The growth loop wraps this: it
+starts from one hidden unit and adds units until the simplified network
+is acceptable, restarting from fresh weights when generalization fails.
 """
 
 from __future__ import annotations
@@ -165,9 +165,10 @@ class PruneTrace:
     def from_jsonl(cls, text: str) -> "PruneTrace":
         """Parse :meth:`to_jsonl` output; a line that is not JSON, lacks a
         field, holds one :meth:`to_jsonl` would not write (a negative batch,
-        a second snapshot of a batch, a network :func:`deserialize` rejects)
+        a second snapshot of a batch, a network :func:`deserialize` rejects,
+        a weight event naming no unmasked weight of its batch's snapshot)
         raises ParseError naming its 1-based line number."""
-        trace = cls()
+        trace, event_lines = cls(), []
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -176,6 +177,7 @@ class PruneTrace:
                 kind = doc.pop("type")
                 if kind == "removal":
                     trace.events.append(RemovalEvent.from_doc(doc))
+                    event_lines.append(lineno)
                 elif kind != "snapshot":
                     raise ValueError(f"unknown line type {kind!r}")
                 elif doc.keys() != {"batch", "network"} or type(doc["batch"]) is not int:
@@ -186,6 +188,14 @@ class PruneTrace:
                     trace.snapshots[doc["batch"]] = deserialize(json.dumps(doc["network"]))
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"trace line {lineno}: {type(exc).__name__}: {exc}") from None
+        for lineno, e in zip(event_lines, trace.events):
+            net = trace.snapshots.get(e.batch)
+            if net is None or e.kind not in (KIND_WEIGHT_W, KIND_WEIGHT_V):
+                continue  # node batches have no snapshot
+            mask = net.w_mask if e.kind == KIND_WEIGHT_W else net.v_mask
+            if not (all(i < n for i, n in zip(e.indices, mask.shape)) and mask[e.indices]):
+                raise ParseError(f"trace line {lineno}: {e.kind} {list(e.indices)} is not "
+                                 f"an unmasked weight of the snapshot of batch {e.batch}")
         return trace
 
 
@@ -229,17 +239,19 @@ def eliminate_weights(
     params: PruneParams,
     floor: float,
 ) -> tuple[Network, PruneTrace, float]:
-    """Iteratively remove redundant weights from an already-trained network.
+    """Simplify an already-trained network: remove redundant weights, then dead nodes.
 
     Each round removes the batch ``removal_batch`` builds and retrains at
     learning rate ``lr`` toward the validation accuracy ``floor``, usually
     ``params.floor`` of a reference accuracy.  Elimination stops at an
     empty batch or at a round that cannot recover the floor, which is
     rolled back exactly, and each event's ``accuracy_after_retrain`` is the
-    score ``retrain`` decided its round on.  Returns the input with the kept
-    rounds applied (below the floor if the input was and no round was kept),
-    the trace, with a copy of the network before each round, and the last
-    kept round's score, else the input's: the returned network's accuracy.
+    score ``retrain`` decided its round on.  ``prune_dead_nodes`` then
+    removes the nodes left without connections, which changes no output.
+    Returns a new network, the input with the kept rounds applied (below the
+    floor if the input was and no round was kept) and its dead nodes removed;
+    the trace, with the network before each round; and the last kept round's
+    score, else the input's: the returned network's accuracy.
     """
     check_float("lr", lr, 0, math.inf)
     check_float("floor", floor, 0, 1, "[]")
@@ -249,7 +261,7 @@ def eliminate_weights(
         batch = removal_batch(current, params, batch_id)
         if not batch:
             break
-        trace.snapshots[batch_id] = current.copy()
+        trace.snapshots[batch_id] = current  # never edited: rounds edit copies
         candidate = current.copy()
         for event in batch:
             mask = candidate.w_mask if event.kind == KIND_WEIGHT_W else candidate.v_mask
@@ -271,7 +283,7 @@ def eliminate_weights(
         if not met:
             break  # `current` was never touched: exact rollback
         current, score = candidate, val_acc
-    return current, trace, score
+    return prune_dead_nodes(current, trace), trace, score
 
 
 @dataclass(frozen=True)
@@ -348,11 +360,11 @@ def grow_and_prune(
     ``init_network(reference_config(base_config, 0))`` trained on
     ``bundle.train`` with ``tparams`` and ``penalty``; one of another
     architecture raises ShapeError.  Hidden units are then added one at a
-    time, each size being trained and weight-eliminated, until a candidate
-    meets the floor or ``max_hidden`` is reached.  Elimination retrains
-    toward the floor after each batch, so it can lift a candidate trained
-    below the floor up to it.  Dead nodes are pruned and the candidate's
-    generalization is checked on the test split; a failed check restarts
+    time, each size being trained and simplified by ``eliminate_weights``,
+    until a candidate meets the floor or ``max_hidden`` is reached.
+    Elimination retrains toward the floor after each batch, so it can lift a
+    candidate trained below the floor up to it.  The candidate's
+    generalization is then checked on the test split; a failed check restarts
     from fresh weights, the next attempt's reference trained from
     ``reference_config(base_config, restart)``, up to ``max_restarts``
     attempts in all.  The best candidate seen (test accuracy, then fewest
@@ -390,8 +402,6 @@ def grow_and_prune(
             if pruned_val >= val_floor:
                 break
 
-        # dead-node pruning leaves every output unchanged, so pruned_val stands
-        net = prune_dead_nodes(net, trace)
         pruned_test = accuracy(net, bundle.test)
         converged = pruned_val >= val_floor and pruned_test >= test_floor
         report = GrowPruneReport(

@@ -135,12 +135,18 @@ class TestConfigParsing:
             "n_hidden = True",
             "output_dir = ",
             "data_path = ",
+            "max_hidden = ",
         ],
     )
     def test_unparsable_value_names_key(self, line):
         key = line.split("=")[0].strip()
         with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
             parse_config_text(f"dataset = cancer1\ndata_path = x\n{line}\n")
+
+    @pytest.mark.parametrize("value", ["none", "None", "NONE"])
+    def test_max_hidden_none_is_the_default(self, value):
+        config = parse_config_text(f"dataset = cancer1\ndata_path = x\nmax_hidden = {value}\n")
+        assert config.prune.max_hidden is None
 
     @pytest.mark.parametrize(
         "line,message",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from nnprune import (
     ConfigurationError,
     DatasetBundle,
+    Network,
     NetworkConfig,
     ParseError,
     PenaltyParams,
@@ -333,7 +335,11 @@ def assert_scored(net, out, trace, score, validation):
     """``eliminate_weights``'s score is the returned network's validation
     accuracy: the last kept batch's, or the input's when none was kept."""
     assert score == accuracy(out, validation)
-    kept = [e.accuracy_after_retrain for e in trace.events if not e.rolled_back]
+    kept = [
+        e.accuracy_after_retrain
+        for e in trace.events
+        if e.kind in (KIND_WEIGHT_W, KIND_WEIGHT_V) and not e.rolled_back
+    ]
     assert score == (kept[-1] if kept else accuracy(net, validation))
 
 
@@ -419,12 +425,48 @@ class TestEliminateWeights:
         assert_scored(net, out, trace, score, cancer_bundle.validation)
         after = out.n_unmasked()
         assert after <= before
-        assert before - after == trace.n_removed_weights()
+        assert before - after == trace.n_removed_weights() + trace.n_implied_removed()
         # every removal event that was kept must satisfy its recorded bound
         for e in trace.events:
             if e.rolled_back or e.threshold is None:
                 continue
             assert e.metric <= e.threshold
+
+    def test_returns_no_dead_node(self, cancer_bundle):
+        net = train(
+            init_network(NetworkConfig(9, 3, 2, init_seed=5)),
+            cancer_bundle.train,
+            TrainParams(0.1, 500),
+            PEN,
+        )
+        floor = PruneParams().floor(accuracy(net, cancer_bundle.validation))
+        out, trace, _ = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams(), floor)
+        assert trace.n_removed_weights() > 0
+        assert all(out.w_mask[:, l].any() for l in range(out.n_inputs) if out.input_active[l])
+        assert all(out.v_mask[:, m].any() for m in range(out.n_hidden) if out.hidden_active[m])
+
+    def test_builds_two_networks_per_batch(self, cancer_bundle, monkeypatch):
+        net = train(
+            init_network(NetworkConfig(9, 3, 2, init_seed=5)),
+            cancer_bundle.train,
+            TrainParams(0.1, 500),
+            PEN,
+        )
+        floor = PruneParams().floor(accuracy(net, cancer_bundle.validation))
+        built = []
+        post_init = Network.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Network, "__post_init__", counted)
+        _, trace, _ = eliminate_weights(net, cancer_bundle, 0.1, PEN, PruneParams(), floor)
+        batches = len(trace.snapshots)
+        assert batches >= 2
+        # the working copy; per batch a candidate and retrain's copy of it; the
+        # copy dead-node pruning returns.  Snapshots hold the working copy itself.
+        assert len(built) <= 2 * batches + 2
 
     def test_floor_holds_at_exit(self, cancer_bundle):
         net = train(
@@ -627,6 +669,29 @@ class TestTraceSerialization:
             accuracy_after_retrain=0.5, implied_connections=4,
         )
         assert PruneTrace.from_jsonl(event.to_json()).events == [event]
+
+    @pytest.mark.parametrize(
+        "kind,indices",
+        [
+            (KIND_WEIGHT_W, (7, 9)),   # outside the 2-1-2 snapshot's w [1, 2]
+            (KIND_WEIGHT_W, (0, 2)),
+            (KIND_WEIGHT_W, (1, 0)),
+            (KIND_WEIGHT_V, (2, 0)),   # outside its v [2, 1]
+            (KIND_WEIGHT_V, (0, 1)),
+            (KIND_WEIGHT_W, (0, 1)),   # masked in the snapshot
+        ],
+    )
+    def test_weight_event_outside_its_snapshot_rejected(self, kind, indices):
+        net = init_network(NetworkConfig(2, 1, 2, init_seed=11))
+        net.w_mask[0, 1] = False
+        net.apply_masks()
+        trigger = TRIGGER_SMALLEST if kind == KIND_WEIGHT_W else TRIGGER_MAGNITUDE
+        good = RemovalEvent(KIND_WEIGHT_W, (0, 0), TRIGGER_SMALLEST, 0)
+        bad = RemovalEvent(kind, indices, trigger, 0)
+        trace = PruneTrace(events=[good, bad], snapshots={0: net})
+        message = re.escape(f"trace line 3: {kind} {list(indices)} is not an unmasked weight")
+        with pytest.raises(ParseError, match=f"^{message}"):
+            PruneTrace.from_jsonl(trace.to_jsonl())
 
     @pytest.mark.parametrize(
         "bad",

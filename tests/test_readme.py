@@ -56,7 +56,7 @@ def test_library_examples_run(tmp_path, monkeypatch, capsys):
     for block in blocks:  # later blocks use names the first one defines
         exec(compile(block, str(README), "exec"), namespace)
     printed = capsys.readouterr().out.splitlines()
-    # two results, the eliminated network, then epochs 100..500 with theta
+    # two results, the simplified network, then epochs 100..500 with theta
     assert len(printed) == 2 + 1 + 5
     small = namespace["small"]
     assert namespace["score"] == namespace["accuracy"](small, namespace["bundle"].validation)
