@@ -80,7 +80,8 @@ class Split:
     """Normalized examples and their class indices for one partition.
 
     Construction copies both arrays, checks that there is at least one
-    example, that the examples are finite and that every class index is an
+    example, that the examples are real numbers (bool, integer or float;
+    stored as float64) and finite, and that every class index is an
     integer in ``[0, n_classes)``, then derives ``targets``, one one-hot
     row of 0.0 and 1.0 per index; training relies on all three.  The three
     arrays are read-only and no field can be rebound, so the checks and the
@@ -102,6 +103,9 @@ class Split:
             )
         if len(examples) == 0:
             raise DatasetError("a split needs at least one example")
+        if examples.dtype.kind not in "biuf":
+            raise DatasetError(f"split examples must be real numbers, got dtype {examples.dtype}")
+        examples = examples.astype(np.float64, copy=False)
         if not np.isfinite(examples).all():
             raise DatasetError("split examples must be finite")
         if not (

@@ -19,19 +19,23 @@ or class count does not fit the network (:func:`check_batch`, which
 :func:`~nnprune.training.accuracy` shares).
 
 The data gradient differentiates the ``(hidden, preds)`` pair of a forward
-pass the trainer already ran (:func:`forward_pass`).  :func:`objective`
-returns theta alone.  A training epoch needs theta only to detect
-divergence, so it asks :func:`theta_certainly_finite`, which proves theta
-finite from the pass and the weights without computing it, and falls back
-to :func:`objective` only when that proof fails.
+pass already run: :func:`~nnprune.network.forward_batch`'s, or the
+trainer's own pass into buffers it keeps across epochs (see
+:func:`~nnprune.training.descend`).  :func:`objective` returns theta
+alone.  A training epoch needs theta only to detect divergence, so it asks
+:func:`theta_certainly_finite`, which proves theta finite from the pass
+and the weights without computing it, and falls back to :func:`objective`
+only when that proof fails.
 
 A gradient is one vector in the packed layout of ``net.weights``, which
-:func:`data_gradients` can write into across epochs;
-:func:`penalty_gradients` and :func:`theta_certainly_finite` take any
-array of weights, elementwise.  Both gradients leave masked entries raw
-(the trainer pins masked weights after its update); :func:`gradients`, the
-full gradient, zeroes them.  A central finite-difference checker serves as
-an independent oracle for the analytic gradients.
+:func:`data_gradients` and :func:`penalty_gradients` can write into across
+epochs; :func:`penalty_gradients` and :func:`theta_certainly_finite` take
+any array of weights, elementwise, and :func:`penalty_gradients` leaves
+the floating-point error state to its callers.  Both gradients leave
+masked entries raw (the trainer pins masked weights after its update);
+:func:`gradients`, the full gradient, zeroes them.  A central
+finite-difference checker serves as an independent oracle for the
+analytic gradients.
 """
 
 from __future__ import annotations
@@ -112,16 +116,6 @@ def penalty(net: Network, params: PenaltyParams) -> float:
         return float(params.eps1 * saturating + params.eps2 * quadratic)
 
 
-def forward_pass(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(hidden, preds)`` pair of :func:`~nnprune.network.forward_batch`.
-
-    The trainer's pass goes through here so that it resolves through the
-    name ``nnprune.objective.forward_batch``, where ``bench/spans.py`` and
-    the epoch-contract test count it.
-    """
-    return forward_batch(net, inputs)
-
-
 def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
     """theta = cross-entropy over the batch + weight penalty."""
     check_batch(net, batch)
@@ -143,7 +137,8 @@ def theta_certainly_finite(
 
     * no NaN in the outputs: every clamped log term is at most
       CROSS_ENTROPY_TERM_MAX, so the cross-entropy is at most that times
-      the number of outputs;
+      the number of outputs (the outputs lie in [0, 1] or are NaN, so
+      their sum is NaN exactly when one of them is);
     * beta*S and S finite: every w^2, beta*w^2 and the quadratic sum are
       finite, every saturating term lies in [0, 1], and the penalty is at
       most eps1*N + eps2*S;
@@ -163,7 +158,7 @@ def theta_certainly_finite(
     return bool(
         squares * max(params.beta, 1.0) <= CERTIFICATE_LIMIT
         and bound <= CERTIFICATE_LIMIT
-        and not np.isnan(preds).any()
+        and not math.isnan(preds.sum())
     )
 
 
@@ -190,33 +185,51 @@ def data_gradients(
     d_w, d_v = net.views(grad)
     d_out = preds - batch.targets        # dF/d(pre-logistic), [k, o]
     np.matmul(d_out.T, hidden, out=d_v)  # [o, h]
-    d_hidden = (d_out @ net.v) * (1.0 - hidden ** 2)
+    slope = hidden ** 2                  # tanh' = 1 - hidden^2, [k, h]
+    np.subtract(1.0, slope, out=slope)
+    d_hidden = d_out @ net.v
+    d_hidden *= slope
     np.matmul(d_hidden.T, batch.examples, out=d_w)  # [h, n]
     return grad
 
 
-def penalty_gradients(weights: np.ndarray, params: PenaltyParams) -> np.ndarray:
+def penalty_gradients(
+    weights: np.ndarray, params: PenaltyParams, out: np.ndarray | None = None
+) -> np.ndarray:
     """Gradient of the penalty alone at ``weights``, masked entries raw.
 
     The penalty is a sum of one term per weight, so its gradient is
     elementwise: ``weights`` may be ``net.w``, ``net.v`` or
     ``net.weights``, and the result has its shape.  Masked weights are
-    exactly 0.0, so their raw entries are 0.0 as well.
+    exactly 0.0, so their raw entries are 0.0 as well.  The gradient is
+    written into ``out`` when given, else into new storage, and returned.
+
+    Diverged weights overflow these steps; the callers own the
+    floating-point error state, and the trainer's divergence check reports
+    the overflow instead of a warning.
     """
-    # overflow on diverged weights is caught by the trainer's divergence check
-    with np.errstate(over="ignore", invalid="ignore"):
-        w2 = weights ** 2
-        return (
-            params.eps1 * 2.0 * params.beta * weights / (1.0 + params.beta * w2) ** 2
-            + 2.0 * params.eps2 * weights
-        )
+    if out is None:
+        out = np.empty(np.shape(weights))
+    # eps1 * 2 * beta * w / (1 + beta * w^2)^2 + 2 * eps2 * w, one step at a time
+    denom = np.square(weights)
+    np.multiply(denom, params.beta, out=denom)
+    np.add(denom, 1.0, out=denom)
+    np.square(denom, out=denom)
+    np.multiply(weights, params.eps1 * 2.0 * params.beta, out=out)
+    np.divide(out, denom, out=out)
+    np.multiply(weights, 2.0 * params.eps2, out=denom)
+    np.add(out, denom, out=out)
+    return out
 
 
 def gradients(net: Network, batch: Split, params: PenaltyParams) -> np.ndarray:
     """Analytic gradient of the full objective in the layout of
     ``net.weights``, masked entries zeroed."""
-    grad = data_gradients(net, batch, forward_pass(net, batch.examples))
-    grad += penalty_gradients(net.weights, params)
+    grad = data_gradients(net, batch, forward_batch(net, batch.examples))
+    # overflow on diverged weights shows as a non-finite entry, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        pen = penalty_gradients(net.weights, params)
+    grad += pen
     grad[~net.mask] = 0.0
     return grad
 

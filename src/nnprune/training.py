@@ -12,16 +12,21 @@ loss and penalty).
 
 :func:`descend` is the one training loop.  It steps the packed vector
 ``net.weights`` and reads the masks once, into the positions of the
-masked weights in that vector.  Each epoch does each elementwise step once
-for all weights: it takes the data gradient (into storage kept across
-epochs) and the penalty gradient, both raw, makes the descent step, pins
-the masked weights back to 0.0 (the only place a step enforces masks;
-skipped when nothing is masked) and runs the forward pass of the updated
-network, which the next epoch differentiates.  So each epoch runs one
-forward pass, and the loop runs one more before its first epoch.  Theta itself is not computed: divergence
-is detected by :func:`~nnprune.objective.theta_certainly_finite`, a cheap
-proof from the new weights and outputs that theta is finite, and only when
-that proof fails is theta computed with
+masked weights in that vector.  It owns a workspace, allocated once per
+descent: the forward pass's buffers and the two gradient vectors.  Each
+epoch does each elementwise step once for all weights: it takes the data
+gradient and the penalty gradient into the workspace, both raw, makes the
+descent step in place (one floating-point error block covers the penalty
+and the step), pins the masked weights back to 0.0 (the only place a step
+enforces masks; skipped when nothing is masked) and runs the forward pass
+of the updated network into the workspace, which the next epoch
+differentiates.  That pass is :func:`~nnprune.network.forward_batch`'s,
+operation for operation, so its outputs are bit-identical; each epoch runs
+one, and the loop runs one more before its first epoch.  Theta itself is
+not computed: divergence is detected by
+:func:`~nnprune.objective.theta_certainly_finite`, a cheap proof from the
+new weights and outputs that theta is finite, and only when that proof
+fails is theta computed with
 :func:`~nnprune.objective.objective`; a non-finite theta raises
 DivergenceError at the same epoch as evaluating it every epoch would.
 :func:`train` takes a fixed number of its epochs, :func:`retrain` takes
@@ -46,7 +51,6 @@ from .objective import (
     PenaltyParams,
     check_batch,
     data_gradients,
-    forward_pass,
     objective,
     penalty_gradients,
     theta_certainly_finite,
@@ -69,27 +73,48 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
     Runs nothing until the first ``next``, which reads the masks of
-    ``net``; the caller must not change them while it takes epochs.  Each
-    epoch differentiates the forward pass the previous epoch left behind
-    (the first runs one), applies the update and the masks once, and runs
-    one forward pass of the updated network.  Raises DivergenceError naming
-    the epoch if the objective becomes non-finite.
+    ``net`` and allocates the workspace; the caller must not change the
+    masks while it takes epochs.  Each epoch differentiates the forward
+    pass the previous epoch left in the workspace (the first runs one),
+    applies the update and the masks once, and runs one forward pass of the
+    updated network into the workspace.  Raises DivergenceError naming the
+    epoch if the objective becomes non-finite.
     """
     check_float("lr", lr, 0, math.inf)
     step = lr / len(split)
     weights = net.weights
     masked = np.flatnonzero(~net.mask)
-    grad = np.empty_like(weights)
-    at = forward_pass(net, split.examples)
+    grad, pen = np.empty_like(weights), np.empty_like(weights)
+    # forward_batch's pass, run into buffers kept across epochs; the weight
+    # views stay valid because every update is in place
+    x, w_t, v_t = split.examples, net.w.T, net.v.T
+    k, o = len(split), net.n_outputs
+    hidden = np.empty((k, net.n_hidden))
+    z, e, preds = np.empty((k, o)), np.empty((k, o)), np.empty((k, o))
+    nonneg = np.empty((k, o), dtype=bool)
+    at = hidden, preds
+
+    def forward() -> None:
+        np.tanh(np.matmul(x, w_t, out=hidden), out=hidden)
+        np.matmul(hidden, v_t, out=z)
+        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # e = exp(-|z|)
+        # the logistic's numerator, np.where(z >= 0, 1.0, e): 0 <= e <= 1,
+        # and a NaN e (from a NaN z) stays NaN
+        np.maximum(e, np.greater_equal(z, 0.0, out=nonneg), out=preds)
+        np.divide(preds, np.add(e, 1.0, out=e), out=preds)
+
+    forward()
     for epoch in count(1):
         data_gradients(net, split, at, out=grad)
-        pen = penalty_gradients(weights, penalty)
         # overflow on diverged weights is caught right after by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            weights -= step * (grad + pen)
+            penalty_gradients(weights, penalty, out=pen)
+            np.add(grad, pen, out=grad)
+            np.multiply(grad, step, out=grad)
+            np.subtract(weights, grad, out=weights)  # weights -= step * (grad + pen)
         if masked.size:
             weights[masked] = 0.0
-        at = forward_pass(net, split.examples)
+        forward()
         if not theta_certainly_finite(weights, at, penalty) and not np.isfinite(
             objective(net, split, penalty)
         ):

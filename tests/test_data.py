@@ -435,6 +435,27 @@ class TestSplitInvariants:
             Split(x, c, 2)
 
     @pytest.mark.parametrize(
+        "examples",
+        [
+            np.full((3, 2), 0.5 + 0j),
+            np.full((3, 2), "0.5"),
+            np.full((3, 2), 0.5, dtype=object),
+        ],
+        ids=["complex", "string", "object"],
+    )
+    def test_examples_that_are_not_real_numbers_rejected(self, examples):
+        _, c = split_parts()
+        with pytest.raises(DatasetError, match="real numbers"):
+            Split(examples, c, 2)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.float32, np.float64])
+    def test_real_examples_stored_as_float64(self, dtype):
+        x = np.array([[0, 1], [1, 0], [1, 1]], dtype=dtype)
+        split = Split(x, [0, 1, 1], 2)
+        assert split.examples.dtype == np.float64
+        assert np.array_equal(split.examples, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize(
         "class_indices",
         [
             np.array([0.0, 1.0, 1.0]),

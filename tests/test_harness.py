@@ -106,6 +106,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError):
             parse_config_text("dataset = iris\ndata_path = x\n")
 
+    def test_experiment_config_with_unknown_dataset_rejected(
+        self, cancer_file, tmp_path, shipped_config
+    ):
+        config = shipped_config("cancer1", cancer_file, tmp_path / "out")
+        with pytest.raises(ConfigurationError, match="unknown dataset 'iris'"):
+            replace(config, dataset="iris")
+
     @pytest.mark.parametrize("network", [NetworkConfig(8, 3, 2), NetworkConfig(9, 3, 6)])
     def test_network_that_does_not_fit_the_dataset_rejected(
         self, network, cancer_file, tmp_path, shipped_config
@@ -408,6 +415,14 @@ class TestCli:
     def test_synth_data(self, tmp_path, capsys):
         assert main(["synth-data", "--out", str(tmp_path / "d")]) == 0
         assert (tmp_path / "d" / "breast-cancer-wisconsin.data").is_file()
+
+    def test_export_dot_writes_out(self, tmp_path, capsys):
+        net = init_network(NetworkConfig(2, 1, 1, init_seed=1))
+        net_path, dot_path = tmp_path / "net.json", tmp_path / "net.dot"
+        net_path.write_text(serialize(net), encoding="utf-8")
+        assert main(["export-dot", "--net", str(net_path), "--out", str(dot_path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert dot_path.read_text(encoding="utf-8") == export_dot(net)
 
     def test_train_eval_dot_prune_cycle(self, cancer_file, tmp_path, capsys):
         conf = str(cancer_config(tmp_path / "exp.conf", cancer_file, epochs=200))

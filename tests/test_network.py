@@ -307,6 +307,18 @@ class TestSerialization:
         with pytest.raises(ParseError):
             deserialize("not json at all {")
 
+    @pytest.mark.parametrize("text", ["[]", "3", '"net"', "null"])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(ParseError, match="top-level JSON value must be an object"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("key", ["n", "h", "o"])
+    def test_zero_layer_size_rejected(self, key):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        doc[key] = 0
+        with pytest.raises(ParseError, match="layer sizes must all be >= 1"):
+            deserialize(json.dumps(doc))
+
     def test_inconsistent_activity_rejected(self):
         net = small_net(2, 2, 2)
         doc = json.loads(serialize(net))
@@ -403,4 +415,14 @@ class TestMaskInvariant:
         net.w_mask[0, 0] = False  # not re-applied
         assert net.w[0, 0] != 0.0
         with pytest.raises(ParseError):
+            net.validate()
+
+    @pytest.mark.parametrize("kept", ["w", "v"])
+    def test_validate_catches_inactive_hidden_unit_that_keeps_a_weight(self, kept):
+        net = small_net(2, 2, 2)
+        net.hidden_active[1] = False
+        net.w_mask[1, :] = kept == "w"  # one side of unit 1 stays connected
+        net.v_mask[:, 1] = kept == "v"
+        net.apply_masks()
+        with pytest.raises(ParseError, match="inactive hidden unit still has unmasked weights"):
             net.validate()

@@ -23,7 +23,6 @@ from nnprune import (
 )
 from nnprune.objective import (
     data_gradients,
-    forward_pass,
     penalty_gradients,
     theta_certainly_finite,
 )
@@ -134,7 +133,7 @@ class TestObjective:
     def test_gradient_rejects_evaluation_of_another_batch(self):
         net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
         batch = make_batch(3, 2, 10, seed=8)
-        at = forward_pass(net, batch.examples[:4])
+        at = forward_batch(net, batch.examples[:4])
         with pytest.raises(ShapeError):
             data_gradients(net, batch, at)
 
@@ -142,7 +141,7 @@ class TestObjective:
 BATCH_FUNCTIONS = {
     "objective": lambda net, batch: objective(net, batch, PenaltyParams()),
     "data_gradients": lambda net, batch: data_gradients(
-        net, batch, forward_pass(net, np.zeros((len(batch), net.n_inputs)))
+        net, batch, forward_batch(net, np.zeros((len(batch), net.n_inputs)))
     ),
     "gradients": lambda net, batch: gradients(net, batch, PenaltyParams()),
     "finite_diff_check": lambda net, batch: finite_diff_check(net, batch, PenaltyParams()),
@@ -182,9 +181,9 @@ class TestGradients:
         net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         net.w[1, 2] = 0.0
         batch = make_batch(4, 2, 6, seed=2)
-        unmasked = data_gradients(net, batch, forward_pass(net, batch.examples))
+        unmasked = data_gradients(net, batch, forward_batch(net, batch.examples))
         net.w_mask[1, 2] = False
-        raw = data_gradients(net, batch, forward_pass(net, batch.examples))
+        raw = data_gradients(net, batch, forward_batch(net, batch.examples))
         assert net.views(raw)[0][1, 2] != 0.0
         assert np.array_equal(raw, unmasked)
 
@@ -330,7 +329,7 @@ class TestThetaCertificate:
         split = Split(np.reshape(inputs[: 4 * k], (k, 4)), np.array(classes), 2)
         params = PenaltyParams(eps1=eps1, eps2=eps2, beta=beta)
         with np.errstate(all="ignore"):  # overflow in the passes is the point
-            at = forward_pass(net, split.examples)
+            at = forward_batch(net, split.examples)
             # the check the certificate replaces on the training path
             finite = np.isfinite(objective(net, split, params))
         certified = theta_certainly_finite(net.weights, at, params)  # warnings are errors here
@@ -338,5 +337,38 @@ class TestThetaCertificate:
 
     def test_holds_on_an_ordinary_network(self):
         net = init_network(NetworkConfig(9, 3, 2, init_seed=42))
-        at = forward_pass(net, make_batch(9, 2, 10, seed=42).examples)
+        at = forward_batch(net, make_batch(9, 2, 10, seed=42).examples)
         assert theta_certainly_finite(net.weights, at, PenaltyParams())
+
+    def test_a_nan_output_anywhere_fails_it(self):
+        net = init_network(NetworkConfig(9, 3, 2, init_seed=42))
+        hidden, preds = forward_batch(net, make_batch(9, 2, 10, seed=42).examples)
+        for position in np.ndindex(preds.shape):
+            with_nan = preds.copy()
+            with_nan[position] = math.nan
+            assert not theta_certainly_finite(net.weights, (hidden, with_nan), PenaltyParams())
+
+
+class TestPenaltyGradients:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(WEIGHT, min_size=1, max_size=12),
+        eps1=st.one_of(st.just(0.0), STRENGTH),
+        eps2=st.one_of(st.just(0.0), STRENGTH),
+        beta=STRENGTH,
+    )
+    def test_written_into_out_equals_the_formula(self, weights, eps1, eps2, beta):
+        weights = np.array(weights)
+        params = PenaltyParams(eps1=eps1, eps2=eps2, beta=beta)
+        out = np.full_like(weights, 7.0)
+        with np.errstate(all="ignore"):  # overflow at extreme weights is the point
+            written = penalty_gradients(weights, params, out=out)
+            allocated = penalty_gradients(weights, params)
+            # the reference: the gradient as one expression
+            formula = (
+                eps1 * 2.0 * beta * weights / (1.0 + beta * weights ** 2) ** 2
+                + 2.0 * eps2 * weights
+            )
+        assert written is out
+        assert np.array_equal(written, allocated, equal_nan=True)
+        assert np.array_equal(written, formula, equal_nan=True)

@@ -131,7 +131,7 @@ def resolve_reference(module: str, role: str, target: str) -> object:
 
 def test_docstring_references_resolve():
     references = docstring_references()
-    assert ("nnprune.objective", "func", "forward_pass") in references
+    assert ("nnprune.objective", "func", "theta_certainly_finite") in references
     assert ("nnprune.network", "meth", "views") in references
     unresolved = []
     for module, role, target in references:

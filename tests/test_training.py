@@ -142,46 +142,47 @@ class TestTrain:
         train(net, toy_split(seed=6), TrainParams(0.1, 5), PenaltyParams())
 
     def test_descend_matches_train(self, monkeypatch):
-        passes = []
-
-        def recording(net, inputs):
-            passes.append(forward_batch(net, inputs))
-            return passes[-1]
-
-        # ``nnprune.objective`` names the function; the module is looked up
-        monkeypatch.setattr(
-            importlib.import_module("nnprune.objective"), "forward_batch", recording
-        )
+        seen = workspace_passes(monkeypatch)
         net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         split = toy_split(seed=6)
         stepped = net.copy()
-        epochs = list(islice(descend(stepped, split, 0.1, PenaltyParams()), 5))
+        epochs = []
+        for epoch in islice(descend(stepped, split, 0.1, PenaltyParams()), 5):
+            epochs.append(epoch)
+            # the pass the next epoch differentiates is the updated network's
+            assert pass_equals(stepped, split, seen[-1])
         monkeypatch.undo()
         assert epochs == [1, 2, 3, 4, 5]
+        # one workspace serves every epoch
+        assert all(at[0] is seen[0][0] and at[1] is seen[0][1] for at in seen)
         trained = train(net, split, TrainParams(0.1, 5), PenaltyParams())
         assert np.array_equal(stepped.w, trained.w) and np.array_equal(stepped.v, trained.v)
         # and both equal a loop that runs a fresh pass for every gradient
         expected, _ = reference_train(net, split, 0.1, PenaltyParams(), 5)
         assert np.array_equal(stepped.w, expected.w) and np.array_equal(stepped.v, expected.v)
-        # the pass the next epoch would differentiate is the updated network's
-        hidden, preds = forward_batch(trained, split.examples)
-        assert np.array_equal(passes[-1][0], hidden) and np.array_equal(passes[-1][1], preds)
 
     @pytest.mark.parametrize("epochs", [0, 1, 7])
     def test_one_forward_pass_per_epoch(self, epochs, monkeypatch):
-        calls = []
+        training = importlib.import_module("nnprune.training")
+        real = training.data_gradients
+        fresh = []
 
-        def counting(net, inputs):
-            calls.append(1)
-            return forward_batch(net, inputs)
+        def checking(net, split, at, out=None):
+            fresh.append(pass_equals(net, split, at))
+            return real(net, split, at, out=out)
 
+        def forbidden(net, inputs):
+            raise AssertionError("descend ran forward_batch")
+
+        monkeypatch.setattr(training, "data_gradients", checking)
         # ``nnprune.objective`` names the function; the module is looked up
         for module in ("nnprune.objective", "nnprune.network"):
-            monkeypatch.setattr(importlib.import_module(module), "forward_batch", counting)
+            monkeypatch.setattr(importlib.import_module(module), "forward_batch", forbidden)
         net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
-        # descend is lazy: zero epochs start no pass
-        assert len(calls) == (epochs + 1 if epochs else 0)
+        # every gradient differentiates the pass of the weights it steps, and
+        # no pass goes through forward_batch
+        assert fresh == [True] * epochs
 
     def test_never_evaluates_theta(self, monkeypatch):
         def forbidden(*args):
@@ -211,6 +212,27 @@ class TestTrain:
         assert accuracy(net, one) in (0.0, 1.0)
 
 
+def pass_equals(net, split, at) -> bool:
+    """Whether ``at`` is bit for bit ``forward_batch`` of ``net`` on ``split``."""
+    hidden, preds = forward_batch(net, split.examples)
+    return np.array_equal(at[0], hidden) and np.array_equal(at[1], preds)
+
+
+def workspace_passes(monkeypatch) -> list:
+    """The ``(hidden, preds)`` pairs ``descend`` hands its divergence check,
+    one per epoch, as they are: its workspace buffers."""
+    training = importlib.import_module("nnprune.training")
+    real = training.theta_certainly_finite
+    seen = []
+
+    def recording(weights, at, params):
+        seen.append(at)
+        return real(weights, at, params)
+
+    monkeypatch.setattr(training, "theta_certainly_finite", recording)
+    return seen
+
+
 def reference_train(net, split, lr, penalty, epochs):
     """Training with theta evaluated after every update.
 
@@ -229,6 +251,16 @@ def reference_train(net, split, lr, penalty, epochs):
     return net, None
 
 
+def reference_retrain(net, train_split, val_split, lr, penalty, floor, max_epochs):
+    """``retrain`` as one :func:`reference_train` epoch at a time, scoring
+    after each, until the floor is met or the epochs run out."""
+    score, epochs = accuracy(net, val_split), 0
+    while score < floor and epochs < max_epochs:
+        net, _ = reference_train(net, train_split, lr, penalty, 1)
+        score, epochs = accuracy(net, val_split), epochs + 1
+    return net, score >= floor, score
+
+
 # networks shaped like the three benchmarks on their split-seed-1 training
 # splits (k = 350, 384, 107): (bundle, n, h, o, seed, pruned)
 BENCHMARK_SHAPES = [
@@ -241,7 +273,9 @@ BENCHMARK_SHAPES = [
 
 class TestPackedEpochs:
     @pytest.mark.parametrize("bundle,n,h,o,seed,pruned", BENCHMARK_SHAPES)
-    def test_bit_identical_to_reference(self, bundle, n, h, o, seed, pruned, request):
+    def test_bit_identical_to_reference(
+        self, bundle, n, h, o, seed, pruned, request, monkeypatch
+    ):
         split = request.getfixturevalue(f"{bundle}_bundle").train
         net = init_network(NetworkConfig(n, h, o, init_seed=seed))
         if pruned:
@@ -254,10 +288,13 @@ class TestPackedEpochs:
             net.apply_masks()
         penalty = PenaltyParams()
         stepped = net.copy()
-        for _ in islice(descend(stepped, split, 0.1, penalty), 50):
+        seen = workspace_passes(monkeypatch)
+        for _ in islice(descend(stepped, split, 0.1, penalty), 3000):
             assert np.all(stepped.w[~stepped.w_mask] == 0.0)
             assert np.all(stepped.v[~stepped.v_mask] == 0.0)
-        expected, diverged = reference_train(net, split, 0.1, penalty, 50)
+            assert pass_equals(stepped, split, seen[-1])
+        monkeypatch.undo()
+        expected, diverged = reference_train(net, split, 0.1, penalty, 3000)
         assert diverged is None
         assert np.array_equal(stepped.w, expected.w) and np.array_equal(stepped.v, expected.v)
         stepped.validate()
@@ -292,11 +329,17 @@ class TestEpochContract:
 
             monkeypatch.setattr(module, name, counting)
 
+        class CountingErrstate(np.errstate):
+            def __enter__(self):
+                calls["errstate"] += 1
+                return super().__enter__()
+
         training = importlib.import_module("nnprune.training")
         count_calls(training, "data_gradients")
         count_calls(training, "penalty_gradients")
         # ``nnprune.objective`` names the function; the module is looked up
         count_calls(importlib.import_module("nnprune.objective"), "forward_batch")
+        monkeypatch.setattr(np, "errstate", CountingErrstate)
         net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
         net.w_mask[0, 1] = False
         net.apply_masks()
@@ -308,8 +351,10 @@ class TestEpochContract:
                 floor=1.0, max_epochs=epochs,
             )
             assert met is False and score < 1.0
+        # the benchmark counts the gradient calls; the pass runs in descend's
+        # workspace, and one floating-point error block covers each update
         assert calls == {
-            "data_gradients": epochs, "penalty_gradients": epochs, "forward_batch": epochs + 1
+            "data_gradients": epochs, "penalty_gradients": epochs, "errstate": epochs
         }
 
 
@@ -428,6 +473,18 @@ class TestRetrain:
         assert met is True
         assert out.w[m, l] == 0.0
         assert_decided_by(out, split, met, score, floor)
+
+    @pytest.mark.parametrize("floor", [0.9, 1.0])  # met after some epochs, and never met
+    def test_bit_identical_to_reference(self, floor, cancer_bundle):
+        net = init_network(NetworkConfig(9, 3, 2, init_seed=31))
+        net.w_mask[0, 2] = net.v_mask[1, 0] = False
+        net.apply_masks()
+        args = (cancer_bundle.train, cancer_bundle.validation, 0.1, PenaltyParams(), floor, 300)
+        out, met, score = retrain(net, *args)
+        expected, expected_met, expected_score = reference_retrain(net, *args)
+        assert np.array_equal(out.weights, expected.weights)
+        assert (met, score) == (expected_met, expected_score)
+        assert met == (floor < 1.0) and not np.array_equal(out.weights, net.weights)
 
     def test_empty_training_split_rejected(self):
         # an empty split cannot be built, so retrain never trains on one
