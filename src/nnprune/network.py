@@ -13,6 +13,7 @@ in the same packed layout, so one elementwise operation covers every weight.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,33 +161,48 @@ def init_network(config: NetworkConfig) -> Network:
     )
 
 
-def logistic(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic 1 / (1 + exp(-z)).
-
-    With e = exp(-|z|), which never overflows, z >= 0 gives 1 / (1 + e) and
-    z < 0 gives e / (1 + e) = exp(z) / (1 + exp(z)).  The numerator (1 or e)
-    is selected elementwise and divided once; there is no boolean indexing,
-    whose per-call cost dominates at these array sizes.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
 def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forward pass over a batch: returns (hidden [k, h], output [k, o]).
 
     hidden[i, m] = tanh(sum_l inputs[i, l] * w[m, l]);
     output[i, p] = logistic(sum_m hidden[i, m] * v[p, m]).
+
+    The logistic 1 / (1 + exp(-z)) is taken in its numerically stable form:
+    with e = exp(-|z|), which never overflows, z >= 0 gives 1 / (1 + e) and
+    z < 0 gives e / (1 + e) = exp(z) / (1 + exp(z)).  The numerator (1 or
+    e) is selected by one maximum, with no boolean indexing.  Training
+    runs the same kernel, :func:`_forward_kernel`, into buffers of its own.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != net.n_inputs:
         raise ShapeError(
             f"batch has shape {inputs.shape}, expected (k, {net.n_inputs})"
         )
-    hidden = np.tanh(inputs @ net.w.T)
-    output = logistic(hidden @ net.v.T)
-    return hidden, output
+    run, at = _forward_kernel(net, inputs)
+    run()
+    return at
+
+
+def _forward_kernel(net: Network, inputs: np.ndarray) -> tuple[Callable[[], None], tuple]:
+    """Bind the forward pass of ``net`` on ``inputs`` to buffers allocated
+    once: returns a function that writes the pass of the current weights
+    (updated in place) into ``(hidden [k, h], output [k, o])``, and that pair.
+    """
+    k, o = len(inputs), net.n_outputs
+    w_t, v_t = net.w.T, net.v.T
+    hidden, output, e = np.empty((k, net.n_hidden)), np.empty((k, o)), np.empty((k, o))
+    nonneg = np.empty((k, o), dtype=bool)
+
+    def run() -> None:
+        np.tanh(np.matmul(inputs, w_t, out=hidden), out=hidden)
+        z = np.matmul(hidden, v_t, out=output)
+        np.greater_equal(z, 0.0, out=nonneg)
+        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # e = exp(-|z|)
+        # 1 where z >= 0, else e, as 0 <= e <= 1; a NaN e stays NaN
+        np.maximum(e, nonneg, out=output)
+        np.divide(output, np.add(e, 1.0, out=e), out=output)
+
+    return run, (hidden, output)
 
 
 def classify_batch(net: Network, inputs: np.ndarray) -> np.ndarray:

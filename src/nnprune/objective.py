@@ -19,10 +19,10 @@ or class count does not fit the network (:func:`check_batch`, which
 :func:`~nnprune.training.accuracy` shares).
 
 The data gradient differentiates the ``(hidden, preds)`` pair of a forward
-pass already run: :func:`~nnprune.network.forward_batch`'s, or the
-trainer's own pass into buffers it keeps across epochs (see
-:func:`~nnprune.training.descend`).  :func:`objective` returns theta
-alone.  A training epoch needs theta only to detect divergence, so it asks
+pass already run: :func:`~nnprune.network.forward_batch`'s, or the same
+pass that :func:`~nnprune.training.descend` runs into buffers it keeps
+across epochs.  :func:`objective` returns theta alone.  A training epoch
+needs theta only to detect divergence, so it asks
 :func:`theta_certainly_finite`, which proves theta finite from the pass
 and the weights without computing it, and falls back to :func:`objective`
 only when that proof fails.

@@ -13,22 +13,21 @@ loss and penalty).
 :func:`descend` is the one training loop.  It steps the packed vector
 ``net.weights`` and reads the masks once, into the positions of the
 masked weights in that vector.  It owns a workspace, allocated once per
-descent: the forward pass's buffers and the two gradient vectors.  Each
+descent: the two gradient vectors and the buffers of the forward pass,
+which it runs with :func:`~nnprune.network.forward_batch`'s kernel.  Each
 epoch does each elementwise step once for all weights: it takes the data
 gradient and the penalty gradient into the workspace, both raw, makes the
 descent step in place (one floating-point error block covers the penalty
 and the step), pins the masked weights back to 0.0 (the only place a step
 enforces masks; skipped when nothing is masked) and runs the forward pass
 of the updated network into the workspace, which the next epoch
-differentiates.  That pass is :func:`~nnprune.network.forward_batch`'s,
-operation for operation, so its outputs are bit-identical; each epoch runs
-one, and the loop runs one more before its first epoch.  Theta itself is
-not computed: divergence is detected by
+differentiates; the loop runs one more pass before its first epoch.
+Theta itself is not computed: divergence is detected by
 :func:`~nnprune.objective.theta_certainly_finite`, a cheap proof from the
 new weights and outputs that theta is finite, and only when that proof
-fails is theta computed with
-:func:`~nnprune.objective.objective`; a non-finite theta raises
-DivergenceError at the same epoch as evaluating it every epoch would.
+fails is theta computed with :func:`~nnprune.objective.objective`; a
+non-finite theta raises DivergenceError at the same epoch as evaluating
+it every epoch would.
 :func:`train` takes a fixed number of its epochs, :func:`retrain` takes
 epochs until a validation-accuracy floor is met and returns the deciding
 score, and ``nnprune train`` iterates it directly, evaluating theta for its
@@ -46,7 +45,7 @@ import numpy as np
 
 from .data import Split
 from .errors import DivergenceError, check_float, check_int
-from .network import Network, classify_batch
+from .network import Network, _forward_kernel, classify_batch
 from .objective import (
     PenaltyParams,
     check_batch,
@@ -85,24 +84,7 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
     weights = net.weights
     masked = np.flatnonzero(~net.mask)
     grad, pen = np.empty_like(weights), np.empty_like(weights)
-    # forward_batch's pass, run into buffers kept across epochs; the weight
-    # views stay valid because every update is in place
-    x, w_t, v_t = split.examples, net.w.T, net.v.T
-    k, o = len(split), net.n_outputs
-    hidden = np.empty((k, net.n_hidden))
-    z, e, preds = np.empty((k, o)), np.empty((k, o)), np.empty((k, o))
-    nonneg = np.empty((k, o), dtype=bool)
-    at = hidden, preds
-
-    def forward() -> None:
-        np.tanh(np.matmul(x, w_t, out=hidden), out=hidden)
-        np.matmul(hidden, v_t, out=z)
-        np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # e = exp(-|z|)
-        # the logistic's numerator, np.where(z >= 0, 1.0, e): 0 <= e <= 1,
-        # and a NaN e (from a NaN z) stays NaN
-        np.maximum(e, np.greater_equal(z, 0.0, out=nonneg), out=preds)
-        np.divide(preds, np.add(e, 1.0, out=e), out=preds)
-
+    forward, at = _forward_kernel(net, split.examples)
     forward()
     for epoch in count(1):
         data_gradients(net, split, at, out=grad)

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nnprune import (
@@ -54,6 +55,18 @@ def shipped_config(name, data_path, output_dir, split_seeds=None) -> ExperimentC
     if split_seeds is not None:
         config = replace(config, split_seeds=tuple(split_seeds))
     return config
+
+
+def masked_logistic(z: np.ndarray) -> np.ndarray:
+    """The boolean-mask form of the stable logistic: the tests' reference
+    for the output stage of the forward pass, written apart from the
+    package's one kernel."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="unknown dataset 'iris'"):
             replace(config, dataset="iris")
 
+    def test_experiment_config_without_split_seeds_rejected(
+        self, cancer_file, tmp_path, shipped_config
+    ):
+        config = shipped_config("cancer1", cancer_file, tmp_path / "out")
+        with pytest.raises(ConfigurationError, match="at least one split seed is required"):
+            replace(config, split_seeds=())
+
     @pytest.mark.parametrize("network", [NetworkConfig(8, 3, 2), NetworkConfig(9, 3, 6)])
     def test_network_that_does_not_fit_the_dataset_rejected(
         self, network, cancer_file, tmp_path, shipped_config

@@ -6,6 +6,10 @@ import accuracy`` in ``nnprune.pruning``), an unused import also means that
 the call site it served is gone.  ``from __future__`` imports are
 directives, so they are exempt.  ``__init__.py`` imports only to re-export,
 so there the rule is that its imports and ``__all__`` name the same names.
+
+The forward pass is stated once, in ``nnprune.network``: no other module
+of the package calls ``np.tanh`` or ``np.exp``, so a second copy of the
+pass cannot appear beside it.
 """
 
 from __future__ import annotations
@@ -78,3 +82,39 @@ def test_package_exports_what_it_imports():
     ]
     assert len(exported) > 40
     assert sorted(imported_names(tree)) == sorted(exported)
+
+
+def pass_arithmetic(source: str) -> list[str]:
+    """The ``np.tanh`` and ``np.exp`` references of ``source`` as
+    ``"<line>: np.<name>"``, in source order."""
+    refs = [
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("tanh", "exp")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "np"
+    ]
+    return [f"{line}: np.{name}" for line, _, name in sorted(refs)]
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("import numpy as np\nnp.tanh(np.zeros(1))\n", ["2: np.tanh"]),
+        ("np.exp(np.negative(z, out=e), out=e)\n", ["1: np.exp"]),
+        ("f = np.exp\ny = np.tanh(f(1.0))\n", ["1: np.exp", "2: np.tanh"]),
+        ("import math\nmath.exp(1.0)\nnp.expm1(1.0)\nnp.log(2.0)\n", []),
+    ],
+)
+def test_pass_arithmetic_finds_tanh_and_exp(source, found):
+    assert pass_arithmetic(source) == found
+
+
+def test_only_network_states_the_forward_pass():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = {p.name: pass_arithmetic(p.read_text(encoding="utf-8")) for p in modules}
+    assert {name: refs for name, refs in found.items() if refs and name != "network.py"} == {}
+    # and the check still sees the pass where it is stated
+    assert {ref.split()[1] for ref in found["network.py"]} == {"np.tanh", "np.exp"}

@@ -19,7 +19,8 @@ from nnprune import (
     init_network,
     serialize,
 )
-from nnprune.network import logistic
+
+from conftest import masked_logistic
 
 # independently derived by scalar evaluation: tanh(1) and 1/(1+exp(-tanh(1)))
 TANH_1 = 0.7615941559557649
@@ -158,20 +159,14 @@ class TestForward:
             assert np.array_equal(forward_one(net, x)[1], forward_one(net, y)[1])
 
 
-def masked_logistic(z: np.ndarray) -> np.ndarray:
-    """The boolean-mask form of the stable logistic, kept as the reference."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308]
 
 
 class TestLogistic:
+    """The output stage of the pass, read through ``forward_batch`` on a
+    1-1-o network whose hidden unit saturates to exactly 1.0, so that output
+    p is the logistic of ``v[p, 0]`` itself."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(
@@ -188,12 +183,16 @@ class TestLogistic:
     def test_bit_identical_to_masked_form(self, values):
         z = np.array(values, dtype=np.float64)
         expected = masked_logistic(z)
+        net = small_net(1, 1, len(z))
+        net.w[0, 0] = 20.0  # tanh(20) rounds to 1.0
+        net.v[:, 0] = z
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning from exp or the divisions
-            got = logistic(z)
+            hidden, output = forward_one(net, [1.0])
+        assert hidden[0] == 1.0
         nan = np.isnan(expected)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+        assert np.array_equal(np.isnan(output), nan)
+        assert np.array_equal(output[~nan].view(np.int64), expected[~nan].view(np.int64))
 
 
 class TestClassify:

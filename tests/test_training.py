@@ -17,13 +17,14 @@ from nnprune import (
     TrainParams,
     accuracy,
     descend,
-    forward_batch,
     gradients,
     init_network,
     objective,
     retrain,
     train,
 )
+
+from conftest import masked_logistic
 
 
 def toy_split(n=4, o=2, k=30, seed=0) -> Split:
@@ -213,8 +214,10 @@ class TestTrain:
 
 
 def pass_equals(net, split, at) -> bool:
-    """Whether ``at`` is bit for bit ``forward_batch`` of ``net`` on ``split``."""
-    hidden, preds = forward_batch(net, split.examples)
+    """Whether ``at`` is bit for bit the forward pass of ``net`` on ``split``,
+    as plain numpy computes it apart from the package's kernel."""
+    hidden = np.tanh(split.examples @ net.w.T)
+    preds = masked_logistic(hidden @ net.v.T)
     return np.array_equal(at[0], hidden) and np.array_equal(at[1], preds)
 
 
