@@ -67,8 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = command("run", _cmd_run, "run an experiment from a config file")
     p_run.add_argument("--config", required=True, type=Path)
-    # seeds run one after another; --jobs accepts only 1, which the benchmark
-    # workload passes, and goes with ROADMAP item 1
+    # one process trains every split seed's networks in lockstep; --jobs
+    # accepts only 1, which the benchmark workload passes, and goes with
+    # ROADMAP item 3
     p_run.add_argument("--jobs", type=int, choices=(1,), default=1, help=argparse.SUPPRESS)
     p_run.add_argument("--out", type=Path, default=None, help="override output_dir")
 

@@ -237,8 +237,13 @@ class ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run every split seed, write per-seed artifacts, return the report.
 
-    Per-seed networks and traces are persisted as soon as each seed
-    finishes, so partial results survive a failure part-way through.
+    Loads every seed's bundle and trains its first reference, then runs the
+    seeds' growth and pruning together (``grow_and_prune.each``), which
+    trains their networks in lockstep.  A seed's networks and trace are
+    written as soon as it finishes, so seeds write in the order they finish;
+    the report, in seed order, is written last.  A failure part-way through
+    ends every seed: the report and the files then hold the seeds that
+    finished before it, and none of the others.
     """
     out = Path(config.output_dir)
     (out / "networks").mkdir(parents=True, exist_ok=True)
@@ -246,15 +251,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     rows: dict[int, GrowPruneReport] = {}
     try:
+        runs = {}
         for seed in config.split_seeds:
             bundle = load_bundle(config.data_path, config.spec, seed)
             base = replace(config.network, init_seed=derived_seed(config.network.init_seed, seed))
             reference = train(
                 init_network(reference_config(base, 0)), bundle.train, config.train, config.penalty
             )
-            pruned_net, trace, result, full_net = grow_and_prune(
-                bundle, reference, base, config.train, config.penalty, config.prune
-            )
+            runs[seed] = (bundle, reference, base)
+        finished = grow_and_prune.each(runs, config.train, config.penalty, config.prune)
+        for seed, (pruned_net, trace, result, full_net) in finished:
             (out / "networks" / f"full_seed{seed}.json").write_text(
                 serialize(full_net) + "\n", encoding="utf-8"
             )

@@ -28,8 +28,9 @@ and the weights without computing it, and falls back to :func:`objective`
 only when that proof fails.
 
 A gradient is one vector in the packed layout of ``net.weights``, which
-:func:`data_gradients` and :func:`penalty_gradients` can write into across
-epochs; :func:`penalty_gradients` and :func:`theta_certainly_finite` take
+:func:`penalty_gradients` can write into across epochs, and
+:func:`data_gradients` through its ``w``/``v`` views, bound once;
+:func:`penalty_gradients` and :func:`theta_certainly_finite` take
 any array of weights, elementwise, and :func:`penalty_gradients` leaves
 the floating-point error state to its callers.  Both gradients leave
 masked entries raw (the trainer pins masked weights after its update);
@@ -77,9 +78,9 @@ class PenaltyParams:
 def check_batch(net: Network, batch: Split) -> None:
     """Raise ShapeError unless ``batch`` has one attribute per input of
     ``net`` and one class per output."""
-    if (batch.examples.shape[1], batch.n_classes) != (net.n_inputs, net.n_outputs):
+    if (batch.examples.shape[-1], batch.n_classes) != (net.n_inputs, net.n_outputs):
         raise ShapeError(
-            f"batch of {batch.examples.shape[1]} attributes and {batch.n_classes} classes "
+            f"batch of {batch.examples.shape[-1]} attributes and {batch.n_classes} classes "
             f"does not fit a network of {net.n_inputs} inputs and {net.n_outputs} outputs"
         )
 
@@ -146,6 +147,13 @@ def theta_certainly_finite(
       the largest double.
 
     A NaN or infinite weight makes S non-finite and the check False.
+
+    One call covers a :class:`~nnprune.network.NetworkStack` and its
+    pass, arrays with a leading stack axis: True then means theta is
+    finite for every row.  Each row's S, N and output count are at most the
+    stack's totals, and its bound is a sum of non-negative terms in them,
+    so the stack's bound dominates every row's; a NaN output of any row
+    makes the stack's output sum NaN.
     """
     _, preds = at
     # a Python float: arithmetic on an overflowed S gives inf without a numpy warning
@@ -166,14 +174,20 @@ def data_gradients(
     net: Network,
     batch: Split,
     at: tuple[np.ndarray, np.ndarray],
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
     ``at`` must be the ``(hidden, preds)`` pass of ``net`` over
     ``batch.examples`` for its current weights; it is differentiated, no
-    pass is run here.  The gradient, in the layout of ``net.weights``, is
-    written into ``out`` when given, else into new storage, and returned.
+    pass is run here.  The gradient is returned in the layout of
+    ``net.weights``; a caller that writes it into one array across epochs
+    passes that array's ``net.views`` as ``out``, bound once, and gets them
+    back.  ``net`` and ``batch`` may be a
+    :class:`~nnprune.network.NetworkStack` and the
+    :class:`~nnprune.data.SplitStack` of its rows' splits: every array then
+    has a leading stack axis, and each row is, bit for bit, the gradient of
+    that network on its own split.
     """
     check_batch(net, batch)
     hidden, preds = at
@@ -181,16 +195,19 @@ def data_gradients(
         raise ShapeError(
             f"evaluation outputs {preds.shape} do not match targets {batch.targets.shape}"
         )
-    grad = np.empty_like(net.weights) if out is None else out
-    d_w, d_v = net.views(grad)
-    d_out = preds - batch.targets        # dF/d(pre-logistic), [k, o]
-    np.matmul(d_out.T, hidden, out=d_v)  # [o, h]
-    slope = hidden ** 2                  # tanh' = 1 - hidden^2, [k, h]
+    if out is None:
+        grad = np.empty_like(net.weights)
+        d_w, d_v = net.views(grad)
+    else:
+        d_w, d_v = out
+    d_out = preds - batch.targets                     # dF/d(pre-logistic), [k, o]
+    np.matmul(d_out.swapaxes(-1, -2), hidden, out=d_v)  # [o, h]
+    slope = hidden ** 2                               # tanh' = 1 - hidden^2, [k, h]
     np.subtract(1.0, slope, out=slope)
     d_hidden = d_out @ net.v
     d_hidden *= slope
-    np.matmul(d_hidden.T, batch.examples, out=d_w)  # [h, n]
-    return grad
+    np.matmul(d_hidden.swapaxes(-1, -2), batch.examples, out=d_w)  # [h, n]
+    return grad if out is None else out
 
 
 def penalty_gradients(

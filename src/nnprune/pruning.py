@@ -18,12 +18,16 @@ hidden units and inputs left with no unmasked connections and provably
 leaves the network function unchanged.  The growth loop wraps this: it
 starts from one hidden unit and adds units until the simplified network
 is acceptable, restarting from fresh weights when generalization fails.
+It is written as a coroutine that hands out every fully connected network
+it needs trained, so that ``grow_and_prune.each`` can step the runs of
+many bundles together and train their waiting networks in lockstep.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Generator, Hashable, Iterator, Mapping
 from dataclasses import asdict, dataclass, field, replace
 from itertools import count
 
@@ -373,7 +377,70 @@ def grow_and_prune(
     the first), flagged ``converged=False`` when no attempt fully
     succeeded.  The report's ``pruned_validation_accuracy`` is the score
     that decided acceptance against the floor.
+
+    This is ``grow_and_prune.each``, which runs many bundles in lockstep
+    (:func:`_lockstep`), over the one bundle.
     """
+    ((_, result),) = grow_and_prune.each(
+        {None: (bundle, reference, base_config)}, tparams, penalty, params
+    )
+    return result
+
+
+def _lockstep(
+    runs: Mapping[Hashable, tuple[DatasetBundle, Network, NetworkConfig]],
+    tparams: TrainParams,
+    penalty: PenaltyParams,
+    params: PruneParams,
+) -> Iterator[tuple[Hashable, tuple[Network, PruneTrace, GrowPruneReport, Network]]]:
+    """:func:`grow_and_prune` of every run, its networks trained in lockstep.
+
+    ``runs`` maps a key to the ``(bundle, reference, base_config)`` of one
+    run.  Yields each key with its run's result as the run finishes.  Every
+    run is stepped until it waits for a fully connected network to be
+    trained; of the waiting networks, those of one shape on training
+    splits of one size are trained in one stacked :func:`train` call, the
+    largest such group first and, among equal groups, the one of fewer
+    hidden units.  Each result is bit for bit that of :func:`grow_and_prune`
+    on the run alone; the order changes only the speed.  An error raised
+    by a run, or by a stacked call, ends every run.
+    """
+    growths = {key: _growth(*run, tparams, penalty, params) for key, run in runs.items()}
+    splits = {key: bundle.train for key, (bundle, _, _) in runs.items()}
+    waiting: dict[Hashable, Network] = {}  # the network each run waits to have trained
+    trained: dict[Hashable, Network | None] = dict.fromkeys(growths)
+    while trained:
+        for key, net in trained.items():
+            try:
+                waiting[key] = growths[key].send(net)
+            except StopIteration as finished:
+                yield key, finished.value
+        groups: dict[tuple, list[Hashable]] = {}
+        for key, net in waiting.items():
+            shape = (net.n_hidden, net.n_inputs, net.n_outputs, len(splits[key]))
+            groups.setdefault(shape, []).append(key)
+        if not groups:
+            return
+        _, keys = max(groups.items(), key=lambda group: (len(group[1]), -group[0][0]))
+        pending = [waiting.pop(key) for key in keys]
+        trained = dict(zip(keys, train(pending, [splits[key] for key in keys], tparams, penalty)))
+
+
+# the lockstep form is reached through grow_and_prune, the one name its callers import
+grow_and_prune.each = _lockstep
+
+
+def _growth(
+    bundle: DatasetBundle,
+    reference: Network,
+    base_config: NetworkConfig,
+    tparams: TrainParams,
+    penalty: PenaltyParams,
+    params: PruneParams,
+) -> Generator[Network, Network, tuple[Network, PruneTrace, GrowPruneReport, Network]]:
+    """:func:`grow_and_prune` as a coroutine: it yields every fully
+    connected network it needs trained on ``bundle.train``, is sent that
+    network trained, and returns the result."""
     initial = f"{base_config.n_inputs}-{base_config.n_hidden}-{base_config.n_outputs}"
     given = f"{reference.n_inputs}-{reference.n_hidden}-{reference.n_outputs}"
     if given != initial:
@@ -383,9 +450,7 @@ def grow_and_prune(
 
     for restart in range(params.max_restarts):
         if restart:
-            reference = train(
-                init_network(reference_config(base_config, restart)), bundle.train, tparams, penalty
-            )
+            reference = yield init_network(reference_config(base_config, restart))
         baseline_val = accuracy(reference, bundle.validation)
         full_test = accuracy(reference, bundle.test)
         val_floor = params.floor(baseline_val)
@@ -395,7 +460,7 @@ def grow_and_prune(
             config_h = replace(
                 base_config, n_hidden=h, init_seed=derived_seed(base_config.init_seed, restart, h)
             )
-            net = train(init_network(config_h), bundle.train, tparams, penalty)
+            net = yield init_network(config_h)
             net, trace, pruned_val = eliminate_weights(
                 net, bundle, tparams.learning_rate, penalty, params, val_floor
             )

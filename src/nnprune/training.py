@@ -13,8 +13,9 @@ loss and penalty).
 :func:`descend` is the one training loop.  It steps the packed vector
 ``net.weights`` and reads the masks once, into the positions of the
 masked weights in that vector.  It owns a workspace, allocated once per
-descent: the two gradient vectors and the buffers of the forward pass,
-which it runs with :func:`~nnprune.network.forward_batch`'s kernel.  Each
+descent: the two gradient vectors, bound once to their ``w``/``v`` views
+for the data gradient, and the buffers of the forward pass, which it runs
+with :func:`~nnprune.network.forward_batch`'s kernel.  Each
 epoch does each elementwise step once for all weights: it takes the data
 gradient and the penalty gradient into the workspace, both raw, makes the
 descent step in place (one floating-point error block covers the penalty
@@ -32,20 +33,32 @@ it every epoch would.
 epochs until a validation-accuracy floor is met and returns the deciding
 score, and ``nnprune train`` iterates it directly, evaluating theta for its
 ``--trace`` rows only.
+
+Independent networks of one shape, on splits of one size, train in
+lockstep: :func:`train` given parallel sequences steps them as one
+:class:`~nnprune.network.NetworkStack` on one
+:class:`~nnprune.data.SplitStack`, through the same loop, whose every
+array then has a leading stack axis.  At these sizes an epoch's time is
+mostly per-call overhead, not arithmetic, so an epoch of five networks
+costs about as much as two or three epochs of one.  Each row is bit for
+bit the network trained alone, and the stack raises DivergenceError at
+the first epoch at which some row's theta is non-finite, the epoch that
+row raises at alone.  One network, a :class:`~nnprune.network.Network` on
+a :class:`~nnprune.data.Split`, is the same loop with no stack axis.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import count, islice
 
 import numpy as np
 
-from .data import Split
-from .errors import DivergenceError, check_float, check_int
-from .network import Network, _forward_kernel, classify_batch
+from .data import Split, SplitStack
+from .errors import DivergenceError, ShapeError, check_float, check_int
+from .network import Network, NetworkStack, _forward_kernel, classify_batch
 from .objective import (
     PenaltyParams,
     check_batch,
@@ -68,7 +81,9 @@ class TrainParams:
         check_int("epochs", self.epochs, 0)
 
 
-def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> Iterator[int]:
+def descend(
+    net: Network | NetworkStack, split: Split | SplitStack, lr: float, penalty: PenaltyParams
+) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
     Runs nothing until the first ``next``, which reads the masks of
@@ -78,16 +93,23 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
     applies the update and the masks once, and runs one forward pass of the
     updated network into the workspace.  Raises DivergenceError naming the
     epoch if the objective becomes non-finite.
+
+    ``net`` may be a :class:`~nnprune.network.NetworkStack` and ``split``
+    the :class:`~nnprune.data.SplitStack` of its rows' splits, of one size:
+    every array of the workspace then has a leading stack axis, each row
+    steps bit for bit as that network would alone, and the first epoch at
+    which some row's objective becomes non-finite raises.
     """
     check_float("lr", lr, 0, math.inf)
     step = lr / len(split)
     weights = net.weights
-    masked = np.flatnonzero(~net.mask)
+    masked, flat = np.flatnonzero(~net.mask), weights.reshape(-1)
     grad, pen = np.empty_like(weights), np.empty_like(weights)
+    grad_views = net.views(grad)
     forward, at = _forward_kernel(net, split.examples)
     forward()
     for epoch in count(1):
-        data_gradients(net, split, at, out=grad)
+        data_gradients(net, split, at, out=grad_views)
         # overflow on diverged weights is caught right after by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
             penalty_gradients(weights, penalty, out=pen)
@@ -95,13 +117,21 @@ def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> It
             np.multiply(grad, step, out=grad)
             np.subtract(weights, grad, out=weights)  # weights -= step * (grad + pen)
         if masked.size:
-            weights[masked] = 0.0
+            flat[masked] = 0.0
         forward()
-        if not theta_certainly_finite(weights, at, penalty) and not np.isfinite(
-            objective(net, split, penalty)
+        if not theta_certainly_finite(weights, at, penalty) and not all(
+            np.isfinite(objective(row, row_split, penalty))
+            for row, row_split in _rows(net, split)
         ):
             raise DivergenceError(f"objective became non-finite at epoch {epoch}")
         yield epoch
+
+
+def _rows(net: Network | NetworkStack, split: Split | SplitStack) -> Iterable[tuple]:
+    """The ``(network, split)`` pair of every row of a stack, else the one pair."""
+    if isinstance(net, NetworkStack):
+        return zip(net.rows(), split.splits)
+    return ((net, split),)
 
 
 def accuracy(net: Network, split: Split) -> float:
@@ -117,20 +147,34 @@ def accuracy(net: Network, split: Split) -> float:
 
 
 def train(
-    net: Network,
-    split: Split,
+    net: Network | Sequence[Network],
+    split: Split | Sequence[Split],
     tparams: TrainParams,
     penalty: PenaltyParams,
-) -> Network:
+) -> Network | list[Network]:
     """Run exactly ``tparams.epochs`` updates; returns the trained copy.
 
+    ``net`` and ``split`` may be parallel sequences instead: networks of
+    one shape and splits of one size, trained in lockstep as one
+    :class:`~nnprune.network.NetworkStack` on one
+    :class:`~nnprune.data.SplitStack`, one :func:`descend` epoch for all
+    of them at a time.  The trained copies are returned as a list, each
+    bit for bit the copy that training it alone returns.
+
     Deterministic given its inputs.  Raises DivergenceError naming the
-    epoch if the objective becomes non-finite.
+    first epoch at which the objective of a network becomes non-finite.
     """
-    net = net.copy()
-    for _ in islice(descend(net, split, tparams.learning_rate, penalty), tparams.epochs):
+    if isinstance(net, Network):
+        stack, batch = net.copy(), split
+    else:
+        stack, batch = NetworkStack(net), SplitStack(split)
+        if len(stack.networks) != len(batch.splits):
+            raise ShapeError(
+                f"{len(stack.networks)} networks but {len(batch.splits)} splits to train them on"
+            )
+    for _ in islice(descend(stack, batch, tparams.learning_rate, penalty), tparams.epochs):
         pass
-    return net
+    return stack if isinstance(net, Network) else stack.rows()
 
 
 def retrain(

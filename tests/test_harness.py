@@ -10,6 +10,7 @@ import pytest
 from nnprune import (
     ConfigurationError,
     DivergenceError,
+    Network,
     NetworkConfig,
     PenaltyParams,
     PruneParams,
@@ -315,9 +316,14 @@ def cut_down_config(cancer_file, tmp_path):
 
 def test_no_network_is_trained_twice(cancer_file, tmp_path, monkeypatch):
     trained = []  # every network handed to train, serialized
+    stacks = []  # how many networks each stacked call trained
     for module in (harness, pruning):
         def recording(net, *args, _train=module.train, **kwargs):
-            trained.append(serialize(net))
+            if isinstance(net, Network):
+                trained.append(serialize(net))
+            else:  # a stacked call: record every network of it
+                trained.extend(serialize(one) for one in net)
+                stacks.append(len(net))
             return _train(net, *args, **kwargs)
 
         monkeypatch.setattr(module, "train", recording)
@@ -338,6 +344,7 @@ def test_no_network_is_trained_twice(cancer_file, tmp_path, monkeypatch):
         for restart in range(config.prune.max_restarts)
     }
     assert sum(net in references for net in trained) == attempts
+    assert max(stacks) == len(rows)  # the split seeds' first growth networks train as one
 
 
 def test_no_network_is_scored_twice_on_a_split(cancer_file, tmp_path, monkeypatch):

@@ -43,6 +43,7 @@ from nnprune.pruning import (
     TRIGGER_PRODUCT,
     TRIGGER_SMALLEST,
     RemovalEvent,
+    _growth,
     derived_seed,
 )
 
@@ -742,7 +743,8 @@ class TestGrowAndPrune:
         calls = []
 
         def counted(net, split):
-            if split is bundle.validation and sys._getframe(1).f_code is grow_and_prune.__code__:
+            # grow_and_prune runs as a coroutine, which scores its candidates
+            if split is bundle.validation and sys._getframe(1).f_code is _growth.__code__:
                 calls.append(net)
             return accuracy(net, split)
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 from collections import Counter
 from itertools import islice
 
@@ -7,18 +8,21 @@ import numpy as np
 import pytest
 
 from nnprune import (
+    SPECS,
     ConfigurationError,
     DatasetError,
     DivergenceError,
     NetworkConfig,
     PenaltyParams,
     PruneParams,
+    ShapeError,
     Split,
     TrainParams,
     accuracy,
     descend,
     gradients,
     init_network,
+    load_bundle,
     objective,
     retrain,
     train,
@@ -212,6 +216,21 @@ class TestTrain:
         net = train(net, one, TrainParams(0.1, 3), PenaltyParams())
         assert accuracy(net, one) in (0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "shapes,sizes,match",
+        [
+            ([(4, 3, 2), (4, 2, 2)], [30, 30], "networks of one shape"),
+            ([(4, 3, 2)] * 2, [30, 29], "splits of one shape"),
+            ([(4, 3, 2)], [30, 30], "1 networks but 2 splits"),
+            ([], [], "networks of one shape"),
+        ],
+    )
+    def test_stack_that_does_not_fit_rejected(self, shapes, sizes, match):
+        nets = [init_network(NetworkConfig(*shape)) for shape in shapes]
+        splits = [toy_split(k=k) for k in sizes] or [toy_split()]
+        with pytest.raises(ShapeError, match=match):
+            train(nets, splits, TrainParams(0.1, 3), PenaltyParams())
+
 
 def pass_equals(net, split, at) -> bool:
     """Whether ``at`` is bit for bit the forward pass of ``net`` on ``split``,
@@ -313,6 +332,37 @@ class TestPackedEpochs:
         assert not np.array_equal(w, before.w)
         assert np.array_equal(w, train(before, split, TrainParams(0.1, 5), PenaltyParams()).w)
 
+    @pytest.mark.parametrize(
+        "dataset,n,h,o", [("cancer1", 9, 3, 2), ("diabetes", 8, 3, 2), ("glass", 9, 4, 6)]
+    )
+    def test_stacked_rows_equal_their_one_element_calls(
+        self, dataset, n, h, o, benchmark_files
+    ):
+        # the split seeds' training splits, of one size per dataset (k = 350, 384, 107)
+        path, spec = benchmark_files[dataset][0], SPECS[dataset]
+        splits = [load_bundle(path, spec, split_seed=seed).train for seed in range(1, 6)]
+        nets = [init_network(NetworkConfig(n, h, o, init_seed=40 + i)) for i in range(5)]
+        pruned = nets[1]  # one row with masks and a dead hidden unit
+        pruned.w_mask[0, 2] = pruned.v_mask[o - 1, 0] = False
+        pruned.hidden_active[h - 1] = False
+        pruned.w_mask[h - 1, :] = pruned.v_mask[:, h - 1] = False
+        pruned.apply_masks()
+        before = [net.copy() for net in nets]
+        tparams, penalty = TrainParams(0.1, 3000), PenaltyParams()
+        alone = [train([net], [split], tparams, penalty)[0] for net, split in zip(nets, splits)]
+        # the one-element call is the serial path's network
+        assert np.array_equal(alone[0].weights, train(nets[0], splits[0], tparams, penalty).weights)
+        for size in range(2, 6):
+            rows = train(nets[:size], splits[:size], tparams, penalty)
+            assert len(rows) == size
+            for row, one in zip(rows, alone):
+                assert np.array_equal(row.weights, one.weights)
+                assert np.array_equal(row.mask, one.mask)
+                assert np.array_equal(row.hidden_active, one.hidden_active)
+                row.validate()
+        # the stack trains copies
+        assert all(np.array_equal(a.weights, b.weights) for a, b in zip(nets, before))
+
 
 class TestEpochContract:
     """The benchmark counts one GD update per ``nnprune.training.data_gradients``
@@ -401,6 +451,27 @@ class TestDivergenceEpoch:
         assert outcomes == {
             "finished", "finished, theta evaluated", "diverged at epoch 1", "diverged later"
         }
+
+    def test_a_stack_raises_at_the_epoch_its_first_diverging_row_does(self):
+        split = toy_split(seed=21)
+        tparams, penalty = TrainParams(1e3, 40), PenaltyParams(eps2=1.0)
+        nets = [init_network(NetworkConfig(4, 3, 2, init_seed=21 + i)) for i in range(4)]
+        nets[1].w[0, 0] = 1e100
+        nets[2].w[0, 0] = 1e140
+
+        def diverges_at(rows):
+            try:
+                train([nets[i] for i in rows], [split] * len(rows), tparams, penalty)
+            except DivergenceError as exc:
+                return int(re.fullmatch(r"objective became non-finite at epoch (\d+)", str(exc))[1])
+            return None
+
+        alone = [diverges_at([i]) for i in range(4)]
+        # two rows finish alone; two diverge, at different epochs after the first
+        assert alone[0] is None and alone[3] is None and 1 < alone[2] < alone[1]
+        for rows in ([0, 1], [1, 3, 0], [0, 2, 3], [3, 1, 0, 2], [2, 1]):
+            assert diverges_at(rows) == min(alone[i] for i in rows if alone[i] is not None)
+        assert diverges_at([0, 3]) is None
 
 
 class TestAccuracy:
