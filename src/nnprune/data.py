@@ -24,13 +24,12 @@ one-hot training targets from its class indices.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, ParseError, ShapeError, check_int
+from .errors import DatasetError, ParseError, check_int
 
 # the fewest records whose split_counts leave no split empty: (2, 1, 1)
 MIN_RECORDS = 4
@@ -122,27 +121,6 @@ class Split:
 
     def __len__(self) -> int:
         return self.examples.shape[0]
-
-
-class SplitStack:
-    """Splits of one size and width, batched as one: each is a row.
-
-    ``examples [S, k, n]`` and ``targets [S, k, o]`` stack those of
-    ``splits``; with ``n_classes`` and the split size ``len``, they are
-    what training reads of a :class:`Split`, with a leading stack axis.
-    """
-
-    def __init__(self, splits: Sequence[Split]) -> None:
-        self.splits = tuple(splits)
-        shapes = {(*s.examples.shape, s.n_classes) for s in self.splits}
-        if len(shapes) != 1:
-            raise ShapeError(f"a stack needs splits of one shape, got {sorted(shapes)}")
-        self.examples = np.stack([s.examples for s in self.splits])
-        self.targets = np.stack([s.targets for s in self.splits])
-        self.n_classes = self.splits[0].n_classes
-
-    def __len__(self) -> int:
-        return self.examples.shape[-2]
 
 
 @dataclass

@@ -13,7 +13,7 @@ in the same packed layout, so one elementwise operation covers every weight.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,10 +119,13 @@ class Network:
         )
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``w``- and ``v``-shaped views of a vector in the packed layout:
-        the entries of ``w`` row-major, then those of ``v``."""
-        split = self.w.size
-        return flat[:split].reshape(self.w.shape), flat[split:].reshape(self.v.shape)
+        """``w``- and ``v``-shaped views of an array in the packed layout
+        along its last axis: the entries of ``w`` row-major, then those of
+        ``v``.  Leading axes are kept: views of ``[S, h*n + o*h]`` are
+        ``[S, h, n]`` and ``[S, o, h]``."""
+        lead, split = flat.shape[:-1], self.w.size
+        w, v = flat[..., :split], flat[..., split:]
+        return w.reshape(lead + self.w.shape), v.reshape(lead + self.v.shape)
 
     def apply_masks(self) -> None:
         """Pin masked-out weights back to exactly 0.0."""
@@ -138,56 +141,6 @@ class Network:
         dead_hid = ~self.hidden_active
         if np.any(self.w_mask[dead_hid, :]) or np.any(self.v_mask[:, dead_hid]):
             raise ParseError("inactive hidden unit still has unmasked weights")
-
-
-class NetworkStack:
-    """Networks of one architecture, trained as one: each is a row.
-
-    Construction copies the packed ``weights`` and ``mask`` of every network
-    into the rows of ``weights [S, h*n + o*h]`` and ``mask``; ``w [S, h, n]``
-    and ``v [S, o, h]`` are views of ``weights``.  These, :meth:`views` and
-    the layer sizes are what training reads of a :class:`Network`, with a
-    leading stack axis; :meth:`rows` returns the rows as networks again.
-    """
-
-    def __init__(self, networks: Sequence[Network]) -> None:
-        self.networks = tuple(networks)
-        shapes = {(net.n_inputs, net.n_hidden, net.n_outputs) for net in self.networks}
-        if len(shapes) != 1:
-            raise ShapeError(f"a stack needs networks of one shape, got {sorted(shapes)}")
-        self.weights = np.stack([net.weights for net in self.networks])
-        self.mask = np.stack([net.mask for net in self.networks])
-        self.w, self.v = self.views(self.weights)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.networks[0].n_inputs
-
-    @property
-    def n_hidden(self) -> int:
-        return self.networks[0].n_hidden
-
-    @property
-    def n_outputs(self) -> int:
-        return self.networks[0].n_outputs
-
-    def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``w``- and ``v``-shaped views of an array shaped like ``weights``:
-        :meth:`Network.views` of every row."""
-        first = self.networks[0]
-        split = first.w.size
-        return (
-            flat[:, :split].reshape(len(flat), *first.w.shape),
-            flat[:, split:].reshape(len(flat), *first.v.shape),
-        )
-
-    def rows(self) -> list[Network]:
-        """A copy of each network with its row's current weights."""
-        rows = []
-        for net, weights in zip(self.networks, self.weights):
-            w, v = net.views(weights)
-            rows.append(Network(w, v, net.w_mask, net.v_mask, net.input_active, net.hidden_active))
-        return rows
 
 
 def init_network(config: NetworkConfig) -> Network:
@@ -233,16 +186,15 @@ def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return at
 
 
-def _forward_kernel(
-    net: Network | NetworkStack, inputs: np.ndarray
-) -> tuple[Callable[[], None], tuple]:
+def _forward_kernel(net: Network, inputs: np.ndarray) -> tuple[Callable[[], None], tuple]:
     """Bind the forward pass of ``net`` on ``inputs`` to buffers allocated
     once: returns a function that writes the pass of the current weights
     (updated in place) into ``(hidden [k, h], output [k, o])``, and that pair.
 
-    ``net`` may be a :class:`NetworkStack` and ``inputs`` its rows' inputs,
-    ``[S, k, n]``: every array then has a leading stack axis, and each row of
-    the pass is, bit for bit, that network's pass on its own inputs.
+    ``net`` may be the stack of networks that :func:`~nnprune.training.train`
+    steps in lockstep, and ``inputs`` its rows' inputs, ``[S, k, n]``: every
+    array then has a leading stack axis, and each row of the pass is, bit
+    for bit, that network's pass on its own inputs.
     """
     lead = inputs.shape[:-1]
     w_t, v_t = net.w.swapaxes(-1, -2), net.v.swapaxes(-1, -2)

@@ -148,12 +148,13 @@ def theta_certainly_finite(
 
     A NaN or infinite weight makes S non-finite and the check False.
 
-    One call covers a :class:`~nnprune.network.NetworkStack` and its
-    pass, arrays with a leading stack axis: True then means theta is
-    finite for every row.  Each row's S, N and output count are at most the
-    stack's totals, and its bound is a sum of non-negative terms in them,
-    so the stack's bound dominates every row's; a NaN output of any row
-    makes the stack's output sum NaN.
+    One call covers the stack of networks that
+    :func:`~nnprune.training.train` steps in lockstep and its pass, arrays
+    with a leading stack axis: True then means theta is finite for every
+    row.  Each row's S, N and output count are at most the stack's totals,
+    and its bound is a sum of non-negative terms in them, so the stack's
+    bound dominates every row's; a NaN output of any row makes the stack's
+    output sum NaN.
     """
     _, preds = at
     # a Python float: arithmetic on an overflowed S gives inf without a numpy warning
@@ -183,11 +184,10 @@ def data_gradients(
     pass is run here.  The gradient is returned in the layout of
     ``net.weights``; a caller that writes it into one array across epochs
     passes that array's ``net.views`` as ``out``, bound once, and gets them
-    back.  ``net`` and ``batch`` may be a
-    :class:`~nnprune.network.NetworkStack` and the
-    :class:`~nnprune.data.SplitStack` of its rows' splits: every array then
-    has a leading stack axis, and each row is, bit for bit, the gradient of
-    that network on its own split.
+    back.  ``net`` and ``batch`` may both be the stack of networks and
+    their splits that :func:`~nnprune.training.train` steps in lockstep:
+    every array then has a leading stack axis, and each row is, bit for
+    bit, the gradient of that network on its own split.
     """
     check_batch(net, batch)
     hidden, preds = at

@@ -35,30 +35,30 @@ score, and ``nnprune train`` iterates it directly, evaluating theta for its
 ``--trace`` rows only.
 
 Independent networks of one shape, on splits of one size, train in
-lockstep: :func:`train` given parallel sequences steps them as one
-:class:`~nnprune.network.NetworkStack` on one
-:class:`~nnprune.data.SplitStack`, through the same loop, whose every
-array then has a leading stack axis.  At these sizes an epoch's time is
-mostly per-call overhead, not arithmetic, so an epoch of five networks
-costs about as much as two or three epochs of one.  Each row is bit for
-bit the network trained alone, and the stack raises DivergenceError at
-the first epoch at which some row's theta is non-finite, the epoch that
-row raises at alone.  One network, a :class:`~nnprune.network.Network` on
-a :class:`~nnprune.data.Split`, is the same loop with no stack axis.
+lockstep: :func:`train` given parallel sequences stacks them, with their
+splits, into one :class:`_Stack`, which :func:`descend` reads as both its
+network and its split, through the same loop, whose every array then has
+a leading stack axis.  At these sizes an epoch's time is mostly per-call
+overhead, not arithmetic, so an epoch of five networks costs about as
+much as two or three epochs of one.  Each row is bit for bit the network
+trained alone, and the stack raises DivergenceError at the first epoch at
+which some row's theta is non-finite, the epoch that row raises at alone.
+One network, a :class:`~nnprune.network.Network` on a
+:class:`~nnprune.data.Split`, is the same loop with no stack axis.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count, islice
 
 import numpy as np
 
-from .data import Split, SplitStack
+from .data import Split
 from .errors import DivergenceError, ShapeError, check_float, check_int
-from .network import Network, NetworkStack, _forward_kernel, classify_batch
+from .network import Network, _forward_kernel, classify_batch
 from .objective import (
     PenaltyParams,
     check_batch,
@@ -81,8 +81,48 @@ class TrainParams:
         check_int("epochs", self.epochs, 0)
 
 
+class _Stack:
+    """Networks of one shape and their training splits of one size, as rows.
+
+    ``weights [S, h*n + o*h]`` and ``mask`` stack the networks' packed
+    vectors, ``w [S, h, n]`` and ``v [S, o, h]`` are views of ``weights``,
+    and ``examples [S, k, n]`` and ``targets [S, k, o]`` stack the splits'
+    arrays: what :func:`descend` reads of a network and of a split, with a
+    leading stack axis.  ``views``, the layer sizes and ``n_classes`` are
+    those of the first row.
+    """
+
+    def __init__(self, networks: Sequence[Network], splits: Sequence[Split]) -> None:
+        self.networks, self.splits = tuple(networks), tuple(splits)
+        shapes = {(net.n_inputs, net.n_hidden, net.n_outputs) for net in self.networks}
+        if len(shapes) != 1:
+            raise ShapeError(f"a stack needs networks of one shape, got {sorted(shapes)}")
+        sizes = {(*split.examples.shape, split.n_classes) for split in self.splits}
+        if len(sizes) != 1:
+            raise ShapeError(f"a stack needs splits of one shape, got {sorted(sizes)}")
+        if len(self.networks) != len(self.splits):
+            raise ShapeError(
+                f"{len(self.networks)} networks but {len(self.splits)} splits to train them on"
+            )
+        head = self.networks[0]
+        self.n_inputs, self.n_hidden, self.n_outputs = head.n_inputs, head.n_hidden, head.n_outputs
+        self.views, self.n_classes = head.views, self.splits[0].n_classes
+        self.weights = np.stack([net.weights for net in self.networks])
+        self.mask = np.stack([net.mask for net in self.networks])
+        self.w, self.v = self.views(self.weights)
+        self.examples = np.stack([split.examples for split in self.splits])
+        self.targets = np.stack([split.targets for split in self.splits])
+
+    def __len__(self) -> int:
+        return self.examples.shape[-2]
+
+    def rows(self) -> list[Network]:
+        """A copy of each network with its row's current weights."""
+        return [replace(net, w=w, v=v) for net, w, v in zip(self.networks, self.w, self.v)]
+
+
 def descend(
-    net: Network | NetworkStack, split: Split | SplitStack, lr: float, penalty: PenaltyParams
+    net: Network | _Stack, split: Split | _Stack, lr: float, penalty: PenaltyParams
 ) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
@@ -94,11 +134,10 @@ def descend(
     updated network into the workspace.  Raises DivergenceError naming the
     epoch if the objective becomes non-finite.
 
-    ``net`` may be a :class:`~nnprune.network.NetworkStack` and ``split``
-    the :class:`~nnprune.data.SplitStack` of its rows' splits, of one size:
-    every array of the workspace then has a leading stack axis, each row
-    steps bit for bit as that network would alone, and the first epoch at
-    which some row's objective becomes non-finite raises.
+    ``net`` and ``split`` may both be one :class:`_Stack`: every array of
+    the workspace then has a leading stack axis, each row steps bit for bit
+    as that network would alone on its split, and the first epoch at which
+    some row's objective becomes non-finite raises.
     """
     check_float("lr", lr, 0, math.inf)
     step = lr / len(split)
@@ -127,11 +166,9 @@ def descend(
         yield epoch
 
 
-def _rows(net: Network | NetworkStack, split: Split | SplitStack) -> Iterable[tuple]:
+def _rows(net: Network | _Stack, split: Split | _Stack) -> Iterable[tuple]:
     """The ``(network, split)`` pair of every row of a stack, else the one pair."""
-    if isinstance(net, NetworkStack):
-        return zip(net.rows(), split.splits)
-    return ((net, split),)
+    return zip(net.rows(), net.splits) if isinstance(net, _Stack) else ((net, split),)
 
 
 def accuracy(net: Network, split: Split) -> float:
@@ -156,10 +193,10 @@ def train(
 
     ``net`` and ``split`` may be parallel sequences instead: networks of
     one shape and splits of one size, trained in lockstep as one
-    :class:`~nnprune.network.NetworkStack` on one
-    :class:`~nnprune.data.SplitStack`, one :func:`descend` epoch for all
-    of them at a time.  The trained copies are returned as a list, each
-    bit for bit the copy that training it alone returns.
+    :class:`_Stack`, one :func:`descend` epoch for all of them at a time;
+    a stack that does not fit raises ShapeError.  The trained copies are
+    returned as a list, each bit for bit the copy that training it alone
+    returns.
 
     Deterministic given its inputs.  Raises DivergenceError naming the
     first epoch at which the objective of a network becomes non-finite.
@@ -167,11 +204,7 @@ def train(
     if isinstance(net, Network):
         stack, batch = net.copy(), split
     else:
-        stack, batch = NetworkStack(net), SplitStack(split)
-        if len(stack.networks) != len(batch.splits):
-            raise ShapeError(
-                f"{len(stack.networks)} networks but {len(batch.splits)} splits to train them on"
-            )
+        stack = batch = _Stack(net, split)
     for _ in islice(descend(stack, batch, tparams.learning_rate, penalty), tparams.epochs):
         pass
     return stack if isinstance(net, Network) else stack.rows()

@@ -22,6 +22,14 @@ It covers the floor ``nnprune prune`` takes from the accuracy of the network
 it is given, and the CLI's dead-node step, which the experiment runs never
 reach.
 
+The last bits of the weights depend on the BLAS kernel and on numpy's SIMD
+loops, so a golden mismatch names the numerics it ran on: the numpy
+version, the SIMD targets enabled and the OpenBLAS core.  What must not
+depend on them is checked by ``test_report_is_portable_across_blas_kernels``:
+cancer1 re-run under a second OpenBLAS core gives the same ``report.json``
+and ``report.txt``, and the same masks, activity flags and removal
+decisions.
+
 A golden file changes only with a declared change of behaviour.  To rewrite
 them from the current code:
 
@@ -31,13 +39,18 @@ them from the current code:
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import io
 import json
+import os
+import platform
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nnprune.cli import main
@@ -49,6 +62,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIGS = ("cancer1", "diabetes", "glass")
 PATTERNS = ("report.json", "report.txt", "networks/*.json", "traces/*.jsonl")
 PRUNE_PATTERNS = ("pruned.json", "prune.jsonl", "stdout.txt")
+# the fields no BLAS kernel may change: of every network, and of every removal event
+NETWORK_STRUCTURE = ("w_mask", "v_mask", "input_active", "hidden_active")
+EVENT_STRUCTURE = ("kind", "indices", "trigger", "batch", "rolled_back")
+# OpenBLAS cores to re-run under, the first that differs from the detected one
+OTHER_CORES = ("Haswell", "Prescott")
 
 
 def run_prune(workdir: Path) -> Path:
@@ -126,10 +144,32 @@ def describe_mismatch(name: str, got: bytes, want: bytes) -> str:
     return f"{name}: same values, different bytes"
 
 
+def openblas_core() -> str:
+    """The core OpenBLAS dispatches to, read from the library bundled with
+    numpy; "unknown" when there is none or it does not name its core."""
+    libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+        "libscipy_openblas*"
+    ))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def numerics() -> str:
+    """The numpy version, its enabled SIMD targets and the OpenBLAS core."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    simd = " ".join(name for name, enabled in __cpu_features__.items() if enabled)
+    return f"numpy {np.__version__}; SIMD {simd}; OpenBLAS core {openblas_core()}"
+
+
 def assert_matches_golden(name: str, got: dict[str, bytes], want: dict[str, bytes]) -> None:
     assert sorted(got) == sorted(want)
     mismatches = [describe_mismatch(f, got[f], want[f]) for f in want if got[f] != want[f]]
-    assert not mismatches, f"{name}: " + "; ".join(mismatches)
+    assert not mismatches, f"{name}: " + "; ".join(mismatches) + f" [numerics: {numerics()}]"
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -143,6 +183,64 @@ def test_outputs_match_golden(name, shipped_runs):
 def test_prune_cli_matches_golden(tmp_path):
     got = output_files(run_prune(tmp_path), PRUNE_PATTERNS)
     assert_matches_golden("prune", got, output_files(GOLDEN / "prune", PRUNE_PATTERNS))
+
+
+def structure(name: str, data: bytes) -> list[dict]:
+    """The masks and activity flags of the networks in an output file, and
+    the decision of each removal event in it, in file order."""
+    docs = [json.loads(data)] if name.endswith(".json") else [
+        json.loads(line) for line in data.decode().splitlines()
+    ]
+    return [
+        {key: doc[key] for key in EVENT_STRUCTURE} if doc.get("type") == "removal"
+        else {key: doc.get("network", doc)[key] for key in NETWORK_STRUCTURE}
+        for doc in docs
+    ]
+
+
+# Runs configs/cancer1.conf as run_shipped does, in the working directory,
+# on the data file named by argv[1]; prints the OpenBLAS core it ran on.
+RERUN = """\
+import sys
+from conftest import shipped_config
+from nnprune import run_experiment
+from test_golden import openblas_core
+run_experiment(shipped_config("cancer1", sys.argv[1], "out/cancer1"))
+print(openblas_core())
+"""
+
+
+def test_report_is_portable_across_blas_kernels(shipped_runs, tmp_path):
+    run = shipped_runs["cancer1"]
+    if run.source != "synthetic":
+        pytest.skip("cancer1 ran on real data files; the goldens are outputs of the stand-in data")
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    if not (
+        platform.machine().lower() in ("x86_64", "amd64")
+        and blas.get("name") == "scipy-openblas"
+        and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    ):
+        pytest.skip("the BLAS kernel can be chosen only in scipy-openblas built with DYNAMIC_ARCH")
+    detected = openblas_core()
+    core = next(name for name in OTHER_CORES if name != detected)
+    data = tmp_path / run.config.data_path
+    data.parent.mkdir(parents=True)
+    shutil.copyfile(run.out.parent.parent / run.config.data_path, data)
+    path = [str(_REPO / "src"), str(_REPO / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    rerun = subprocess.run(
+        [sys.executable, "-c", RERUN, str(run.config.data_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert rerun.returncode == 0, rerun.stderr
+    assert rerun.stdout.split()[-1] != detected, f"OPENBLAS_CORETYPE={core} was not taken"
+    got, want = output_files(tmp_path / run.config.output_dir), output_files(run.out)
+    assert sorted(got) == sorted(want)
+    for name in ("report.json", "report.txt"):
+        assert got[name] == want[name], describe_mismatch(name, got[name], want[name])
+    for name in want:
+        if name.startswith(("networks/", "traces/")):
+            assert structure(name, got[name]) == structure(name, want[name]), name
 
 
 def test_first_difference_names_the_field():

@@ -132,8 +132,10 @@ class TestForward:
 
     def test_shape_error(self):
         net = small_net(3, 2, 2)
-        with pytest.raises(ShapeError):
-            forward_batch(net, np.zeros((1, 4)))
+        # a stacked batch is training's business: the public pass takes [k, n] only
+        for inputs in (np.zeros((1, 4)), np.zeros((2, 1, 3)), np.zeros(3)):
+            with pytest.raises(ShapeError):
+                forward_batch(net, inputs)
 
     def test_output_ranges_1000_random_trials(self):
         # every hidden activation in (-1, 1), every output in (0, 1)
@@ -346,6 +348,18 @@ class TestPackedLayout:
         net.weights[:] = 0.0
         net.mask[:] = True
         assert independent.w[1, 0] == 3.0 and not independent.w_mask[1, 0]
+
+    def test_views_keep_leading_axes(self):
+        net = small_net(3, 4, 2, seed=9)
+        stacked = np.arange(3.0 * net.weights.size).reshape(3, -1)
+        w, v = net.views(stacked)
+        assert w.shape == (3, 4, 3) and v.shape == (3, 2, 4)
+        for row, row_w, row_v in zip(stacked, w, v):
+            one_w, one_v = net.views(row)
+            assert np.array_equal(row_w, one_w) and np.array_equal(row_v, one_v)
+        w[1, 0, 0] = -1.0
+        v[2, 1, 3] = -2.0
+        assert stacked[1, 0] == -1.0 and stacked[2, -1] == -2.0
 
     def test_masked_positions_index_the_packed_vector(self):
         net = small_net(3, 4, 2, seed=6)
