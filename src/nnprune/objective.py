@@ -12,11 +12,12 @@ which is what makes magnitude-based weight elimination effective after
 training.
 
 A batch is a :class:`~nnprune.data.Split`, which holds at least one
-example and derives its one-hot targets from its class indices.
-:func:`objective`, :func:`data_gradients`, :func:`gradients` and
-:func:`finite_diff_check` take one and raise ShapeError when its attribute
-or class count does not fit the network (:func:`check_batch`, which
-:func:`~nnprune.training.accuracy` shares).
+example and derives its one-hot targets from its class indices.  A batch
+is checked where it enters: :func:`objective`, :func:`gradients` and
+:func:`finite_diff_check` raise ShapeError when its attribute or class
+count does not fit the network (:func:`check_batch`, which
+:func:`~nnprune.training.accuracy` and :func:`~nnprune.training.descend`
+share).
 
 The data gradient differentiates the ``(hidden, preds)`` pair of a forward
 pass already run: :func:`~nnprune.network.forward_batch`'s, or the same
@@ -27,16 +28,16 @@ needs theta only to detect divergence, so it asks
 and the weights without computing it, and falls back to :func:`objective`
 only when that proof fails.
 
-A gradient is one vector in the packed layout of ``net.weights``, which
-:func:`penalty_gradients` can write into across epochs, and
-:func:`data_gradients` through its ``w``/``v`` views, bound once;
-:func:`penalty_gradients` and :func:`theta_certainly_finite` take
-any array of weights, elementwise, and :func:`penalty_gradients` leaves
-the floating-point error state to its callers.  Both gradients leave
-masked entries raw (the trainer pins masked weights after its update);
-:func:`gradients`, the full gradient, zeroes them.  A central
-finite-difference checker serves as an independent oracle for the
-analytic gradients.
+A gradient is one vector in the packed layout of ``net.weights``, and
+the penalty a sum of one term per entry of it.  The per-epoch kernels,
+:func:`data_gradients` and :func:`penalty_gradients`, check nothing and
+write into storage their caller owns: the first through the ``w``/``v``
+views of a vector, the second into an array of the shape of the weights
+it is given, elementwise, leaving the floating-point error state to its
+callers.  Both leave masked entries raw (the trainer pins masked weights
+after its update); :func:`gradients`, the full gradient, checks its batch,
+allocates the storage and zeroes them.  A central finite-difference
+checker serves as an independent oracle for the analytic gradients.
 """
 
 from __future__ import annotations
@@ -100,21 +101,18 @@ def cross_entropy(preds: np.ndarray, targets: np.ndarray) -> float:
 
 
 def penalty(net: Network, params: PenaltyParams) -> float:
-    """Two-part weight penalty over the unmasked connections.
+    """Two-part weight penalty, one term per entry of ``net.weights``.
 
     Masked weights are exactly zero, so both terms vanish for them and the
-    sums can run over the dense arrays.
+    sums can run over the whole vector.
     """
     # non-finite intermediate values are possible for diverged weights and
     # are caught by the trainer's divergence guard; keep the math quiet here
     with np.errstate(over="ignore", invalid="ignore"):
-        w2 = net.w ** 2
-        v2 = net.v ** 2
-        bw2 = params.beta * w2
-        bv2 = params.beta * v2
-        saturating = (bw2 / (1.0 + bw2)).sum() + (bv2 / (1.0 + bv2)).sum()
-        quadratic = w2.sum() + v2.sum()
-        return float(params.eps1 * saturating + params.eps2 * quadratic)
+        squares = net.weights ** 2
+        scaled = params.beta * squares
+        saturating = (scaled / (1.0 + scaled)).sum()
+        return float(params.eps1 * saturating + params.eps2 * squares.sum())
 
 
 def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
@@ -175,31 +173,22 @@ def data_gradients(
     net: Network,
     batch: Split,
     at: tuple[np.ndarray, np.ndarray],
-    out: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    out: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
     ``at`` must be the ``(hidden, preds)`` pass of ``net`` over
-    ``batch.examples`` for its current weights; it is differentiated, no
-    pass is run here.  The gradient is returned in the layout of
-    ``net.weights``; a caller that writes it into one array across epochs
-    passes that array's ``net.views`` as ``out``, bound once, and gets them
-    back.  ``net`` and ``batch`` may both be the stack of networks and
-    their splits that :func:`~nnprune.training.train` steps in lockstep:
-    every array then has a leading stack axis, and each row is, bit for
-    bit, the gradient of that network on its own split.
+    ``batch.examples`` for its current weights, and ``batch`` must fit
+    ``net``; it is differentiated, no pass is run and nothing is checked
+    here.  The gradient is written into ``out``, the ``net.views`` of a
+    vector in the layout of ``net.weights``, which is returned.  ``net``
+    and ``batch`` may both be the stack of networks and their splits that
+    :func:`~nnprune.training.train` steps in lockstep: every array then
+    has a leading stack axis, and each row is, bit for bit, the gradient
+    of that network on its own split.
     """
-    check_batch(net, batch)
     hidden, preds = at
-    if preds.shape != batch.targets.shape:
-        raise ShapeError(
-            f"evaluation outputs {preds.shape} do not match targets {batch.targets.shape}"
-        )
-    if out is None:
-        grad = np.empty_like(net.weights)
-        d_w, d_v = net.views(grad)
-    else:
-        d_w, d_v = out
+    d_w, d_v = out
     d_out = preds - batch.targets                     # dF/d(pre-logistic), [k, o]
     np.matmul(d_out.swapaxes(-1, -2), hidden, out=d_v)  # [o, h]
     slope = hidden ** 2                               # tanh' = 1 - hidden^2, [k, h]
@@ -207,26 +196,24 @@ def data_gradients(
     d_hidden = d_out @ net.v
     d_hidden *= slope
     np.matmul(d_hidden.swapaxes(-1, -2), batch.examples, out=d_w)  # [h, n]
-    return grad if out is None else out
+    return out
 
 
 def penalty_gradients(
-    weights: np.ndarray, params: PenaltyParams, out: np.ndarray | None = None
+    weights: np.ndarray, params: PenaltyParams, out: np.ndarray
 ) -> np.ndarray:
     """Gradient of the penalty alone at ``weights``, masked entries raw.
 
     The penalty is a sum of one term per weight, so its gradient is
     elementwise: ``weights`` may be ``net.w``, ``net.v`` or
-    ``net.weights``, and the result has its shape.  Masked weights are
-    exactly 0.0, so their raw entries are 0.0 as well.  The gradient is
-    written into ``out`` when given, else into new storage, and returned.
+    ``net.weights``, and the gradient is written into ``out``, an array of
+    its shape, which is returned.  Masked weights are exactly 0.0, so
+    their raw entries are 0.0 as well.
 
     Diverged weights overflow these steps; the callers own the
     floating-point error state, and the trainer's divergence check reports
     the overflow instead of a warning.
     """
-    if out is None:
-        out = np.empty(np.shape(weights))
     # eps1 * 2 * beta * w / (1 + beta * w^2)^2 + 2 * eps2 * w, one step at a time
     denom = np.square(weights)
     np.multiply(denom, params.beta, out=denom)
@@ -242,10 +229,12 @@ def penalty_gradients(
 def gradients(net: Network, batch: Split, params: PenaltyParams) -> np.ndarray:
     """Analytic gradient of the full objective in the layout of
     ``net.weights``, masked entries zeroed."""
-    grad = data_gradients(net, batch, forward_batch(net, batch.examples))
+    check_batch(net, batch)
+    grad, pen = np.empty_like(net.weights), np.empty_like(net.weights)
+    data_gradients(net, batch, forward_batch(net, batch.examples), net.views(grad))
     # overflow on diverged weights shows as a non-finite entry, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        pen = penalty_gradients(net.weights, params)
+        penalty_gradients(net.weights, params, pen)
     grad += pen
     grad[~net.mask] = 0.0
     return grad

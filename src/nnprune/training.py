@@ -10,14 +10,17 @@ regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
 loss and penalty).
 
-:func:`descend` is the one training loop.  It steps the packed vector
+:func:`descend` is the one training loop.  It checks once, when it
+starts, that the split fits the network
+(:func:`~nnprune.objective.check_batch`), steps the packed vector
 ``net.weights`` and reads the masks once, into the positions of the
 masked weights in that vector.  It owns a workspace, allocated once per
 descent: the two gradient vectors, bound once to their ``w``/``v`` views
 for the data gradient, and the buffers of the forward pass, which it runs
 with :func:`~nnprune.network.forward_batch`'s kernel.  Each
-epoch does each elementwise step once for all weights: it takes the data
-gradient and the penalty gradient into the workspace, both raw, makes the
+epoch does each elementwise step once for all weights: the two gradient
+kernels, which check nothing, write the data gradient and the penalty
+gradient into the workspace, both raw; the epoch then makes the
 descent step in place (one floating-point error block covers the penalty
 and the step), pins the masked weights back to 0.0 (the only place a step
 enforces masks; skipped when nothing is masked) and runs the forward pass
@@ -126,9 +129,10 @@ def descend(
 ) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
-    Runs nothing until the first ``next``, which reads the masks of
-    ``net`` and allocates the workspace; the caller must not change the
-    masks while it takes epochs.  Each epoch differentiates the forward
+    Runs nothing until the first ``next``, which checks that ``split``
+    fits ``net`` (ShapeError if not), reads the masks of ``net`` and
+    allocates the workspace; the caller must not change the masks while it
+    takes epochs.  Each epoch differentiates the forward
     pass the previous epoch left in the workspace (the first runs one),
     applies the update and the masks once, and runs one forward pass of the
     updated network into the workspace.  Raises DivergenceError naming the
@@ -140,6 +144,7 @@ def descend(
     some row's objective becomes non-finite raises.
     """
     check_float("lr", lr, 0, math.inf)
+    check_batch(net, split)
     step = lr / len(split)
     weights = net.weights
     masked, flat = np.flatnonzero(~net.mask), weights.reshape(-1)
@@ -193,13 +198,14 @@ def train(
 
     ``net`` and ``split`` may be parallel sequences instead: networks of
     one shape and splits of one size, trained in lockstep as one
-    :class:`_Stack`, one :func:`descend` epoch for all of them at a time;
-    a stack that does not fit raises ShapeError.  The trained copies are
-    returned as a list, each bit for bit the copy that training it alone
-    returns.
+    :class:`_Stack`, one :func:`descend` epoch for all of them at a time.
+    The trained copies are returned as a list, each bit for bit the copy
+    that training it alone returns.
 
-    Deterministic given its inputs.  Raises DivergenceError naming the
-    first epoch at which the objective of a network becomes non-finite.
+    Deterministic given its inputs.  Raises ShapeError before the first
+    epoch if a split does not fit its network, or the networks or splits
+    of a stack differ in shape, and DivergenceError naming the first epoch
+    at which the objective of a network becomes non-finite.
     """
     if isinstance(net, Network):
         stack, batch = net.copy(), split

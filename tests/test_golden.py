@@ -23,8 +23,9 @@ it is given, and the CLI's dead-node step, which the experiment runs never
 reach.
 
 The last bits of the weights depend on the BLAS kernel and on numpy's SIMD
-loops, so a golden mismatch names the numerics it ran on: the numpy
-version, the SIMD targets enabled and the OpenBLAS core.  What must not
+loops, so a golden mismatch names the numerics it ran on, the numpy
+version, the SIMD targets enabled and the OpenBLAS core, next to those the
+goldens were written on, which ``tests/golden/numerics.txt`` records.  What must not
 depend on them is checked by ``test_report_is_portable_across_blas_kernels``:
 cancer1 re-run under a second OpenBLAS core gives the same ``report.json``
 and ``report.txt``, and the same masks, activity flags and removal
@@ -44,6 +45,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -59,6 +61,8 @@ from nnprune.synth import write_all
 
 _REPO = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# the numerics() of the host the goldens were written on
+GOLDEN_NUMERICS = GOLDEN / "numerics.txt"
 CONFIGS = ("cancer1", "diabetes", "glass")
 PATTERNS = ("report.json", "report.txt", "networks/*.json", "traces/*.jsonl")
 PRUNE_PATTERNS = ("pruned.json", "prune.jsonl", "stdout.txt")
@@ -169,7 +173,15 @@ def numerics() -> str:
 def assert_matches_golden(name: str, got: dict[str, bytes], want: dict[str, bytes]) -> None:
     assert sorted(got) == sorted(want)
     mismatches = [describe_mismatch(f, got[f], want[f]) for f in want if got[f] != want[f]]
-    assert not mismatches, f"{name}: " + "; ".join(mismatches) + f" [numerics: {numerics()}]"
+    recorded = GOLDEN_NUMERICS.read_text(encoding="utf-8").strip()
+    assert not mismatches, f"{name}: " + "; ".join(mismatches) + (
+        f" [numerics: {numerics()}; goldens written on: {recorded}]"
+    )
+
+
+def test_golden_numerics_recorded():
+    recorded = GOLDEN_NUMERICS.read_text(encoding="utf-8")
+    assert re.fullmatch(r"numpy \d\S*; SIMD [A-Z0-9_ ]+; OpenBLAS core \w+\n", recorded), recorded
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -302,6 +314,7 @@ def _regenerate() -> None:
         for name, run in run_shipped(tmp / "shipped", files).items():
             _write_golden(name, output_files(run.out))
         _write_golden("prune", output_files(run_prune(tmp / "prune"), PRUNE_PATTERNS))
+    GOLDEN_NUMERICS.write_text(numerics() + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

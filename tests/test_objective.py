@@ -12,14 +12,17 @@ from nnprune import (
     PenaltyParams,
     ShapeError,
     Split,
+    TrainParams,
     accuracy,
     cross_entropy,
+    descend,
     finite_diff_check,
     forward_batch,
     gradients,
     init_network,
     objective,
     penalty,
+    train,
 )
 from nnprune.objective import (
     data_gradients,
@@ -31,6 +34,11 @@ from nnprune.objective import (
 TWO_LN_TWO = 1.3862943611198906          # -(log .5 + log .5)
 MINUS_TWO_LN_09 = 0.21072103131565256    # -(log .9 + log(1-.1))
 SINGLE_WEIGHT_PENALTY = 0.09091909090909091  # 0.1*(10/11) + 1e-5
+# Most that penalty() may differ from an exact sum of its per-weight terms,
+# in ulp of that sum.  Both round each term a few times and numpy sums in
+# pairs; over 130,000 random networks of up to 75 weights, about 30% of
+# them masked to zero, the largest difference seen was 5 ulp.
+PENALTY_ULPS = 8
 
 
 def make_batch(n, o, k, seed=0) -> Split:
@@ -95,6 +103,31 @@ class TestPenalty:
         net.v[1, 1] = 1e-6
         assert penalty(net, PenaltyParams()) > 0.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4), st.integers(1, 4)),
+        eps1=st.floats(1e-4, 1.0),
+        eps2=st.floats(1e-7, 1e-2),
+        beta=st.floats(0.1, 100.0),
+    )
+    def test_sum_within_a_few_ulp_of_an_exact_one(self, data, shape, eps1, eps2, beta):
+        net = init_network(NetworkConfig(*shape))
+        size = net.weights.size
+        net.weights[:] = data.draw(st.lists(signed_decades(-8, 3), min_size=size, max_size=size))
+        net.mask[:] = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        net.apply_masks()
+        params = PenaltyParams(eps1=eps1, eps2=eps2, beta=beta)
+        got = penalty(net, params)
+        # the reference: each weight's term, summed exactly
+        reference = math.fsum(
+            eps1 * (beta * w * w) / (1.0 + beta * w * w) + eps2 * w * w
+            for w in net.weights.tolist()
+        )
+        assert abs(got - reference) <= PENALTY_ULPS * math.ulp(reference)
+        # no nonzero weight is small enough for its terms to underflow
+        assert (got == 0.0) == (not net.weights.any())
+
     def test_param_validation(self):
         with pytest.raises(ConfigurationError):
             PenaltyParams(eps1=-0.1)
@@ -130,22 +163,17 @@ class TestObjective:
         with pytest.raises(DatasetError, match="at least one example"):
             Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
 
-    def test_gradient_rejects_evaluation_of_another_batch(self):
-        net = init_network(NetworkConfig(3, 2, 2, init_seed=5))
-        batch = make_batch(3, 2, 10, seed=8)
-        at = forward_batch(net, batch.examples[:4])
-        with pytest.raises(ShapeError):
-            data_gradients(net, batch, at)
-
 
 BATCH_FUNCTIONS = {
     "objective": lambda net, batch: objective(net, batch, PenaltyParams()),
-    "data_gradients": lambda net, batch: data_gradients(
-        net, batch, forward_batch(net, np.zeros((len(batch), net.n_inputs)))
-    ),
+    "descend": lambda net, batch: next(descend(net, batch, 0.1, PenaltyParams())),
     "gradients": lambda net, batch: gradients(net, batch, PenaltyParams()),
     "finite_diff_check": lambda net, batch: finite_diff_check(net, batch, PenaltyParams()),
     "accuracy": accuracy,
+    "train": lambda net, batch: train(net, batch, TrainParams(0.1, 1), PenaltyParams()),
+    "train stacked": lambda net, batch: train(
+        [net, net], [batch, batch], TrainParams(0.1, 1), PenaltyParams()
+    ),
 }
 
 
@@ -181,9 +209,10 @@ class TestGradients:
         net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         net.w[1, 2] = 0.0
         batch = make_batch(4, 2, 6, seed=2)
-        unmasked = data_gradients(net, batch, forward_batch(net, batch.examples))
+        unmasked, raw = np.empty_like(net.weights), np.empty_like(net.weights)
+        data_gradients(net, batch, forward_batch(net, batch.examples), net.views(unmasked))
         net.w_mask[1, 2] = False
-        raw = data_gradients(net, batch, forward_batch(net, batch.examples))
+        data_gradients(net, batch, forward_batch(net, batch.examples), net.views(raw))
         assert net.views(raw)[0][1, 2] != 0.0
         assert np.array_equal(raw, unmasked)
 
@@ -205,8 +234,8 @@ class TestGradients:
         hidden, preds = forward_batch(net, batch.examples)
         d_out = preds - batch.targets
         d_hidden = (d_out @ net.v) * (1.0 - hidden ** 2)
-        d_w = d_hidden.T @ batch.examples + penalty_gradients(net.w, params)
-        d_v = d_out.T @ hidden + penalty_gradients(net.v, params)
+        d_w = d_hidden.T @ batch.examples + penalty_gradients(net.w, params, np.empty_like(net.w))
+        d_v = d_out.T @ hidden + penalty_gradients(net.v, params, np.empty_like(net.v))
         d_w[~net.w_mask] = 0.0
         d_v[~net.v_mask] = 0.0
         expected = np.concatenate((d_w.ravel(), d_v.ravel()))
@@ -363,12 +392,10 @@ class TestPenaltyGradients:
         out = np.full_like(weights, 7.0)
         with np.errstate(all="ignore"):  # overflow at extreme weights is the point
             written = penalty_gradients(weights, params, out=out)
-            allocated = penalty_gradients(weights, params)
             # the reference: the gradient as one expression
             formula = (
                 eps1 * 2.0 * beta * weights / (1.0 + beta * weights ** 2) ** 2
                 + 2.0 * eps2 * weights
             )
         assert written is out
-        assert np.array_equal(written, allocated, equal_nan=True)
         assert np.array_equal(written, formula, equal_nan=True)
