@@ -9,35 +9,8 @@ and P combines a saturating term  eps1 * beta*w^2 / (1 + beta*w^2)  with a
 quadratic term  eps2 * w^2  over every connection.  The saturating term
 pulls small weights toward zero while leaving large weights nearly alone,
 which is what makes magnitude-based weight elimination effective after
-training.
-
-A batch is a :class:`~nnprune.data.Split`, which holds at least one
-example and derives its one-hot targets from its class indices.  A batch
-is checked where it enters: :func:`objective`, :func:`gradients` and
-:func:`finite_diff_check` raise ShapeError when its attribute or class
-count does not fit the network (:func:`check_batch`, which
-:func:`~nnprune.training.accuracy` and :func:`~nnprune.training.descend`
-share).
-
-The data gradient differentiates the ``(hidden, preds)`` pair of a forward
-pass already run: :func:`~nnprune.network.forward_batch`'s, or the same
-pass that :func:`~nnprune.training.descend` runs into buffers it keeps
-across epochs.  :func:`objective` returns theta alone.  A training epoch
-needs theta only to detect divergence, so it asks
-:func:`theta_certainly_finite`, which proves theta finite from the pass
-and the weights without computing it, and falls back to :func:`objective`
-only when that proof fails.
-
-A gradient is one vector in the packed layout of ``net.weights``, and
-the penalty a sum of one term per entry of it.  The per-epoch kernels,
-:func:`data_gradients` and :func:`penalty_gradients`, check nothing and
-write into storage their caller owns: the first through the ``w``/``v``
-views of a vector, the second into an array of the shape of the weights
-it is given, elementwise, leaving the floating-point error state to its
-callers.  Both leave masked entries raw (the trainer pins masked weights
-after its update); :func:`gradients`, the full gradient, checks its batch,
-allocates the storage and zeroes them.  A central finite-difference
-checker serves as an independent oracle for the analytic gradients.
+training.  Its gradients, and a central finite-difference check of them,
+are here too.
 """
 
 from __future__ import annotations
@@ -78,7 +51,12 @@ class PenaltyParams:
 
 def check_batch(net: Network, batch: Split) -> None:
     """Raise ShapeError unless ``batch`` has one attribute per input of
-    ``net`` and one class per output."""
+    ``net`` and one class per output.
+
+    A batch is checked where it enters: :func:`objective`,
+    :func:`gradients`, :func:`~nnprune.training.accuracy` and
+    :func:`~nnprune.training.descend` call this.
+    """
     if (batch.examples.shape[-1], batch.n_classes) != (net.n_inputs, net.n_outputs):
         raise ShapeError(
             f"batch of {batch.examples.shape[-1]} attributes and {batch.n_classes} classes "
@@ -116,7 +94,11 @@ def penalty(net: Network, params: PenaltyParams) -> float:
 
 
 def objective(net: Network, batch: Split, params: PenaltyParams) -> float:
-    """theta = cross-entropy over the batch + weight penalty."""
+    """theta = cross-entropy over the batch + weight penalty.
+
+    A training epoch needs theta only to detect divergence, so it computes
+    it only when :func:`theta_certainly_finite` cannot prove it finite.
+    """
     check_batch(net, batch)
     _, preds = forward_batch(net, batch.examples)
     return cross_entropy(preds, batch.targets) + penalty(net, params)
@@ -228,7 +210,11 @@ def penalty_gradients(
 
 def gradients(net: Network, batch: Split, params: PenaltyParams) -> np.ndarray:
     """Analytic gradient of the full objective in the layout of
-    ``net.weights``, masked entries zeroed."""
+    ``net.weights``, masked entries zeroed.
+
+    Unlike the per-epoch kernels, it checks its batch and allocates the
+    storage it returns.
+    """
     check_batch(net, batch)
     grad, pen = np.empty_like(net.weights), np.empty_like(net.weights)
     data_gradients(net, batch, forward_batch(net, batch.examples), net.views(grad))

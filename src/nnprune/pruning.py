@@ -257,6 +257,7 @@ def eliminate_weights(
     the trace, with the network before each round; and the last kept round's
     score, else the input's: the returned network's accuracy.
     """
+    # a network with nothing left to remove never reaches retrain, which checks lr too
     check_float("lr", lr, 0, math.inf)
     check_float("floor", floor, 0, 1, "[]")
     current, score = net.copy(), accuracy(net, bundle.validation)

@@ -9,45 +9,6 @@ The 1/k scaling keeps the step size meaningful at learning rates like 0.1
 regardless of the split size; it changes nothing about what is being
 minimized (same objective, same stationary points, same balance between
 loss and penalty).
-
-:func:`descend` is the one training loop.  It checks once, when it
-starts, that the split fits the network
-(:func:`~nnprune.objective.check_batch`), steps the packed vector
-``net.weights`` and reads the masks once, into the positions of the
-masked weights in that vector.  It owns a workspace, allocated once per
-descent: the two gradient vectors, bound once to their ``w``/``v`` views
-for the data gradient, and the buffers of the forward pass, which it runs
-with :func:`~nnprune.network.forward_batch`'s kernel.  Each
-epoch does each elementwise step once for all weights: the two gradient
-kernels, which check nothing, write the data gradient and the penalty
-gradient into the workspace, both raw; the epoch then makes the
-descent step in place (one floating-point error block covers the penalty
-and the step), pins the masked weights back to 0.0 (the only place a step
-enforces masks; skipped when nothing is masked) and runs the forward pass
-of the updated network into the workspace, which the next epoch
-differentiates; the loop runs one more pass before its first epoch.
-Theta itself is not computed: divergence is detected by
-:func:`~nnprune.objective.theta_certainly_finite`, a cheap proof from the
-new weights and outputs that theta is finite, and only when that proof
-fails is theta computed with :func:`~nnprune.objective.objective`; a
-non-finite theta raises DivergenceError at the same epoch as evaluating
-it every epoch would.
-:func:`train` takes a fixed number of its epochs, :func:`retrain` takes
-epochs until a validation-accuracy floor is met and returns the deciding
-score, and ``nnprune train`` iterates it directly, evaluating theta for its
-``--trace`` rows only.
-
-Independent networks of one shape, on splits of one size, train in
-lockstep: :func:`train` given parallel sequences stacks them, with their
-splits, into one :class:`_Stack`, which :func:`descend` reads as both its
-network and its split, through the same loop, whose every array then has
-a leading stack axis.  At these sizes an epoch's time is mostly per-call
-overhead, not arithmetic, so an epoch of five networks costs about as
-much as two or three epochs of one.  Each row is bit for bit the network
-trained alone, and the stack raises DivergenceError at the first epoch at
-which some row's theta is non-finite, the epoch that row raises at alone.
-One network, a :class:`~nnprune.network.Network` on a
-:class:`~nnprune.data.Split`, is the same loop with no stack axis.
 """
 
 from __future__ import annotations
@@ -92,21 +53,21 @@ class _Stack:
     and ``examples [S, k, n]`` and ``targets [S, k, o]`` stack the splits'
     arrays: what :func:`descend` reads of a network and of a split, with a
     leading stack axis.  ``views``, the layer sizes and ``n_classes`` are
-    those of the first row.
+    those of the first row.  At these sizes an epoch's time is mostly
+    per-call overhead, not arithmetic, so an epoch of five rows costs about
+    as much as two or three epochs of one network.
     """
 
     def __init__(self, networks: Sequence[Network], splits: Sequence[Split]) -> None:
         self.networks, self.splits = tuple(networks), tuple(splits)
+        if len(self.networks) != len(self.splits):
+            raise ShapeError(f"{len(self.networks)} networks but {len(self.splits)} splits")
         shapes = {(net.n_inputs, net.n_hidden, net.n_outputs) for net in self.networks}
         if len(shapes) != 1:
             raise ShapeError(f"a stack needs networks of one shape, got {sorted(shapes)}")
         sizes = {(*split.examples.shape, split.n_classes) for split in self.splits}
         if len(sizes) != 1:
             raise ShapeError(f"a stack needs splits of one shape, got {sorted(sizes)}")
-        if len(self.networks) != len(self.splits):
-            raise ShapeError(
-                f"{len(self.networks)} networks but {len(self.splits)} splits to train them on"
-            )
         head = self.networks[0]
         self.n_inputs, self.n_hidden, self.n_outputs = head.n_inputs, head.n_hidden, head.n_outputs
         self.views, self.n_classes = head.views, self.splits[0].n_classes
@@ -129,14 +90,12 @@ def descend(
 ) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
-    Runs nothing until the first ``next``, which checks that ``split``
-    fits ``net`` (ShapeError if not), reads the masks of ``net`` and
-    allocates the workspace; the caller must not change the masks while it
-    takes epochs.  Each epoch differentiates the forward
-    pass the previous epoch left in the workspace (the first runs one),
-    applies the update and the masks once, and runs one forward pass of the
-    updated network into the workspace.  Raises DivergenceError naming the
-    epoch if the objective becomes non-finite.
+    Checks ``lr`` and that ``split`` fits ``net`` (ShapeError if not) when
+    it is called, so a caller that takes no epoch rejects them too.  The
+    returned iterator runs nothing until its first ``next``, which reads
+    the masks of ``net`` and allocates the workspace; the caller must not
+    change the masks while it takes epochs.  Raises DivergenceError naming
+    the first epoch at which the objective becomes non-finite.
 
     ``net`` and ``split`` may both be one :class:`_Stack`: every array of
     the workspace then has a leading stack axis, each row steps bit for bit
@@ -145,7 +104,25 @@ def descend(
     """
     check_float("lr", lr, 0, math.inf)
     check_batch(net, split)
-    step = lr / len(split)
+    return _epochs(net, split, lr / len(split), penalty)
+
+
+def _epochs(
+    net: Network | _Stack, split: Split | _Stack, step: float, penalty: PenaltyParams
+) -> Iterator[int]:
+    """The epochs of :func:`descend`, on inputs it has checked.
+
+    The workspace is the two gradient vectors, the data gradient's bound
+    once to their ``w``/``v`` views, and the buffers of
+    :func:`~nnprune.network.forward_batch`'s kernel.  Each epoch
+    differentiates the forward pass the previous epoch left there (the
+    first runs one), does each elementwise step of the update once for all
+    weights, pins the masked weights back to 0.0 and runs one forward pass
+    of the updated network.  Theta is computed only when
+    :func:`~nnprune.objective.theta_certainly_finite` cannot prove it
+    finite, so DivergenceError comes at the epoch that evaluating theta
+    every epoch would give.
+    """
     weights = net.weights
     masked, flat = np.flatnonzero(~net.mask), weights.reshape(-1)
     grad, pen = np.empty_like(weights), np.empty_like(weights)
@@ -160,7 +137,7 @@ def descend(
             np.add(grad, pen, out=grad)
             np.multiply(grad, step, out=grad)
             np.subtract(weights, grad, out=weights)  # weights -= step * (grad + pen)
-        if masked.size:
+        if masked.size:  # the only place a step enforces masks
             flat[masked] = 0.0
         forward()
         if not theta_certainly_finite(weights, at, penalty) and not all(
@@ -202,10 +179,10 @@ def train(
     The trained copies are returned as a list, each bit for bit the copy
     that training it alone returns.
 
-    Deterministic given its inputs.  Raises ShapeError before the first
-    epoch if a split does not fit its network, or the networks or splits
-    of a stack differ in shape, and DivergenceError naming the first epoch
-    at which the objective of a network becomes non-finite.
+    Deterministic given its inputs.  Raises ShapeError, even for zero
+    epochs, if a split does not fit its network or a stack's networks or
+    splits differ in count or shape, and DivergenceError naming the first
+    epoch at which the objective of a network becomes non-finite.
     """
     if isinstance(net, Network):
         stack, batch = net.copy(), split
@@ -229,8 +206,9 @@ def retrain(
 
     Returns the network copy, whether the floor was met and the copy's
     validation accuracy, which decided it; one at the floor takes no epoch.
+    :func:`descend` checks ``lr`` and ``train_split`` before the first
+    score, so one at the floor rejects them too.
     """
-    check_float("lr", lr, 0, math.inf)
     check_float("floor", floor, 0, 1, "[]")
     check_int("max_epochs", max_epochs, 0)
     net = net.copy()

@@ -7,6 +7,10 @@ the call site it served is gone.  ``from __future__`` imports are
 directives, so they are exempt.  ``__init__.py`` imports only to re-export,
 so there the rule is that its imports and ``__all__`` name the same names.
 
+No public name is a generator function: a public call checks its inputs
+when it is made, and a generator function runs nothing, its checks
+included, until its first ``next``.
+
 The forward pass is stated once, in ``nnprune.network``: no other module
 of the package calls ``np.tanh`` or ``np.exp``, so a second copy of the
 pass cannot appear beside it.
@@ -15,9 +19,12 @@ pass cannot appear beside it.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import nnprune
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "nnprune"
@@ -82,6 +89,12 @@ def test_package_exports_what_it_imports():
     ]
     assert len(exported) > 40
     assert sorted(imported_names(tree)) == sorted(exported)
+
+
+def test_no_public_name_is_a_generator_function():
+    public = [getattr(nnprune, name) for name in nnprune.__all__]
+    assert len(public) > 40
+    assert [f.__name__ for f in public if inspect.isgeneratorfunction(f)] == []
 
 
 def pass_arithmetic(source: str) -> list[str]:

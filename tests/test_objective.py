@@ -7,21 +7,25 @@ from hypothesis import strategies as st
 
 from nnprune import (
     ConfigurationError,
+    DatasetBundle,
     DatasetError,
     NetworkConfig,
     PenaltyParams,
+    PruneParams,
     ShapeError,
     Split,
     TrainParams,
     accuracy,
     cross_entropy,
     descend,
+    eliminate_weights,
     finite_diff_check,
     forward_batch,
     gradients,
     init_network,
     objective,
     penalty,
+    retrain,
     train,
 )
 from nnprune.objective import (
@@ -164,16 +168,41 @@ class TestObjective:
             Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 2)
 
 
+def fitting(net) -> Split:
+    """A batch that fits ``net``, for the validation splits of a call."""
+    return make_batch(net.n_inputs, net.n_outputs, 5, seed=1)
+
+
+def eliminate_at_floor_zero(net, batch):
+    """``eliminate_weights`` training on ``batch``, each round at its floor at once."""
+    fit = fitting(net)
+    bundle = DatasetBundle(batch, fit, fit, (np.zeros(3), np.ones(3)), np.zeros(3))
+    return eliminate_weights(net, bundle, 0.1, PenaltyParams(), PruneParams(), 0.0)
+
+
+# every call that trains on a batch, with and without taking an epoch
 BATCH_FUNCTIONS = {
     "objective": lambda net, batch: objective(net, batch, PenaltyParams()),
     "descend": lambda net, batch: next(descend(net, batch, 0.1, PenaltyParams())),
+    "descend never stepped": lambda net, batch: descend(net, batch, 0.1, PenaltyParams()),
     "gradients": lambda net, batch: gradients(net, batch, PenaltyParams()),
     "finite_diff_check": lambda net, batch: finite_diff_check(net, batch, PenaltyParams()),
     "accuracy": accuracy,
     "train": lambda net, batch: train(net, batch, TrainParams(0.1, 1), PenaltyParams()),
+    "train 0 epochs": lambda net, batch: train(net, batch, TrainParams(0.1, 0), PenaltyParams()),
     "train stacked": lambda net, batch: train(
         [net, net], [batch, batch], TrainParams(0.1, 1), PenaltyParams()
     ),
+    "train stacked 0 epochs": lambda net, batch: train(
+        [net, net], [batch, batch], TrainParams(0.1, 0), PenaltyParams()
+    ),
+    "retrain at its floor": lambda net, batch: retrain(
+        net, batch, fitting(net), 0.1, PenaltyParams(), 0.0, 5
+    ),
+    "retrain 0 epochs": lambda net, batch: retrain(
+        net, batch, fitting(net), 0.1, PenaltyParams(), 1.0, 0
+    ),
+    "eliminate_weights at its floor": eliminate_at_floor_zero,
 }
 
 

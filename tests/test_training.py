@@ -85,7 +85,7 @@ class TestTrain:
         net = init_network(NetworkConfig(4, 3, 2, init_seed=1))
         before = net.copy()
         with pytest.raises(ConfigurationError, match="lr must be in"):
-            next(descend(net, toy_split(), lr, PenaltyParams()))
+            descend(net, toy_split(), lr, PenaltyParams())
         assert np.array_equal(net.w, before.w) and np.array_equal(net.v, before.v)
 
     def test_zero_epochs_identity(self):
@@ -223,11 +223,13 @@ class TestTrain:
             ([(4, 3, 2)] * 2, [30, 29], "splits of one shape"),
             ([(4, 3, 2)], [30, 30], "1 networks but 2 splits"),
             ([], [], "networks of one shape"),
+            ([(4, 3, 2)], [], "1 networks but 0 splits"),
+            ([], [30], "0 networks but 1 splits"),
         ],
     )
     def test_stack_that_does_not_fit_rejected(self, shapes, sizes, match):
         nets = [init_network(NetworkConfig(*shape)) for shape in shapes]
-        splits = [toy_split(k=k) for k in sizes] or [toy_split()]
+        splits = [toy_split(k=k) for k in sizes]
         with pytest.raises(ShapeError, match=match):
             train(nets, splits, TrainParams(0.1, 3), PenaltyParams())
 
