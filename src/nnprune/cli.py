@@ -12,9 +12,11 @@ Subcommands:
 
 ``train``, ``prune`` and ``eval`` read their dataset, data file and settings
 from the same experiment config file as ``run`` (``--config``) and pick the
-split with ``--split-seed``.  ``main`` loads the config before it dispatches,
-so an error in the file exits 1 with ``error: ...``; a ``ConfigurationError``
-raised after that came from a flag and is a usage error (exit 2).
+split with ``--split-seed``.  ``main`` loads every file a command names
+before it dispatches: the config, then the split, then the ``--net``
+network.  An error in a file exits 1 with ``error: ...``; a
+``ConfigurationError`` raised after the config loaded came from a flag
+(``--split-seed -1``, say) and is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -123,8 +125,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = args.config
-    bundle = load_bundle(config.data_path, config.spec, args.split_seed)
+    config, bundle = args.config, args.bundle
     net = init_network(config.network)
     split, penalty = bundle.train, config.penalty
     rows = ["epoch,objective,train_accuracy\n"]
@@ -145,9 +146,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_prune(args) -> int:
-    config = args.config
-    bundle = load_bundle(config.data_path, config.spec, args.split_seed)
-    net = deserialize(args.net.read_text(encoding="utf-8"))
+    config, bundle, net = args.config, args.bundle, args.net
     floor = config.prune.floor(accuracy(net, bundle.validation))
     pruned, trace, score = eliminate_weights(
         net, bundle, config.train.learning_rate, config.penalty, config.prune, floor
@@ -164,16 +163,13 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    bundle = load_bundle(args.config.data_path, args.config.spec, args.split_seed)
-    net = deserialize(args.net.read_text(encoding="utf-8"))
-    split = getattr(bundle, args.split)
-    print(f"{args.split} accuracy: {accuracy(net, split):.5f}")
+    split = getattr(args.bundle, args.split)
+    print(f"{args.split} accuracy: {accuracy(args.net, split):.5f}")
     return 0
 
 
 def _cmd_export_dot(args) -> int:
-    net = deserialize(args.net.read_text(encoding="utf-8"))
-    text = export_dot(net)
+    text = export_dot(args.net)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -205,6 +201,10 @@ def main(argv: list[str] | None = None) -> int:
         if "config" in args:
             args.config = load_config(args.config)
         try:
+            if "split_seed" in args:
+                args.bundle = load_bundle(args.config.data_path, args.config.spec, args.split_seed)
+            if "net" in args:
+                args.net = deserialize(args.net.read_text(encoding="utf-8"))
             return args.handler(args)
         except ConfigurationError as exc:
             # the config file was checked as it loaded, so a flag gave the value

@@ -44,10 +44,6 @@ class ExperimentConfig:
     prune: PruneParams
 
     def __post_init__(self) -> None:
-        if self.dataset not in SPECS:
-            raise ConfigurationError(
-                f"unknown dataset {self.dataset!r}; choose from {sorted(SPECS)}"
-            )
         net, spec = self.network, self.spec
         if (net.n_inputs, net.n_outputs) != (spec.n_attributes, spec.n_classes):
             raise ConfigurationError(
@@ -64,7 +60,14 @@ class ExperimentConfig:
 
     @property
     def spec(self) -> DatasetSpec:
-        return SPECS[self.dataset]
+        return _spec(self.dataset)
+
+
+def _spec(dataset: str) -> DatasetSpec:
+    """The spec of ``dataset``: the one check of a dataset name."""
+    if dataset not in SPECS:
+        raise ConfigurationError(f"unknown dataset {dataset!r}; choose from {sorted(SPECS)}")
+    return SPECS[dataset]
 
 
 # Documented config file keys and their defaults (flat `key = value` lines).
@@ -117,10 +120,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
                 f"config key {key!r}: invalid value {values[key]!r}"
             ) from None
 
-    dataset = values["dataset"]
-    if dataset not in SPECS:
-        raise ConfigurationError(f"unknown dataset {dataset!r}; choose from {sorted(SPECS)}")
-    spec = SPECS[dataset]
+    spec = _spec(values["dataset"])
 
     def build(cls, **given):
         for f in fields(cls):
@@ -129,7 +129,7 @@ def parse_config_text(text: str, base_dir: Path | None = None) -> ExperimentConf
         return cls(**given)
 
     return ExperimentConfig(
-        dataset=dataset,
+        dataset=spec.name,
         data_path=Path(base_dir or "", get("data_path", _path)),
         output_dir=Path(base_dir or "", get("output_dir", _path)),
         split_seeds=get("split_seeds", _seeds),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,9 +114,7 @@ class Network:
         return int(self.mask.sum())
 
     def copy(self) -> "Network":
-        return Network(
-            self.w, self.v, self.w_mask, self.v_mask, self.input_active, self.hidden_active
-        )
+        return replace(self)
 
     def views(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``w``- and ``v``-shaped views of an array in the packed layout
@@ -240,6 +238,10 @@ def serialize(net: Network) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+# the fields serialize writes
+_FIELDS = {"n", "h", "o", "w", "v", "w_mask", "v_mask", "input_active", "hidden_active"}
+
+
 def _field(doc: dict, key: str, length: int) -> list:
     if key not in doc:
         raise ParseError(f"missing field {key!r}")
@@ -272,9 +274,10 @@ def _flags(doc: dict, key: str, length: int) -> np.ndarray:
 def deserialize(text: str) -> Network:
     """Parse a JSON document produced by :func:`serialize`.
 
-    Rejects malformed documents, dimension mismatches, non-integer sizes,
-    non-finite weights, non-boolean flags, and invariant violations
-    (nonzero masked weights, inconsistent activity flags).
+    Rejects malformed documents, fields :func:`serialize` never writes,
+    dimension mismatches, non-integer sizes, non-finite weights, non-boolean
+    flags, and invariant violations (nonzero masked weights, inconsistent
+    activity flags).
     """
     try:
         doc = json.loads(text)
@@ -282,6 +285,9 @@ def deserialize(text: str) -> Network:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")
+    unknown = doc.keys() - _FIELDS
+    if unknown:
+        raise ParseError(f"unknown network fields: {sorted(unknown)}")
     n, h, o = (doc.get(key) for key in ("n", "h", "o"))
     if not all(type(size) is int for size in (n, h, o)):  # bools are ints too
         raise ParseError("fields n, h, o must be integers")

@@ -612,19 +612,23 @@ class TestCli:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    def test_unmapped_class_label_names_file_and_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["eval", "prune"])
+    def test_unmapped_class_label_names_file_and_line(self, command, tmp_path, capsys):
+        """The data file is read, and found bad, before the missing network file."""
         data = tmp_path / "bad.data"
         rows = [",".join(["1"] * 8 + [label]) for label in ("0", "1", "0", "7")]
         data.write_text("\n".join(rows) + "\n", encoding="utf-8")
         conf = tmp_path / "exp.conf"
         conf.write_text(f"dataset = diabetes\ndata_path = {data}\n")
-        rc = main(["eval", "--config", str(conf), "--net", str(tmp_path / "n.json")])
+        outputs = {"eval": [], "prune": ["--out", str(tmp_path / "p.json")]}
+        net = ["--net", str(tmp_path / "n.json")]
+        rc = main([command, "--config", str(conf), *net, *outputs[command]])
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: bad.data line 4: class label '7' not in the label map\n"
         )
 
-    @pytest.mark.parametrize("command", ["eval", "train", "run"])
+    @pytest.mark.parametrize("command", ["eval", "prune", "train", "run"])
     def test_too_few_records_names_file_exit_1(self, command, tmp_path, capsys):
         data = tmp_path / "short.data"
         data.write_text(",".join(["1"] * 8) + ",0\n", encoding="utf-8")
@@ -632,6 +636,7 @@ class TestCli:
         conf.write_text(f"dataset = diabetes\ndata_path = {data}\noutput_dir = {tmp_path}\n")
         outputs = {
             "eval": ["--net", str(tmp_path / "n.json")],
+            "prune": ["--net", str(tmp_path / "n.json"), "--out", str(tmp_path / "p.json")],
             "train": ["--out", str(tmp_path / "n.json")],
             "run": [],
         }
@@ -671,6 +676,23 @@ class TestCli:
             argv[argv.index(path) + 1] = str(bad_path)
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["eval", "prune", "export-dot"])
+    def test_network_field_serialize_never_writes_exit_1(
+        self, command, cancer_file, tmp_path, capsys
+    ):
+        doc = json.loads(serialize(init_network(NetworkConfig(9, 3, 2))))
+        net = tmp_path / "n.json"
+        net.write_text(json.dumps({**doc, "bias": [0.5, 0.5]}), encoding="utf-8")
+        conf = str(cancer_config(tmp_path / "exp.conf", cancer_file))
+        argv = {
+            "eval": ["eval", "--config", conf],
+            "prune": ["prune", "--config", conf, "--out", str(tmp_path / "p.json")],
+            "export-dot": ["export-dot", "--out", str(tmp_path / "n.dot")],
+        }[command]
+        assert main([*argv, "--net", str(net)]) == 1
+        assert capsys.readouterr().err == "error: unknown network fields: ['bias']\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf", "n.json"]
 
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:

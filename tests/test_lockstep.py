@@ -90,10 +90,10 @@ CUT_DOWN = [(60, 10, 3, 0.0), (40, 5, 2, 0.0), (100, 20, 3, 0.01)]
 SPLIT_SEEDS = range(1, 7)
 
 
-def cut_down_runs(name, path, shipped_config, setting):
+def cut_down_runs(name, path, shipped_config, setting, seeds=SPLIT_SEEDS):
     """The runs of ``configs/<name>.conf`` cut down to ``setting``, at
-    ``SPLIT_SEEDS``, each with its first reference trained as
-    ``run_experiment`` trains it, and the settings they share."""
+    ``seeds``, each with its first reference trained as ``run_experiment``
+    trains it, and the settings they share."""
     epochs, retrain_max_epochs, max_restarts, tolerance = setting
     config = shipped_config(name, path, "unused")
     tparams = replace(config.train, epochs=epochs)
@@ -102,7 +102,7 @@ def cut_down_runs(name, path, shipped_config, setting):
         accuracy_drop_tolerance=tolerance,
     )
     runs = {}
-    for seed in SPLIT_SEEDS:
+    for seed in seeds:
         bundle = load_bundle(path, config.spec, seed)
         base = replace(config.network, init_seed=derived_seed(config.network.init_seed, seed))
         reference = train(init_network(reference_config(base, 0)), bundle.train, tparams,
@@ -143,6 +143,23 @@ def test_one_bundle_is_lockstep_over_one_run(benchmark_files, shipped_config):
     for run in runs.values():
         expected = serial_grow_and_prune(*run, tparams, penalty, params)
         assert as_bytes(grow_and_prune(*run, tparams, penalty, params)) == as_bytes(expected)
+
+
+def test_runs_of_different_datasets_stack_apart(benchmark_files, shipped_config):
+    """One call may mix datasets: networks of other shapes, on training
+    splits of other sizes, are trained in stacks of their own."""
+    runs, settings = {}, {}
+    for name in ("cancer1", "diabetes", "glass"):
+        named, *settings[name] = cut_down_runs(
+            name, benchmark_files[name][0], shipped_config, CUT_DOWN[1], seeds=(1, 2)
+        )
+        runs.update({(name, seed): run for seed, run in named.items()})
+    tparams, penalty, params = settings["cancer1"]  # each takes one set, for every run
+    finished = dict(grow_and_prune.each(runs, tparams, penalty, params))
+    assert finished.keys() == runs.keys()
+    for key, run in runs.items():
+        expected = grow_and_prune(*run, tparams, penalty, params)
+        assert as_bytes(finished[key]) == as_bytes(expected), key
 
 
 def test_largest_group_first_ties_to_fewer_hidden_units(

@@ -277,6 +277,11 @@ class TestSerialization:
             with pytest.raises(ParseError, match=f"'{key}' must be a flat list of numbers"):
                 deserialize(json.dumps({**base, key: values}))
 
+    def test_field_serialize_never_writes_rejected(self):
+        doc = json.loads(serialize(small_net(2, 2, 2)))
+        with pytest.raises(ParseError, match=r"unknown network fields: \['bias', 'note'\]"):
+            deserialize(json.dumps({**doc, "note": "x", "bias": [0.5, 0.5]}))
+
     def test_integer_weights_accepted(self):
         doc = json.loads(serialize(small_net(2, 2, 2)))
         doc["w"] = [1, -2, 0, 3]
@@ -347,7 +352,10 @@ class TestPackedLayout:
         independent = net.copy()
         net.weights[:] = 0.0
         net.mask[:] = True
+        net.input_active[:] = False
+        net.hidden_active[:] = False
         assert independent.w[1, 0] == 3.0 and not independent.w_mask[1, 0]
+        assert independent.input_active.all() and independent.hidden_active.all()
 
     def test_views_keep_leading_axes(self):
         net = small_net(3, 4, 2, seed=9)

@@ -581,6 +581,13 @@ class TestTraceSerialization:
         assert {b: serialize(n) for b, n in back.snapshots.items()} == {0: serialize(net)}
         assert back.to_jsonl() == text
 
+    def test_snapshot_network_with_an_unknown_field_rejected(self):
+        network = json.loads(serialize(init_network(NetworkConfig(2, 2, 2))))
+        line = json.dumps({"type": "snapshot", "batch": 0, "network": {**network, "bias": [0.5]}})
+        message = r"^trace line 1: ParseError: unknown network fields: \['bias'\]$"
+        with pytest.raises(ParseError, match=message):
+            PruneTrace.from_jsonl(line + "\n")
+
     @pytest.mark.parametrize(
         "bad",
         [
