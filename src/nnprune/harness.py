@@ -163,6 +163,15 @@ def _path(value: str) -> str:
 _PARSERS = {"int": int, "float": float, "int | None": _optional_int}
 
 
+def _json_path(value: object) -> str:
+    """Spell a path of the config in a report; refuse any other object that
+    JSON has no form for, so that a numpy scalar in a row is an error, not a
+    string."""
+    if isinstance(value, Path):
+        return str(value)
+    raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")
+
+
 @dataclass
 class ExperimentReport:
     """All per-seed rows plus their aggregates, ready to serialize."""
@@ -199,8 +208,7 @@ class ExperimentReport:
             ],
             "aggregate": self.aggregate(),
         }
-        # default=str spells the config's paths
-        return json.dumps(doc, sort_keys=True, indent=2, default=str) + "\n"
+        return json.dumps(doc, sort_keys=True, indent=2, default=_json_path) + "\n"
 
     def to_text(self) -> str:
         lines = [

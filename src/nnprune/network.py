@@ -173,35 +173,43 @@ def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
     z < 0 gives e / (1 + e) = exp(z) / (1 + exp(z)).  The numerator (1 or
     e) is selected by one maximum, with no boolean indexing.  Training
     runs the same kernel, :func:`_forward_kernel`, into buffers of its own.
+    The kernel works feature-major, so ``inputs`` is copied transposed
+    once here, as :class:`~nnprune.data.Split` stores its examples for
+    training, and the two arrays returned are transposed views of the
+    kernel's buffers.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != net.n_inputs:
         raise ShapeError(
             f"batch has shape {inputs.shape}, expected (k, {net.n_inputs})"
         )
-    run, at = _forward_kernel(net, inputs)
+    run, (hidden, output) = _forward_kernel(net, np.ascontiguousarray(inputs.T))
     run()
-    return at
+    return hidden.T, output.T
 
 
-def _forward_kernel(net: Network, inputs: np.ndarray) -> tuple[Callable[[], None], tuple]:
-    """Bind the forward pass of ``net`` on ``inputs`` to buffers allocated
-    once: returns a function that writes the pass of the current weights
-    (updated in place) into ``(hidden [k, h], output [k, o])``, and that pair.
+def _forward_kernel(net: Network, inputs_t: np.ndarray) -> tuple[Callable[[], None], tuple]:
+    """Bind the forward pass of ``net`` on the feature-major inputs
+    ``inputs_t [n, k]`` to buffers allocated once: returns a function that
+    writes the pass of the current weights (updated in place) into
+    ``(hidden [h, k], output [o, k])``, and that pair.
 
-    ``net`` may be the stack of networks that :func:`~nnprune.training.train`
-    steps in lockstep, and ``inputs`` its rows' inputs, ``[S, k, n]``: every
+    The example axis is last, so both products, ``w @ inputs_t`` and
+    ``v @ hidden``, take the weights as they are stored.  ``net`` may be
+    the stack of networks that :func:`~nnprune.training.train` steps in
+    lockstep, and ``inputs_t`` its rows' inputs, ``[S, n, k]``: every
     array then has a leading stack axis, and each row of the pass is, bit
     for bit, that network's pass on its own inputs.
     """
-    lead = inputs.shape[:-1]
-    w_t, v_t = net.w.swapaxes(-1, -2), net.v.swapaxes(-1, -2)
-    hidden, output = np.empty(lead + (net.n_hidden,)), np.empty(lead + (net.n_outputs,))
+    w, v = net.w, net.v  # every update is in place
+    lead, k = inputs_t.shape[:-2], inputs_t.shape[-1]
+    hidden = np.empty(lead + (net.n_hidden, k))
+    output = np.empty(lead + (net.n_outputs, k))
     e, nonneg = np.empty(output.shape), np.empty(output.shape, dtype=bool)
 
     def run() -> None:
-        np.tanh(np.matmul(inputs, w_t, out=hidden), out=hidden)
-        z = np.matmul(hidden, v_t, out=output)
+        np.tanh(np.matmul(w, inputs_t, out=hidden), out=hidden)
+        z = np.matmul(v, hidden, out=output)
         np.greater_equal(z, 0.0, out=nonneg)
         np.exp(np.negative(np.abs(z, out=e), out=e), out=e)  # e = exp(-|z|)
         # 1 where z >= 0, else e, as 0 <= e <= 1; a NaN e stays NaN

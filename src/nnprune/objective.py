@@ -153,31 +153,38 @@ def theta_certainly_finite(
 
 def data_gradients(
     net: Network,
-    batch: Split,
+    examples: np.ndarray,
+    targets_t: np.ndarray,
     at: tuple[np.ndarray, np.ndarray],
     out: tuple[np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient of the summed cross-entropy alone, masked entries raw.
 
-    ``at`` must be the ``(hidden, preds)`` pass of ``net`` over
-    ``batch.examples`` for its current weights, and ``batch`` must fit
-    ``net``; it is differentiated, no pass is run and nothing is checked
-    here.  The gradient is written into ``out``, the ``net.views`` of a
-    vector in the layout of ``net.weights``, which is returned.  ``net``
-    and ``batch`` may both be the stack of networks and their splits that
-    :func:`~nnprune.training.train` steps in lockstep: every array then
-    has a leading stack axis, and each row is, bit for bit, the gradient
-    of that network on its own split.
+    Every array is feature-major, the example axis last, as
+    :func:`~nnprune.network._forward_kernel` writes its pass: ``at`` must
+    be the ``(hidden [h, k], preds [o, k])`` pass of ``net`` over the
+    batch ``examples [k, n]`` for its current weights, and ``targets_t
+    [o, k]`` the batch's targets transposed.  The batch must fit ``net``;
+    ``at`` is differentiated, no pass is run and nothing is checked here.
+    ``work`` is scratch storage the caller owns, ``(d_out [o, k],
+    slope [h, k], d_hidden [h, k])``.  The gradient is written into
+    ``out``, the ``net.views`` of a vector in the layout of
+    ``net.weights``, which is returned.  ``net`` may be the stack of
+    networks that :func:`~nnprune.training.train` steps in lockstep, with
+    its rows' arrays: every array then has a leading stack axis, and each
+    row is, bit for bit, the gradient of that network on its own split.
     """
     hidden, preds = at
     d_w, d_v = out
-    d_out = preds - batch.targets                     # dF/d(pre-logistic), [k, o]
-    np.matmul(d_out.swapaxes(-1, -2), hidden, out=d_v)  # [o, h]
-    slope = hidden ** 2                               # tanh' = 1 - hidden^2, [k, h]
+    d_out, slope, d_hidden = work
+    np.subtract(preds, targets_t, out=d_out)             # dF/d(pre-logistic)
+    np.matmul(d_out, hidden.swapaxes(-1, -2), out=d_v)   # [o, h]
+    np.square(hidden, out=slope)                         # tanh' = 1 - hidden^2
     np.subtract(1.0, slope, out=slope)
-    d_hidden = d_out @ net.v
-    d_hidden *= slope
-    np.matmul(d_hidden.swapaxes(-1, -2), batch.examples, out=d_w)  # [h, n]
+    np.matmul(net.v.swapaxes(-1, -2), d_out, out=d_hidden)
+    np.multiply(d_hidden, slope, out=d_hidden)
+    np.matmul(d_hidden, examples, out=d_w)               # [h, n]
     return out
 
 
@@ -217,7 +224,10 @@ def gradients(net: Network, batch: Split, params: PenaltyParams) -> np.ndarray:
     """
     check_batch(net, batch)
     grad, pen = np.empty_like(net.weights), np.empty_like(net.weights)
-    data_gradients(net, batch, forward_batch(net, batch.examples), net.views(grad))
+    hidden, preds = forward_batch(net, batch.examples)
+    at = (hidden.T, preds.T)  # the kernel's own feature-major buffers
+    work = (np.empty_like(at[1]), np.empty_like(at[0]), np.empty_like(at[0]))
+    data_gradients(net, batch.examples, batch.targets.T, at, net.views(grad), work)
     # overflow on diverged weights shows as a non-finite entry, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
         penalty_gradients(net.weights, params, pen)

@@ -50,12 +50,15 @@ class _Stack:
 
     ``weights [S, h*n + o*h]`` and ``mask`` stack the networks' packed
     vectors, ``w [S, h, n]`` and ``v [S, o, h]`` are views of ``weights``,
-    and ``examples [S, k, n]`` and ``targets [S, k, o]`` stack the splits'
-    arrays: what :func:`descend` reads of a network and of a split, with a
-    leading stack axis.  ``views``, the layer sizes and ``n_classes`` are
-    those of the first row.  At these sizes an epoch's time is mostly
-    per-call overhead, not arithmetic, so an epoch of five rows costs about
-    as much as two or three epochs of one network.
+    and ``examples [S, k, n]``, ``examples_t [S, n, k]`` and ``targets
+    [S, k, o]`` stack the splits' arrays: what :func:`descend` reads of a
+    network and of a split, with a leading stack axis.  The pass reads
+    the examples feature-major and the gradient of ``w`` example-major,
+    so both layouts are stacked here, once, and no epoch transposes.
+    ``views``, the layer sizes and ``n_classes`` are those of the first
+    row.  At these sizes an epoch's time is mostly per-call overhead, not
+    arithmetic, so an epoch of five rows costs about as much as two or
+    three epochs of one network.
     """
 
     def __init__(self, networks: Sequence[Network], splits: Sequence[Split]) -> None:
@@ -75,6 +78,7 @@ class _Stack:
         self.mask = np.stack([net.mask for net in self.networks])
         self.w, self.v = self.views(self.weights)
         self.examples = np.stack([split.examples for split in self.splits])
+        self.examples_t = np.stack([split.examples_t for split in self.splits])
         self.targets = np.stack([split.targets for split in self.splits])
 
     def __len__(self) -> int:
@@ -113,12 +117,15 @@ def _epochs(
     """The epochs of :func:`descend`, on inputs it has checked.
 
     The workspace is the two gradient vectors, the data gradient's bound
-    once to their ``w``/``v`` views, and the buffers of
-    :func:`~nnprune.network.forward_batch`'s kernel.  Each epoch
-    differentiates the forward pass the previous epoch left there (the
-    first runs one), does each elementwise step of the update once for all
-    weights, pins the masked weights back to 0.0 and runs one forward pass
-    of the updated network.  Theta is computed only when
+    once to their ``w``/``v`` views, the buffers of
+    :func:`~nnprune.network.forward_batch`'s kernel, the targets
+    transposed and the data gradient's scratch arrays; the pass and its
+    gradient run feature-major, on ``split.examples_t``, so nothing is
+    transposed in an epoch.  Each epoch differentiates the forward pass
+    the previous epoch left there (the first runs one), does each
+    elementwise step of the update once for all weights, pins the masked
+    weights back to 0.0 and runs one forward pass of the updated network,
+    all in one floating-point error block.  Theta is computed only when
     :func:`~nnprune.objective.theta_certainly_finite` cannot prove it
     finite, so DivergenceError comes at the epoch that evaluating theta
     every epoch would give.
@@ -127,23 +134,27 @@ def _epochs(
     masked, flat = np.flatnonzero(~net.mask), weights.reshape(-1)
     grad, pen = np.empty_like(weights), np.empty_like(weights)
     grad_views = net.views(grad)
-    forward, at = _forward_kernel(net, split.examples)
+    forward, at = _forward_kernel(net, split.examples_t)
+    hidden, preds = at
+    targets_t = split.targets.swapaxes(-1, -2).copy()
+    work = (np.empty_like(preds), np.empty_like(hidden), np.empty_like(hidden))
     forward()
     for epoch in count(1):
-        data_gradients(net, split, at, out=grad_views)
-        # overflow on diverged weights is caught right after by the divergence check
+        # overflow on diverged weights is caught at the end by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
+            data_gradients(net, split.examples, targets_t, at, grad_views, work)
             penalty_gradients(weights, penalty, out=pen)
             np.add(grad, pen, out=grad)
             np.multiply(grad, step, out=grad)
             np.subtract(weights, grad, out=weights)  # weights -= step * (grad + pen)
-        if masked.size:  # the only place a step enforces masks
-            flat[masked] = 0.0
-        forward()
-        if not theta_certainly_finite(weights, at, penalty) and not all(
-            np.isfinite(objective(row, row_split, penalty))
-            for row, row_split in _rows(net, split)
-        ):
+            if masked.size:  # the only place a step enforces masks
+                flat[masked] = 0.0
+            forward()
+            finite = theta_certainly_finite(weights, at, penalty) or all(
+                np.isfinite(objective(row, row_split, penalty))
+                for row, row_split in _rows(net, split)
+            )
+        if not finite:
             raise DivergenceError(f"objective became non-finite at epoch {epoch}")
         yield epoch
 
@@ -162,7 +173,7 @@ def accuracy(net: Network, split: Split) -> float:
     """
     check_batch(net, split)
     preds = classify_batch(net, split.examples)
-    return float(np.mean(preds == split.class_indices))
+    return float(np.count_nonzero(preds == split.class_indices) / len(preds))
 
 
 def train(

@@ -35,6 +35,11 @@ A golden file changes only with a declared change of behaviour.  To rewrite
 them from the current code:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Before it writes a golden set, it prints whether the set's report files
+keep their bytes, whether ``structure`` of its networks and traces is
+unchanged, and the largest move of a float field, so a rewrite that moves
+only float bits shows itself as one.
 """
 
 from __future__ import annotations
@@ -297,7 +302,74 @@ def test_goldens_cover_the_pinned_paths():
     assert not missing, f"no golden takes these paths: {missing}"
 
 
-def _write_golden(name: str, files: dict[str, bytes]) -> None:
+# the files of a golden set that hold reports, not networks or traces
+REPORT_FILES = ("report.json", "report.txt", "stdout.txt")
+
+
+def float_moves(a, b):
+    """``|x - y|`` for each pair of float fields found at one place in the
+    JSON values ``a`` and ``b``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in a.keys() & b.keys():
+            yield from float_moves(a[key], b[key])
+    elif isinstance(a, list) and isinstance(b, list):
+        for x, y in zip(a, b):
+            yield from float_moves(x, y)
+    elif type(a) is float and type(b) is float:
+        yield abs(a - b)
+
+
+def describe_regeneration(name: str, got: dict[str, bytes], want: dict[str, bytes]) -> str:
+    """What rewriting the golden set ``want`` with ``got`` changes: the bytes
+    of each report file, the ``structure`` of the networks and traces, and
+    the largest move of a float field in them."""
+    parts = [
+        f"{f} {'unchanged' if got.get(f) == want.get(f) else 'CHANGED'}"
+        for f in REPORT_FILES if f in got or f in want
+    ]
+    others = sorted((got.keys() | want.keys()) - set(REPORT_FILES))
+    both = [f for f in others if f in got and f in want]
+    same = len(both) == len(others) and all(
+        structure(f, got[f]) == structure(f, want[f]) for f in both
+    )
+    moves = [
+        move
+        for f in both
+        for line_got, line_want in zip(got[f].splitlines(), want[f].splitlines())
+        for move in float_moves(json.loads(line_got), json.loads(line_want))
+    ]
+    changed = sum(got.get(f) != want.get(f) for f in others)
+    parts += [
+        f"structure() {'unchanged' if same else 'CHANGED'}",
+        f"{changed} of {len(others)} network and trace files change bytes",
+        f"largest float move {max(moves, default=0.0):.3g}",
+    ]
+    return f"{name}: " + "; ".join(parts)
+
+
+def test_regeneration_report_names_what_moved():
+    want = output_files(GOLDEN / "prune", PRUNE_PATTERNS)
+    assert describe_regeneration("prune", want, want) == (
+        "prune: stdout.txt unchanged; structure() unchanged; "
+        "0 of 2 network and trace files change bytes; largest float move 0"
+    )
+    net = json.loads(want["pruned.json"])
+    net["v"][0] += 0.25
+    moved = dict(want, **{"pruned.json": json.dumps(net).encode()})
+    assert describe_regeneration("prune", moved, want) == (
+        "prune: stdout.txt unchanged; structure() unchanged; "
+        "1 of 2 network and trace files change bytes; largest float move 0.25"
+    )
+    net["v_mask"][0] = not net["v_mask"][0]
+    changed = dict(moved, **{"pruned.json": json.dumps(net).encode(), "stdout.txt": b""})
+    assert describe_regeneration("prune", changed, want).startswith(
+        "prune: stdout.txt CHANGED; structure() CHANGED; "
+    )
+
+
+def _write_golden(name: str, files: dict[str, bytes], patterns=PATTERNS) -> None:
+    print(describe_regeneration(name, files, output_files(GOLDEN / name, patterns)),
+          file=sys.stderr)
     shutil.rmtree(GOLDEN / name, ignore_errors=True)
     for rel, data in files.items():
         (GOLDEN / name / rel).parent.mkdir(parents=True, exist_ok=True)
@@ -313,7 +385,8 @@ def _regenerate() -> None:
         files = {name: (path, "synthetic") for name, path in write_all(tmp / "stand-ins").items()}
         for name, run in run_shipped(tmp / "shipped", files).items():
             _write_golden(name, output_files(run.out))
-        _write_golden("prune", output_files(run_prune(tmp / "prune"), PRUNE_PATTERNS))
+        prune = output_files(run_prune(tmp / "prune"), PRUNE_PATTERNS)
+        _write_golden("prune", prune, PRUNE_PATTERNS)
     GOLDEN_NUMERICS.write_text(numerics() + "\n", encoding="utf-8")
 
 

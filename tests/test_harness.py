@@ -276,6 +276,12 @@ class TestRunExperiment:
         assert "full_test_accuracy" in doc["aggregate"]
         assert 0.0 <= doc["aggregate"]["pruned_test_accuracy"]["mean"] <= 1.0
 
+    def test_report_json_refuses_a_numpy_scalar(self, shipped_runs):
+        report = shipped_runs["cancer1"].report
+        row = replace(report.rows[1], converged=np.bool_(True))
+        with pytest.raises(TypeError, match="bool"):
+            replace(report, rows={1: row}).to_json()
+
     def test_architecture_strings_match_networks(self, shipped_runs):
         run = shipped_runs["cancer1"]
         assert list(run.report.rows) == self.SEEDS

@@ -130,6 +130,24 @@ class TestForward:
         _, b = forward_one(flipped, -x)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n,h,o,k", [(3, 1, 2, 5), (4, 3, 2, 1), (2, 1, 3, 1), (9, 4, 6, 7)])
+    def test_returns_one_row_per_example(self, n, h, o, k):
+        # callers index the pair as (hidden [k, h], output [k, o]), whatever
+        # layout the kernel computes in
+        net = small_net(n, h, o, seed=k)
+        x = np.random.default_rng(k).uniform(-1, 1, size=(k, n))
+        hidden, output = forward_batch(net, x)
+        assert hidden.shape == (k, h) and output.shape == (k, o)
+        expected_hidden = np.tanh(x @ net.w.T)
+        np.testing.assert_allclose(hidden, expected_hidden, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(
+            output, masked_logistic(expected_hidden @ net.v.T), rtol=1e-14, atol=1e-15
+        )
+        for i in range(k):
+            one_hidden, one_output = forward_one(net, x[i])
+            np.testing.assert_allclose(hidden[i], one_hidden, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(output[i], one_output, rtol=1e-14, atol=1e-15)
+
     def test_shape_error(self):
         net = small_net(3, 2, 2)
         # a stacked batch is training's business: the public pass takes [k, n] only
@@ -211,6 +229,15 @@ class TestClassify:
         net.v[:] = 0.0
         # all outputs are exactly 0.5
         assert classify_one(net, [0.1, 0.5, 0.9]) == 0
+
+    @pytest.mark.parametrize("h,k", [(1, 1), (1, 4), (3, 1), (3, 4)])
+    def test_tie_between_later_outputs_breaks_low_index(self, h, k):
+        net = small_net(2, h, 4)
+        net.w[:] = 1.0
+        net.v[:] = -1.0
+        net.v[1, :] = net.v[3, :] = 1.0  # outputs 1 and 3 equal, and largest
+        inputs = np.random.default_rng(k).uniform(0.1, 1.0, size=(k, 2))
+        assert classify_batch(net, inputs).tolist() == [1] * k
 
 
 class TestSerialization:

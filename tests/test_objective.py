@@ -50,6 +50,19 @@ def make_batch(n, o, k, seed=0) -> Split:
     return Split(rng.random((k, n)), rng.integers(0, o, size=k), o)
 
 
+def raw_data_gradient(net, batch) -> np.ndarray:
+    """``data_gradients`` of ``net`` on ``batch``, masked entries raw, in a
+    new vector in the layout of ``net.weights``.  The gradient reads the
+    pass feature-major, so it is handed the arrays of ``forward_batch``'s
+    views transposed back."""
+    hidden, preds = forward_batch(net, batch.examples)
+    at = (hidden.T, preds.T)
+    work = (np.empty_like(at[1]), np.empty_like(at[0]), np.empty_like(at[0]))
+    grad = np.empty_like(net.weights)
+    data_gradients(net, batch.examples, batch.targets.T, at, net.views(grad), work)
+    return grad
+
+
 class TestCrossEntropy:
     def test_uniform_prediction(self):
         f = cross_entropy(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]))
@@ -238,10 +251,9 @@ class TestGradients:
         net = init_network(NetworkConfig(4, 3, 2, init_seed=2))
         net.w[1, 2] = 0.0
         batch = make_batch(4, 2, 6, seed=2)
-        unmasked, raw = np.empty_like(net.weights), np.empty_like(net.weights)
-        data_gradients(net, batch, forward_batch(net, batch.examples), net.views(unmasked))
+        unmasked = raw_data_gradient(net, batch)
         net.w_mask[1, 2] = False
-        data_gradients(net, batch, forward_batch(net, batch.examples), net.views(raw))
+        raw = raw_data_gradient(net, batch)
         assert net.views(raw)[0][1, 2] != 0.0
         assert np.array_equal(raw, unmasked)
 

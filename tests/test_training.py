@@ -19,6 +19,7 @@ from nnprune import (
     Split,
     TrainParams,
     accuracy,
+    classify_batch,
     descend,
     gradients,
     init_network,
@@ -170,11 +171,12 @@ class TestTrain:
     def test_one_forward_pass_per_epoch(self, epochs, monkeypatch):
         training = importlib.import_module("nnprune.training")
         real = training.data_gradients
+        split = toy_split(seed=6)
         fresh = []
 
-        def checking(net, split, at, out=None):
+        def checking(net, examples, targets_t, at, out, work):
             fresh.append(pass_equals(net, split, at))
-            return real(net, split, at, out=out)
+            return real(net, examples, targets_t, at, out, work)
 
         def forbidden(net, inputs):
             raise AssertionError("descend ran forward_batch")
@@ -184,7 +186,7 @@ class TestTrain:
         for module in ("nnprune.objective", "nnprune.network"):
             monkeypatch.setattr(importlib.import_module(module), "forward_batch", forbidden)
         net = init_network(NetworkConfig(4, 3, 2, init_seed=6))
-        train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
+        train(net, split, TrainParams(0.1, epochs), PenaltyParams())
         # every gradient differentiates the pass of the weights it steps, and
         # no pass goes through forward_batch
         assert fresh == [True] * epochs
@@ -235,10 +237,11 @@ class TestTrain:
 
 
 def pass_equals(net, split, at) -> bool:
-    """Whether ``at`` is bit for bit the forward pass of ``net`` on ``split``,
-    as plain numpy computes it apart from the package's kernel."""
-    hidden = np.tanh(split.examples @ net.w.T)
-    preds = masked_logistic(hidden @ net.v.T)
+    """Whether ``at`` is bit for bit the feature-major forward pass
+    ``(hidden [h, k], preds [o, k])`` of ``net`` on ``split``, as plain numpy
+    computes it apart from the package's kernel."""
+    hidden = np.tanh(net.w @ np.ascontiguousarray(split.examples.T))
+    preds = masked_logistic(net.v @ hidden)
     return np.array_equal(at[0], hidden) and np.array_equal(at[1], preds)
 
 
@@ -492,6 +495,16 @@ class TestAccuracy:
         net.v[:] = 0.0
         expected = float(np.mean(split.class_indices == 0))
         assert accuracy(net, split) == pytest.approx(expected)
+
+    def test_is_a_float_equal_to_the_mean(self):
+        # a numpy scalar here reaches a report row, whose JSON refuses it
+        net = init_network(NetworkConfig(4, 3, 2, init_seed=11))
+        for k in (1, 7, 30):
+            split = toy_split(k=k, seed=k)
+            score = accuracy(net, split)
+            assert type(score) is float
+            preds = classify_batch(net, split.examples)
+            assert score == float(np.mean(preds == split.class_indices))
 
     def test_empty_split_rejected(self):
         # an empty split cannot be built, so accuracy is always defined
