@@ -195,11 +195,12 @@ def _forward_kernel(net: Network, inputs_t: np.ndarray) -> tuple[Callable[[], No
     ``(hidden [h, k], output [o, k])``, and that pair.
 
     The example axis is last, so both products, ``w @ inputs_t`` and
-    ``v @ hidden``, take the weights as they are stored.  ``net`` may be
-    the stack of networks that :func:`~nnprune.training.train` steps in
-    lockstep, and ``inputs_t`` its rows' inputs, ``[S, n, k]``: every
-    array then has a leading stack axis, and each row of the pass is, bit
-    for bit, that network's pass on its own inputs.
+    ``v @ hidden``, take the weights as they are stored.
+    :func:`forward_batch` hands it one network and 2-D arrays.  The
+    trainer always hands it a stack of networks, of one or more, and its
+    rows' inputs, ``[S, n, k]``: every array then has a leading stack
+    axis, and each row of the pass is, bit for bit, that network's pass
+    on its own inputs.
     """
     w, v = net.w, net.v  # every update is in place
     lead, k = inputs_t.shape[:-2], inputs_t.shape[-1]

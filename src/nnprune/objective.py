@@ -54,8 +54,9 @@ def check_batch(net: Network, batch: Split) -> None:
     ``net`` and one class per output.
 
     A batch is checked where it enters: :func:`objective`,
-    :func:`gradients`, :func:`~nnprune.training.accuracy` and
-    :func:`~nnprune.training.descend` call this.
+    :func:`gradients`, :func:`~nnprune.training.accuracy` and the one
+    gate of :func:`~nnprune.training.descend` and
+    :func:`~nnprune.training.train` call this.
     """
     if (batch.examples.shape[-1], batch.n_classes) != (net.n_inputs, net.n_outputs):
         raise ShapeError(
@@ -109,11 +110,11 @@ def theta_certainly_finite(
 ) -> bool:
     """A cheap sufficient condition for a finite theta at ``at``.
 
-    ``weights`` holds every weight of the network, in any shape (the
-    trainer passes ``net.weights``).  ``at`` must be the ``(hidden, preds)``
-    pass of that network on a :class:`~nnprune.data.Split`, whose targets
-    are one-hot rows of 0.0 and 1.0 by construction.  True means ``objective``
-    is finite there; False proves nothing.  The argument, with S the sum of
+    ``weights`` holds every weight of the network, in any shape, and
+    ``at`` must be the ``(hidden, preds)`` pass of that network on a
+    :class:`~nnprune.data.Split`, whose targets are one-hot rows of 0.0
+    and 1.0 by construction.  True means ``objective`` is finite there;
+    False proves nothing.  The argument, with S the sum of
     all squared weights and N the number of weights:
 
     * no NaN in the outputs: every clamped log term is at most
@@ -128,13 +129,13 @@ def theta_certainly_finite(
 
     A NaN or infinite weight makes S non-finite and the check False.
 
-    One call covers the stack of networks that
-    :func:`~nnprune.training.train` steps in lockstep and its pass, arrays
-    with a leading stack axis: True then means theta is finite for every
-    row.  Each row's S, N and output count are at most the stack's totals,
-    and its bound is a sum of non-negative terms in them, so the stack's
-    bound dominates every row's; a NaN output of any row makes the stack's
-    output sum NaN.
+    The trainer always hands it the weights and the pass of a stack of
+    networks, of one or more, ``[S, ...]`` arrays; one network's 2-D
+    pass and its ``weights`` are checked the same way.  For a
+    stack, True means theta is finite for every row.  Each row's S, N and
+    output count are at most the stack's totals, and its bound is a sum of
+    non-negative terms in them, so the stack's bound dominates every
+    row's; a NaN output of any row makes the stack's output sum NaN.
     """
     _, preds = at
     # a Python float: arithmetic on an overflowed S gives inf without a numpy warning
@@ -170,10 +171,11 @@ def data_gradients(
     ``work`` is scratch storage the caller owns, ``(d_out [o, k],
     slope [h, k], d_hidden [h, k])``.  The gradient is written into
     ``out``, the ``net.views`` of a vector in the layout of
-    ``net.weights``, which is returned.  ``net`` may be the stack of
-    networks that :func:`~nnprune.training.train` steps in lockstep, with
-    its rows' arrays: every array then has a leading stack axis, and each
-    row is, bit for bit, the gradient of that network on its own split.
+    ``net.weights``, which is returned.  :func:`gradients` hands it one
+    network and 2-D arrays.  The trainer always hands it a stack of
+    networks, of one or more, and its rows' arrays, ``[S, ...]``: every
+    array then has a leading stack axis, and each row is, bit for bit,
+    the gradient of that network on its own split.
     """
     hidden, preds = at
     d_w, d_v = out

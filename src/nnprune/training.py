@@ -14,7 +14,7 @@ loss and penalty).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from itertools import count, islice
 
@@ -51,7 +51,7 @@ class _Stack:
     ``weights [S, h*n + o*h]`` and ``mask`` stack the networks' packed
     vectors, ``w [S, h, n]`` and ``v [S, o, h]`` are views of ``weights``,
     and ``examples [S, k, n]``, ``examples_t [S, n, k]`` and ``targets
-    [S, k, o]`` stack the splits' arrays: what :func:`descend` reads of a
+    [S, k, o]`` stack the splits' arrays: what an epoch reads of a
     network and of a split, with a leading stack axis.  The pass reads
     the examples feature-major and the gradient of ``w`` example-major,
     so both layouts are stacked here, once, and no epoch transposes.
@@ -59,6 +59,12 @@ class _Stack:
     row.  At these sizes an epoch's time is mostly per-call overhead, not
     arithmetic, so an epoch of five rows costs about as much as two or
     three epochs of one network.
+
+    Every epoch steps a stack.  A stack of one is a view of its network
+    and split, so stepping it steps that network in place, as
+    :func:`descend` does; a stack of more rows holds copies.
+    :func:`train` stacks copies of its networks, so it never changes the
+    caller's.
     """
 
     def __init__(self, networks: Sequence[Network], splits: Sequence[Split]) -> None:
@@ -74,12 +80,12 @@ class _Stack:
         head = self.networks[0]
         self.n_inputs, self.n_hidden, self.n_outputs = head.n_inputs, head.n_hidden, head.n_outputs
         self.views, self.n_classes = head.views, self.splits[0].n_classes
-        self.weights = np.stack([net.weights for net in self.networks])
-        self.mask = np.stack([net.mask for net in self.networks])
+        self.weights = _stacked([net.weights for net in self.networks])
+        self.mask = _stacked([net.mask for net in self.networks])
         self.w, self.v = self.views(self.weights)
-        self.examples = np.stack([split.examples for split in self.splits])
-        self.examples_t = np.stack([split.examples_t for split in self.splits])
-        self.targets = np.stack([split.targets for split in self.splits])
+        self.examples = _stacked([split.examples for split in self.splits])
+        self.examples_t = _stacked([split.examples_t for split in self.splits])
+        self.targets = _stacked([split.targets for split in self.splits])
 
     def __len__(self) -> int:
         return self.examples.shape[-2]
@@ -89,9 +95,12 @@ class _Stack:
         return [replace(net, w=w, v=v) for net, w, v in zip(self.networks, self.w, self.v)]
 
 
-def descend(
-    net: Network | _Stack, split: Split | _Stack, lr: float, penalty: PenaltyParams
-) -> Iterator[int]:
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` along a new leading axis: a copy, or a view of the one array."""
+    return np.stack(arrays) if len(arrays) > 1 else arrays[0][np.newaxis]
+
+
+def descend(net: Network, split: Split, lr: float, penalty: PenaltyParams) -> Iterator[int]:
     """Full-batch descent on ``net`` in place; yields each finished epoch.
 
     Checks ``lr`` and that ``split`` fits ``net`` (ShapeError if not) when
@@ -100,49 +109,50 @@ def descend(
     the masks of ``net`` and allocates the workspace; the caller must not
     change the masks while it takes epochs.  Raises DivergenceError naming
     the first epoch at which the objective becomes non-finite.
-
-    ``net`` and ``split`` may both be one :class:`_Stack`: every array of
-    the workspace then has a leading stack axis, each row steps bit for bit
-    as that network would alone on its split, and the first epoch at which
-    some row's objective becomes non-finite raises.
     """
+    return _descend(_Stack([net], [split]), lr, penalty)
+
+
+def _descend(stack: _Stack, lr: float, penalty: PenaltyParams) -> Iterator[int]:
+    """The one gate of :func:`descend` and :func:`train`: checks ``lr`` and
+    that the stack's splits fit its networks, then returns its epochs."""
     check_float("lr", lr, 0, math.inf)
-    check_batch(net, split)
-    return _epochs(net, split, lr / len(split), penalty)
+    check_batch(stack, stack)
+    return _epochs(stack, lr / len(stack), penalty)
 
 
-def _epochs(
-    net: Network | _Stack, split: Split | _Stack, step: float, penalty: PenaltyParams
-) -> Iterator[int]:
-    """The epochs of :func:`descend`, on inputs it has checked.
+def _epochs(stack: _Stack, step: float, penalty: PenaltyParams) -> Iterator[int]:
+    """The epochs of :func:`_descend`, on a stack it has checked.
 
-    The workspace is the two gradient vectors, the data gradient's bound
-    once to their ``w``/``v`` views, the buffers of
-    :func:`~nnprune.network.forward_batch`'s kernel, the targets
-    transposed and the data gradient's scratch arrays; the pass and its
-    gradient run feature-major, on ``split.examples_t``, so nothing is
-    transposed in an epoch.  Each epoch differentiates the forward pass
-    the previous epoch left there (the first runs one), does each
-    elementwise step of the update once for all weights, pins the masked
-    weights back to 0.0 and runs one forward pass of the updated network,
-    all in one floating-point error block.  Theta is computed only when
-    :func:`~nnprune.objective.theta_certainly_finite` cannot prove it
-    finite, so DivergenceError comes at the epoch that evaluating theta
-    every epoch would give.
+    Every array of the workspace has the stack's leading axis: the two
+    gradient vectors, the data gradient's bound once to their ``w``/``v``
+    views, the buffers of :func:`~nnprune.network.forward_batch`'s kernel,
+    the targets transposed and the data gradient's scratch arrays; the
+    pass and its gradient run feature-major, on ``stack.examples_t``, so
+    nothing is transposed in an epoch.  Each row steps bit for bit as its
+    network would alone on its split.  Each epoch differentiates the
+    forward pass the previous epoch left there (the first runs one), does
+    each elementwise step of the update once for all weights, pins the
+    masked weights back to 0.0 and runs one forward pass of the updated
+    networks, all in one floating-point error block.  Theta is computed
+    only when :func:`~nnprune.objective.theta_certainly_finite` cannot
+    prove it finite for the whole stack, so DivergenceError comes at the
+    epoch that evaluating theta every epoch would give for the first row
+    to diverge.
     """
-    weights = net.weights
-    masked, flat = np.flatnonzero(~net.mask), weights.reshape(-1)
+    weights = stack.weights
+    masked, flat = np.flatnonzero(~stack.mask), weights.reshape(-1)
     grad, pen = np.empty_like(weights), np.empty_like(weights)
-    grad_views = net.views(grad)
-    forward, at = _forward_kernel(net, split.examples_t)
+    grad_views = stack.views(grad)
+    forward, at = _forward_kernel(stack, stack.examples_t)
     hidden, preds = at
-    targets_t = split.targets.swapaxes(-1, -2).copy()
+    targets_t = stack.targets.swapaxes(-1, -2).copy()
     work = (np.empty_like(preds), np.empty_like(hidden), np.empty_like(hidden))
     forward()
     for epoch in count(1):
         # overflow on diverged weights is caught at the end by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            data_gradients(net, split.examples, targets_t, at, grad_views, work)
+            data_gradients(stack, stack.examples, targets_t, at, grad_views, work)
             penalty_gradients(weights, penalty, out=pen)
             np.add(grad, pen, out=grad)
             np.multiply(grad, step, out=grad)
@@ -152,16 +162,11 @@ def _epochs(
             forward()
             finite = theta_certainly_finite(weights, at, penalty) or all(
                 np.isfinite(objective(row, row_split, penalty))
-                for row, row_split in _rows(net, split)
+                for row, row_split in zip(stack.rows(), stack.splits)
             )
         if not finite:
             raise DivergenceError(f"objective became non-finite at epoch {epoch}")
         yield epoch
-
-
-def _rows(net: Network | _Stack, split: Split | _Stack) -> Iterable[tuple]:
-    """The ``(network, split)`` pair of every row of a stack, else the one pair."""
-    return zip(net.rows(), net.splits) if isinstance(net, _Stack) else ((net, split),)
 
 
 def accuracy(net: Network, split: Split) -> float:
@@ -184,24 +189,22 @@ def train(
 ) -> Network | list[Network]:
     """Run exactly ``tparams.epochs`` updates; returns the trained copy.
 
-    ``net`` and ``split`` may be parallel sequences instead: networks of
-    one shape and splits of one size, trained in lockstep as one
-    :class:`_Stack`, one :func:`descend` epoch for all of them at a time.
-    The trained copies are returned as a list, each bit for bit the copy
-    that training it alone returns.
+    ``net`` and ``split`` are one network and its split, or parallel
+    sequences of networks of one shape and splits of one size, whose
+    trained copies are returned as a list, each bit for bit the copy that
+    training it alone returns.
 
     Deterministic given its inputs.  Raises ShapeError, even for zero
     epochs, if a split does not fit its network or a stack's networks or
     splits differ in count or shape, and DivergenceError naming the first
     epoch at which the objective of a network becomes non-finite.
     """
-    if isinstance(net, Network):
-        stack, batch = net.copy(), split
-    else:
-        stack = batch = _Stack(net, split)
-    for _ in islice(descend(stack, batch, tparams.learning_rate, penalty), tparams.epochs):
+    single = isinstance(net, Network)
+    nets, splits = ([net], [split]) if single else (net, split)
+    stack = _Stack([row.copy() for row in nets], splits)
+    for _ in islice(_descend(stack, tparams.learning_rate, penalty), tparams.epochs):
         pass
-    return stack if isinstance(net, Network) else stack.rows()
+    return stack.rows()[0] if single else stack.rows()
 
 
 def retrain(

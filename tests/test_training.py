@@ -237,12 +237,15 @@ class TestTrain:
 
 
 def pass_equals(net, split, at) -> bool:
-    """Whether ``at`` is bit for bit the feature-major forward pass
-    ``(hidden [h, k], preds [o, k])`` of ``net`` on ``split``, as plain numpy
-    computes it apart from the package's kernel."""
-    hidden = np.tanh(net.w @ np.ascontiguousarray(split.examples.T))
-    preds = masked_logistic(net.v @ hidden)
-    return np.array_equal(at[0], hidden) and np.array_equal(at[1], preds)
+    """Whether row 0 of ``at``, the workspace ``(hidden [1, h, k], preds
+    [1, o, k])`` of the stack of one that trains a network, is bit for bit
+    the feature-major forward pass of ``net`` on ``split``, as plain numpy
+    computes it apart from the package's kernel.  ``net`` is the network,
+    or the stack itself, whose row 0 is then taken."""
+    w, v = (a.reshape(-1, *a.shape[-2:])[0] for a in (net.w, net.v))
+    hidden = np.tanh(w @ np.ascontiguousarray(split.examples.T))
+    preds = masked_logistic(v @ hidden)
+    return np.array_equal(at[0][0], hidden) and np.array_equal(at[1][0], preds)
 
 
 def workspace_passes(monkeypatch) -> list:
@@ -374,7 +377,7 @@ class TestEpochContract:
     call; a refactor must not change how many calls an epoch makes."""
 
     @pytest.mark.parametrize("epochs", [1, 6])
-    @pytest.mark.parametrize("runner", ["train", "retrain"])
+    @pytest.mark.parametrize("runner", ["train", "retrain", "stack"])
     def test_one_call_of_each_per_epoch(self, runner, epochs, monkeypatch):
         calls = Counter()
 
@@ -403,6 +406,10 @@ class TestEpochContract:
         net.apply_masks()
         if runner == "train":
             train(net, toy_split(seed=6), TrainParams(0.1, epochs), PenaltyParams())
+        elif runner == "stack":  # the benchmark reads one call as one update of the stack
+            nets = [net, init_network(NetworkConfig(4, 3, 2, init_seed=7)), net]
+            splits = [toy_split(seed=seed) for seed in (6, 7, 8)]
+            assert len(train(nets, splits, TrainParams(0.1, epochs), PenaltyParams())) == 3
         else:
             _, met, score = retrain(
                 net, toy_split(seed=6), toy_split(seed=7), 0.1, PenaltyParams(),
