@@ -83,18 +83,16 @@ class Split:
     example, that the examples are real numbers (bool, integer or float;
     stored as float64) and finite, and that every class index is an
     integer in ``[0, n_classes)``, then derives ``targets``, one one-hot
-    row of 0.0 and 1.0 per index, and ``examples_t``, the examples
-    feature-major (one row per attribute), the layout training reads;
-    training relies on all of this.  The four arrays are read-only and no
-    field can be rebound, so the checks and the derived arrays hold for the
-    life of the split.
+    row of 0.0 and 1.0 per index; training relies on all of this.  The
+    three arrays are read-only and no field can be rebound, so the checks
+    and the targets hold for the life of the split.  The feature-major
+    copies that training reads are the trainer's, made once per call.
     """
 
     examples: np.ndarray       # float64 [k, n], values in [0, 1]
     class_indices: np.ndarray  # int64 [k], each in [0, n_classes)
     n_classes: int
-    targets: np.ndarray = field(init=False, repr=False)     # float64 [k, n_classes], one-hot
-    examples_t: np.ndarray = field(init=False, repr=False)  # float64 [n, k], examples.T
+    targets: np.ndarray = field(init=False, repr=False)  # float64 [k, n_classes], one-hot
 
     def __post_init__(self) -> None:
         check_int("n_classes", self.n_classes, 1)
@@ -118,12 +116,9 @@ class Split:
             raise DatasetError(f"class indices must be integers in [0, {self.n_classes})")
         targets = np.zeros((len(class_indices), self.n_classes))
         targets[np.arange(len(class_indices)), class_indices] = 1.0
-        examples_t = np.ascontiguousarray(examples.T)
-        for array in (examples, class_indices, targets, examples_t):
+        for array in (examples, class_indices, targets):
             array.flags.writeable = False
-        vars(self).update(
-            examples=examples, class_indices=class_indices, targets=targets, examples_t=examples_t
-        )
+        vars(self).update(examples=examples, class_indices=class_indices, targets=targets)
 
     def __len__(self) -> int:
         return self.examples.shape[0]

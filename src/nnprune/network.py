@@ -174,9 +174,9 @@ def forward_batch(net: Network, inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
     e) is selected by one maximum, with no boolean indexing.  Training
     runs the same kernel, :func:`_forward_kernel`, into buffers of its own.
     The kernel works feature-major, so ``inputs`` is copied transposed
-    once here, as :class:`~nnprune.data.Split` stores its examples for
-    training, and the two arrays returned are transposed views of the
-    kernel's buffers.
+    once here, as the trainer's stack copies its examples once per
+    training call, and the two arrays returned are transposed views of
+    the kernel's buffers.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != net.n_inputs:
@@ -290,7 +290,7 @@ def deserialize(text: str) -> Network:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level JSON value must be an object")

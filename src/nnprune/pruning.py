@@ -95,7 +95,14 @@ def _number(x, top: float = math.inf) -> bool:
 
 @dataclass(frozen=True)
 class RemovalEvent:
-    """One pruning decision, in chronological order within a trace."""
+    """One pruning decision, in chronological order within a trace.
+
+    Construction checks the event's form: a kind of :data:`_FORMS`, with
+    its count of non-negative integer indices and one of its triggers, and
+    every other field of the type and range the package writes.  An event
+    of any other form cannot be built; ValueError names its first bad
+    field.
+    """
 
     kind: str                  # weight-w | weight-v | input-node | hidden-node
     indices: tuple[int, ...]   # (m, l) for w, (p, m) for v, (l,) or (m,) for nodes
@@ -107,32 +114,27 @@ class RemovalEvent:
     accuracy_after_retrain: float | None = None
     implied_connections: int = 0     # weights newly masked by a node removal
 
-    def to_json(self) -> str:
-        return json.dumps({"type": "removal", **asdict(self)}, sort_keys=True)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "RemovalEvent":
-        """The event of a parsed :meth:`to_json` line without its ``type``;
-        raises ValueError naming the first field of the wrong type or value."""
-        e = cls(**doc)
-        form = _FORMS.get(e.kind) if isinstance(e.kind, str) else None
+    def __post_init__(self) -> None:
+        form = _FORMS.get(self.kind) if isinstance(self.kind, str) else None
         n_indices, triggers = form or (0, ())
         for name, ok in (
             ("kind", form is not None),
-            ("indices", type(e.indices) is list and len(e.indices) == n_indices
-             and all(type(i) is int and i >= 0 for i in e.indices)),
-            ("trigger", e.trigger in triggers),
-            ("batch", type(e.batch) is int and e.batch >= 0),
-            ("metric", _number(e.metric)),
-            ("threshold", _number(e.threshold)),
-            ("rolled_back", type(e.rolled_back) is bool),
-            ("accuracy_after_retrain", _number(e.accuracy_after_retrain, 1)),
-            ("implied_connections", type(e.implied_connections) is int
-             and e.implied_connections >= 0),
+            ("indices", type(self.indices) is tuple and len(self.indices) == n_indices
+             and all(type(i) is int and i >= 0 for i in self.indices)),
+            ("trigger", self.trigger in triggers),
+            ("batch", type(self.batch) is int and self.batch >= 0),
+            ("metric", _number(self.metric)),
+            ("threshold", _number(self.threshold)),
+            ("rolled_back", type(self.rolled_back) is bool),
+            ("accuracy_after_retrain", _number(self.accuracy_after_retrain, 1)),
+            ("implied_connections", type(self.implied_connections) is int
+             and self.implied_connections >= 0),
         ):
             if not ok:
-                raise ValueError(f"bad {name} {getattr(e, name)!r}")
-        return replace(e, indices=tuple(e.indices))
+                raise ValueError(f"bad {name} {getattr(self, name)!r}")
+
+    def to_json(self) -> str:
+        return json.dumps({"type": "removal", **asdict(self)}, sort_keys=True)
 
 
 @dataclass
@@ -180,7 +182,10 @@ class PruneTrace:
                 doc = json.loads(line)
                 kind = doc.pop("type")
                 if kind == "removal":
-                    trace.events.append(RemovalEvent.from_doc(doc))
+                    # an array loads as a list; the event rejects any other value
+                    indices = doc["indices"]
+                    indices = tuple(indices) if type(indices) is list else indices
+                    trace.events.append(RemovalEvent(**{**doc, "indices": indices}))
                     event_lines.append(lineno)
                 elif kind != "snapshot":
                     raise ValueError(f"unknown line type {kind!r}")
@@ -190,7 +195,7 @@ class PruneTrace:
                     raise ValueError(f"snapshot batch {doc['batch']} is negative or read twice")
                 else:
                     trace.snapshots[doc["batch"]] = deserialize(json.dumps(doc["network"]))
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
                 raise ParseError(f"trace line {lineno}: {type(exc).__name__}: {exc}") from None
         for lineno, e in zip(event_lines, trace.events):
             net = trace.snapshots.get(e.batch)

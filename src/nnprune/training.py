@@ -50,19 +50,20 @@ class _Stack:
 
     ``weights [S, h*n + o*h]`` and ``mask`` stack the networks' packed
     vectors, ``w [S, h, n]`` and ``v [S, o, h]`` are views of ``weights``,
-    and ``examples [S, k, n]``, ``examples_t [S, n, k]`` and ``targets
-    [S, k, o]`` stack the splits' arrays: what an epoch reads of a
-    network and of a split, with a leading stack axis.  The pass reads
-    the examples feature-major and the gradient of ``w`` example-major,
-    so both layouts are stacked here, once, and no epoch transposes.
-    ``views``, the layer sizes and ``n_classes`` are those of the first
-    row.  At these sizes an epoch's time is mostly per-call overhead, not
-    arithmetic, so an epoch of five rows costs about as much as two or
-    three epochs of one network.
+    and ``examples [S, k, n]`` stacks the splits' examples: what an epoch
+    reads of a network and of a split, with a leading stack axis.  The
+    pass reads the examples feature-major and the gradient of ``w`` reads
+    them example-major, so the stack also holds ``examples_t [S, n, k]``
+    and ``targets_t [S, o, k]``: C-contiguous feature-major copies of the
+    splits' examples and targets, made here once per :func:`descend` or
+    :func:`train` call, so that no epoch transposes.  ``views``, the layer
+    sizes and ``n_classes`` are those of the first row.  At these sizes an
+    epoch's time is mostly per-call overhead, not arithmetic, so an epoch
+    of five rows costs about as much as two or three epochs of one network.
 
     Every epoch steps a stack.  A stack of one is a view of its network
-    and split, so stepping it steps that network in place, as
-    :func:`descend` does; a stack of more rows holds copies.
+    and of its split's examples, so stepping it steps that network in
+    place, as :func:`descend` does; a stack of more rows holds copies.
     :func:`train` stacks copies of its networks, so it never changes the
     caller's.
     """
@@ -84,8 +85,9 @@ class _Stack:
         self.mask = _stacked([net.mask for net in self.networks])
         self.w, self.v = self.views(self.weights)
         self.examples = _stacked([split.examples for split in self.splits])
-        self.examples_t = _stacked([split.examples_t for split in self.splits])
-        self.targets = _stacked([split.targets for split in self.splits])
+        targets = _stacked([split.targets for split in self.splits])
+        self.examples_t = np.ascontiguousarray(self.examples.swapaxes(-1, -2))
+        self.targets_t = np.ascontiguousarray(targets.swapaxes(-1, -2))
 
     def __len__(self) -> int:
         return self.examples.shape[-2]
@@ -126,9 +128,9 @@ def _epochs(stack: _Stack, step: float, penalty: PenaltyParams) -> Iterator[int]
 
     Every array of the workspace has the stack's leading axis: the two
     gradient vectors, the data gradient's bound once to their ``w``/``v``
-    views, the buffers of :func:`~nnprune.network.forward_batch`'s kernel,
-    the targets transposed and the data gradient's scratch arrays; the
-    pass and its gradient run feature-major, on ``stack.examples_t``, so
+    views, the buffers of :func:`~nnprune.network.forward_batch`'s kernel
+    and the data gradient's scratch arrays; the pass and its gradient run
+    feature-major, on the stack's ``examples_t`` and ``targets_t``, so
     nothing is transposed in an epoch.  Each row steps bit for bit as its
     network would alone on its split.  Each epoch differentiates the
     forward pass the previous epoch left there (the first runs one), does
@@ -146,13 +148,12 @@ def _epochs(stack: _Stack, step: float, penalty: PenaltyParams) -> Iterator[int]
     grad_views = stack.views(grad)
     forward, at = _forward_kernel(stack, stack.examples_t)
     hidden, preds = at
-    targets_t = stack.targets.swapaxes(-1, -2).copy()
     work = (np.empty_like(preds), np.empty_like(hidden), np.empty_like(hidden))
     forward()
     for epoch in count(1):
         # overflow on diverged weights is caught at the end by the divergence check
         with np.errstate(over="ignore", invalid="ignore"):
-            data_gradients(stack, stack.examples, targets_t, at, grad_views, work)
+            data_gradients(stack, stack.examples, stack.targets_t, at, grad_views, work)
             penalty_gradients(weights, penalty, out=pen)
             np.add(grad, pen, out=grad)
             np.multiply(grad, step, out=grad)

@@ -302,6 +302,17 @@ def test_goldens_cover_the_pinned_paths():
     assert not missing, f"no golden takes these paths: {missing}"
 
 
+@pytest.mark.parametrize(
+    "trace_file",
+    [f"{name}/traces/seed{seed}.jsonl" for name in CONFIGS for seed in range(1, 6)]
+    + ["prune/prune.jsonl"],
+)
+def test_golden_traces_read_back_to_their_own_bytes(trace_file):
+    # the writer and the reader agree on every trace the package has written
+    text = (GOLDEN / trace_file).read_text(encoding="utf-8")
+    assert PruneTrace.from_jsonl(text).to_jsonl() == text
+
+
 # the files of a golden set that hold reports, not networks or traces
 REPORT_FILES = ("report.json", "report.txt", "stdout.txt")
 

@@ -700,6 +700,17 @@ class TestCli:
         assert capsys.readouterr().err == "error: unknown network fields: ['bias']\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.conf", "n.json"]
 
+    @pytest.mark.parametrize(
+        "text", ["1" * 5000, "[" * 200000], ids=["long-integer", "deep-nesting"]
+    )
+    def test_network_json_the_decoder_cannot_read_exit_1(self, text, tmp_path, capsys):
+        net = tmp_path / "n.json"
+        net.write_text(text, encoding="utf-8")
+        assert main(["export-dot", "--net", str(net)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: invalid JSON: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--bogus"])

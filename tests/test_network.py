@@ -269,6 +269,19 @@ class TestSerialization:
         assert np.array_equal(net.w_mask, back.w_mask)
         assert np.array_equal(net.v_mask, back.v_mask)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 5000,                  # an integer over Python's 4,300-digit limit
+            '{"n": ' + "9" * 5000 + "}",
+            "[" * 200000,                # nested deeper than the decoder recurses
+        ],
+        ids=["long-integer", "long-integer-field", "deep-nesting"],
+    )
+    def test_json_the_decoder_cannot_read_rejected(self, text):
+        with pytest.raises(ParseError, match="^invalid JSON: "):
+            deserialize(text)
+
     def test_masked_nonzero_rejected(self):
         net = small_net(2, 2, 2)
         doc = json.loads(serialize(net))

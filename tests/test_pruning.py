@@ -596,6 +596,9 @@ class TestTraceSerialization:
             '{"type": "removal", "kind": "weight-w", "trigger": "smallest-product", "batch": 0}',
             '{"type": "snapshot", "batch": "x", "network": {}}',
             "[1, 2]",
+            # JSON the decoder cannot read: past the 4,300-digit integer limit, too deep
+            pytest.param("1" * 5000, id="long-integer"),
+            pytest.param("[" * 200000, id="deep-nesting"),
         ],
     )
     def test_malformed_line_names_line(self, bad):
@@ -615,6 +618,8 @@ class TestTraceSerialization:
             ("batch", True),
             ("implied_connections", None),
             ("indices", "01"),
+            ("indices", 5),
+            ("indices", None),
             ("indices", [0, 1.5]),
             ("indices", [0, False]),
             ("rolled_back", 0),
@@ -635,10 +640,13 @@ class TestTraceSerialization:
         ],
     )
     def test_event_field_of_wrong_type_rejected(self, field, value):
-        doc = json.loads(RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_SMALLEST, 0).to_json())
-        bad = json.dumps({**doc, field: value})
+        event = RemovalEvent(KIND_WEIGHT_W, (0, 1), TRIGGER_SMALLEST, 0)
+        bad = json.dumps({**json.loads(event.to_json()), field: value})
         with pytest.raises(ParseError, match=rf"^trace line 2: ValueError: bad {field} "):
             PruneTrace.from_jsonl(f"\n{bad}\n")
+        # the event checks itself, so the pruning code cannot build it either
+        with pytest.raises(ValueError, match=rf"^bad {field} "):
+            replace(event, **{field: value})
 
     @pytest.mark.parametrize(
         "kind,indices,trigger,field",
@@ -660,6 +668,8 @@ class TestTraceSerialization:
         bad = {"type": "removal", "kind": kind, "indices": indices, "trigger": trigger, "batch": 0}
         with pytest.raises(ParseError, match=rf"^trace line 1: ValueError: bad {field} "):
             PruneTrace.from_jsonl(json.dumps(bad))
+        with pytest.raises(ValueError, match=rf"^bad {field} "):
+            RemovalEvent(kind, tuple(indices), trigger, 0)
 
     def test_each_kind_loads_with_each_of_its_triggers(self):
         events = [

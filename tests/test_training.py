@@ -372,6 +372,21 @@ class TestPackedEpochs:
         assert all(np.array_equal(a.weights, b.weights) for a, b in zip(nets, before))
 
 
+class TestStackLayout:
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_feature_major_copies_are_c_contiguous_transposes(self, size):
+        # the epoch reads these as they are; an F-ordered row changes the bits of its products
+        nets = [init_network(NetworkConfig(4, 3, 2, init_seed=seed)) for seed in range(size)]
+        splits = [toy_split(seed=seed) for seed in range(size)]
+        stack = importlib.import_module("nnprune.training")._Stack(nets, splits)
+        for got, arrays in (
+            (stack.examples_t, [split.examples for split in splits]),
+            (stack.targets_t, [split.targets for split in splits]),
+        ):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.stack([a.T for a in arrays]))
+
+
 class TestEpochContract:
     """The benchmark counts one GD update per ``nnprune.training.data_gradients``
     call; a refactor must not change how many calls an epoch makes."""
